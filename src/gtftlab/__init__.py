@@ -20,7 +20,6 @@ from .games import (
     gtft,
     initial_distribution,
     resolvent_entries,
-    simulate_game,
     simulate_games,
     transition_matrix,
 )
@@ -28,7 +27,6 @@ from .ehrenfest import (
     EhrenfestParams,
     MixingEstimate,
     MultinomialDist,
-    absorption_walk,
     coupled_run,
     detailed_balance_residual,
     enumerate_states,

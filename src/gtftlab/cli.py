@@ -131,9 +131,8 @@ def cmd_stationary(args) -> int:
             raise ValueError("beta mode needs --k")
         if not 0.0 < args.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        lam = 1.0 / args.beta - 1.0
-        weights = np.power(lam, np.arange(args.k, dtype=float))
-        p = weights / weights.sum()
+        lam = meanfield.weight_ratio(args.beta)
+        p = ehrenfest.geometric_weights(lam, args.k)
         result: dict = {"mode": "population-beta", "beta": args.beta, "k": args.k,
                         "lambda": lam, "closed_form_p": p.tolist(), "m": args.m}
         params = None
@@ -424,6 +423,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[at + 1]
     loaded = json.loads(Path(path).read_text())
     if not isinstance(loaded, dict):

@@ -67,6 +67,8 @@ class MultinomialDist:
     p: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(q) for q in self.p):
+            raise ValueError(f"cell probabilities must be finite, got {self.p}")
         if abs(sum(self.p) - 1.0) > 1e-12:
             raise ValueError(f"cell probabilities sum to {sum(self.p)}, not 1")
         if any(q < 0 for q in self.p):
@@ -176,11 +178,26 @@ def step(
     return x
 
 
+def geometric_weights(lam: float, k: int) -> np.ndarray:
+    """The k cell probabilities proportional to lam**(j-1), j = 1..k.
+
+    The plain powers lam**(j-1) are normalised as they are wherever their
+    sum is finite. On overflow the exponents are shifted down by k - 1,
+    which makes the largest weight 1 and leaves the ratios unchanged.
+    """
+    exponents = np.arange(k, dtype=float)
+    with np.errstate(over="ignore"):
+        weights = np.power(lam, exponents)
+        total = weights.sum()
+    if not math.isfinite(total):
+        weights = np.power(lam, exponents - (k - 1))
+        total = weights.sum()
+    return weights / total
+
+
 def stationary_closed(params: EhrenfestParams) -> MultinomialDist:
     """Closed-form stationary law: multinomial with urn weights lam**(j-1)."""
-    weights = np.power(params.lam, np.arange(params.k, dtype=float))
-    p = weights / weights.sum()
-    return MultinomialDist(m=params.m, p=tuple(p))
+    return MultinomialDist(m=params.m, p=tuple(geometric_weights(params.lam, params.k)))
 
 
 def build_kernel(params: EhrenfestParams, cap: int = DEFAULT_STATE_CAP):
@@ -358,37 +375,6 @@ def mixing_bound(params: EhrenfestParams) -> float:
     return 2.0 * phi * math.log2(4 * m)
 
 
-def absorption_walk(
-    k: int,
-    a: float,
-    b: float,
-    rng: np.random.Generator | int | None,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-) -> int:
-    """Walk on -k..k from 0, stepping +1 w.p. a and -1 w.p. b; return the hit time of +-k."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
-        raise ValueError("need a, b > 0 with a + b <= 1")
-    rng = ensure_rng(rng)
-    z = 0
-    t = 0
-    block = 1 << 12
-    while t < step_limit:
-        moves = rng.random(block).tolist()
-        for u in moves:
-            t += 1
-            if u < a:
-                z += 1
-            elif u < a + b:
-                z -= 1
-            if z == k or z == -k:
-                return t
-            if t >= step_limit:
-                break
-    raise StepLimitError(f"no absorption within {step_limit} steps")
-
-
 def absorption_times(
     k: int,
     a: float,
@@ -397,7 +383,15 @@ def absorption_times(
     rng: np.random.Generator | int | None,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> np.ndarray:
-    """Absorption times of n_runs independent walks, advanced in lockstep."""
+    """Absorption times of n_runs independent walks, advanced in lockstep.
+
+    Each walk starts at 0 on -k..k, steps +1 w.p. a and -1 w.p. b, and
+    stops on first hitting +-k.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
+        raise ValueError("need a, b > 0 with a + b <= 1")
     rng = ensure_rng(rng)
     z = np.zeros(n_runs, dtype=np.int64)
     tau = np.zeros(n_runs, dtype=np.int64)
@@ -418,14 +412,14 @@ def absorption_times(
 def expected_absorption_closed(k: int, a: float, b: float) -> float:
     """Expected absorption time of the +-k walk, from the martingale argument.
 
-    For a != b the optional-stopping value is exact for any a + b <= 1.
-    For a = b the returned k^2 assumes the walk moves every step
-    (a + b = 1); lazy balanced walks take k^2 / (a + b) in truth.
+    For a != b this is the optional-stopping value. A balanced walk needs
+    k^2 moves on average and moves w.p. a + b per step, hence k^2 / (a + b).
+    Both are exact for any a + b <= 1.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     if a == b:
-        return float(k * k)
+        return k * k / (a + b)
     lam = a / b
     return k / (a - b) * (2.0 * (lam**k - 1.0) / (lam**k - lam**-k) - 1.0)
 

@@ -324,15 +324,3 @@ def simulate_games(
         their_c[idx] = tc
         active[idx] = rng.random(idx.size) < cfg.delta
     return pay_me, pay_opp, rounds
-
-
-def simulate_game(
-    me: Strategy,
-    opp: Strategy,
-    cfg: GameConfig,
-    rv: RewardVector,
-    rng_seed: np.random.Generator | int | None,
-) -> tuple[float, float, int]:
-    """Play one full game; returns (row payoff, column payoff, rounds played)."""
-    pay_me, pay_opp, rounds = simulate_games(me, opp, cfg, rv, 1, rng_seed)
-    return float(pay_me[0]), float(pay_opp[0]), int(rounds[0])

@@ -22,35 +22,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import games
-from .ehrenfest import CapExceededError, MultinomialDist, enumerate_states, state_count
+from .ehrenfest import (
+    CapExceededError,
+    MultinomialDist,
+    enumerate_states,
+    geometric_weights,
+    state_count,
+)
 from .games import GameConfig, RewardVector
 from .population import generosity_grid
 
 
+def weight_ratio(beta: float) -> float:
+    """Ratio lam = (1 - beta)/beta of the up to the down weight of the dynamics."""
+    return (1.0 - beta) / beta
+
+
 def stationary_weights(beta: float, k: int, m: int) -> MultinomialDist:
-    """Stationary multinomial of the dynamics: cell weights ((1 - beta)/beta)**(j-1)."""
-    lam = (1.0 - beta) / beta
-    weights = np.power(lam, np.arange(k, dtype=float))
-    return MultinomialDist(m=m, p=tuple(weights / weights.sum()))
+    """Stationary multinomial of the dynamics: cell weights lam**(j-1)."""
+    return MultinomialDist(m=m, p=tuple(geometric_weights(weight_ratio(beta), k)))
 
 
 def avg_stationary_generosity(k: int, beta: float, g_hat: float) -> float:
-    """Mean generosity under the stationary law of the k-point dynamics.
-
-    Equals sum_j g_j p_j with p_j proportional to lam**(j-1) and
-    lam = (1 - beta)/beta; this is the closed form of that sum.
-    """
+    """Mean generosity sum_j g_j p_j under the stationary law of the k-point dynamics."""
     if k < 2:
         raise ValueError("need k >= 2")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if beta == 0.5:
         return g_hat / 2.0
-    lam = (1.0 - beta) / beta
-    return g_hat * (
-        lam**k / (lam**k - 1.0)
-        - (1.0 / (k - 1.0)) * (lam / (lam - 1.0)) * ((lam ** (k - 1) - 1.0) / (lam**k - 1.0))
-    )
+    grid = np.asarray(generosity_grid(k, g_hat))
+    return float(grid @ geometric_weights(weight_ratio(beta), k))
 
 
 def mean_field_payoff(
@@ -154,7 +156,7 @@ def generosity_report(
     return GenerosityReport(
         k=k,
         avg_stationary_generosity=wg,
-        lam=(1.0 - beta) / beta,
+        lam=weight_ratio(beta),
         g_star=g_star,
         regime=regime,
         gap=abs(g_star - wg),
@@ -211,9 +213,7 @@ def check_local_optimality(
     grid = np.linspace(0.0, cfg.g_hat, grid_size)
     violations: list[tuple[str, float, float, float]] = []
     n_comparisons = 0
-    f_allc = games.payoff_gtft_vs_allc(grid, cfg, rv)
-    f_alld = games.payoff_gtft_vs_alld(grid, cfg, rv)
-    f_gg = games.payoff_gtft_vs_gtft(grid[:, None], grid[None, :], cfg, rv)
+    f_allc, f_alld, f_gg = _payoff_tables(grid, cfg, rv)
     for i in range(grid_size):
         for j in range(i + 1, grid_size):
             g_lo, g_hi = float(grid[i]), float(grid[j])

@@ -7,12 +7,11 @@ pair of nodes uniformly. Only a GTFT initiator changes state: it bumps
 its grid index up after meeting a cooperator or another GTFT node, and
 down after meeting a defector, truncating at the grid ends.
 
-With the idealized pairing (partner drawn with replacement from the
-whole population) the count vector of grid indices is exactly the
-weighted multi-urn walk in :mod:`gtftlab.ehrenfest`; ``to_ehrenfest``
-produces the matching parameters. The distinct-pair mode (partner never
-equals the initiator) models physical interactions and deviates from
-that reduction by O(1/n); it exists for robustness checks.
+Under either pairing (partner drawn with replacement from the whole
+population, or from the other n - 1 nodes) the count vector of grid
+indices is exactly the weighted multi-urn walk in
+:mod:`gtftlab.ehrenfest`; ``to_ehrenfest`` produces the matching
+parameters.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ehrenfest import EhrenfestParams, MultinomialDist
+from .ehrenfest import EhrenfestParams, MultinomialDist, stationary_closed
 from .rng import ensure_rng
 
 PAIRING_MODES = ("idealized", "distinct-pair")
@@ -99,12 +98,13 @@ class PopulationState:
     ``z`` the per-index counts; both are kept consistent by interact().
     """
 
-    __slots__ = ("n", "n_allc", "n_alld", "m", "k", "idx", "z", "t")
+    __slots__ = ("n", "n_allc", "n_alld", "gtft_start", "m", "k", "idx", "z", "t")
 
     def __init__(self, cfg: PopulationConfig, idx: list[int]):
         self.n = cfg.n
         self.n_allc = cfg.n_allc
         self.n_alld = cfg.n_alld
+        self.gtft_start = cfg.n_allc + cfg.n_alld
         self.m = cfg.m
         self.k = cfg.k
         if len(idx) != self.m or any(not 1 <= j <= self.k for j in idx):
@@ -118,7 +118,7 @@ class PopulationState:
     def node_kind(self, node: int) -> str:
         if node < self.n_allc:
             return "allc"
-        if node < self.n_allc + self.n_alld:
+        if node < self.gtft_start:
             return "alld"
         return "gtft"
 
@@ -150,23 +150,17 @@ def init_population(
 
 
 def _apply(state: PopulationState, initiator: int, partner: int):
-    """Advance the clock one interaction; returns (kinds and index change) raw fields.
+    """Advance the clock one interaction; return the initiator's (index before, after).
 
-    Shared by interact() and run() so the two cannot drift apart.
+    Both are None when the initiator is not GTFT. Shared by interact(),
+    run() and sample_one_step_counts() so they cannot drift apart.
     """
     state.t += 1
-    gtft_start = state.n_allc + state.n_alld
-    init_kind = (
-        "allc" if initiator < state.n_allc else "alld" if initiator < gtft_start else "gtft"
-    )
-    part_kind = (
-        "allc" if partner < state.n_allc else "alld" if partner < gtft_start else "gtft"
-    )
-    if init_kind != "gtft":
-        return init_kind, part_kind, None, None
-    slot = initiator - gtft_start
+    slot = initiator - state.gtft_start
+    if slot < 0:
+        return None, None
     j = state.idx[slot]
-    if part_kind == "alld":
+    if state.n_allc <= partner < state.gtft_start:
         j_new = j - 1 if j > 1 else j
     else:
         j_new = j + 1 if j < state.k else j
@@ -174,7 +168,16 @@ def _apply(state: PopulationState, initiator: int, partner: int):
         state.idx[slot] = j_new
         state.z[j - 1] -= 1
         state.z[j_new - 1] += 1
-    return init_kind, part_kind, j, j_new
+    return j, j_new
+
+
+def _rollback(state: PopulationState, initiator: int, j: int | None, j_new: int | None) -> None:
+    """Undo one _apply() call, given its initiator and returned index change."""
+    state.t -= 1
+    if j is not None and j != j_new:
+        state.idx[initiator - state.gtft_start] = j
+        state.z[j_new - 1] -= 1
+        state.z[j - 1] += 1
 
 
 def _draw_partner(initiator: int, raw: int, distinct: bool) -> int:
@@ -198,21 +201,15 @@ def interact(
     initiator = int(rng.integers(0, state.n))
     raw = int(rng.integers(0, state.n - 1 if distinct else state.n))
     partner = _draw_partner(initiator, raw, distinct)
-    init_kind, part_kind, j, j_new = _apply(state, initiator, partner)
-    return InteractionRecord(initiator, partner, init_kind, part_kind, j, j_new)
+    j, j_new = _apply(state, initiator, partner)
+    return InteractionRecord(
+        initiator, partner, state.node_kind(initiator), state.node_kind(partner), j, j_new
+    )
 
 
 def undo_interaction(state: PopulationState, record: InteractionRecord) -> None:
-    """Roll back one interact() call; used to resample one-step transitions."""
-    state.t -= 1
-    if record.index_before is None:
-        return
-    slot = record.initiator - (state.n_allc + state.n_alld)
-    j_before, j_after = record.index_before, record.index_after
-    if j_before != j_after:
-        state.idx[slot] = j_before
-        state.z[j_after - 1] -= 1
-        state.z[j_before - 1] += 1
+    """Roll back one interact() call."""
+    _rollback(state, record.initiator, record.index_before, record.index_after)
 
 
 def run(
@@ -271,7 +268,6 @@ def sample_one_step_counts(
     state = init_population(cfg, z0)
     distinct = cfg.pairing == "distinct-pair"
     n = state.n
-    gtft_start = state.n_allc + state.n_alld
     counts: dict[tuple[int, ...], int] = {}
     block = 1 << 16
     done = 0
@@ -281,38 +277,32 @@ def sample_one_step_counts(
         raws = rng.integers(0, n - 1 if distinct else n, size=size).tolist()
         for initiator, raw in zip(initiators, raws):
             partner = _draw_partner(initiator, raw, distinct)
-            init_kind, part_kind, j, j_new = _apply(state, initiator, partner)
+            j, j_new = _apply(state, initiator, partner)
             key = state.counts()
             counts[key] = counts.get(key, 0) + 1
-            # roll back
-            state.t -= 1
-            if j is not None and j != j_new:
-                slot = initiator - gtft_start
-                state.idx[slot] = j
-                state.z[j_new - 1] -= 1
-                state.z[j - 1] += 1
+            _rollback(state, initiator, j, j_new)
         done += size
     return counts
 
 
 def to_ehrenfest(cfg: PopulationConfig) -> EhrenfestParams:
-    """Parameters of the urn walk that the idealized-pairing count vector follows.
+    """Parameters of the urn walk that the count vector follows, under either pairing.
 
-    Up weight (1-alpha-beta)(1-beta), down weight (1-alpha-beta)beta,
-    with the m GTFT nodes as balls. Requires 0 < beta, else one of the
-    weights vanishes and the walk is degenerate (simulation still works).
+    A GTFT initiator (chance m/n) meets a defector with chance n_D/N,
+    where N is the partner pool: n for idealized pairing, n - 1 for
+    distinct-pair. Up weight (m/n)(N - n_D)/N, down weight (m/n) n_D/N,
+    with the m GTFT nodes as balls. Requires 0 < beta, else the down
+    weight vanishes and the walk is degenerate (simulation still works).
     """
     if cfg.beta <= 0:
         raise ValueError("beta = 0 gives a degenerate chain with no down moves")
-    rest = 1.0 - cfg.alpha - cfg.beta
-    return EhrenfestParams(k=cfg.k, a=rest * (1.0 - cfg.beta), b=rest * cfg.beta, m=cfg.m)
+    pool = cfg.n - 1 if cfg.pairing == "distinct-pair" else cfg.n
+    share = cfg.m / cfg.n
+    return EhrenfestParams(
+        k=cfg.k, a=share * (pool - cfg.n_alld) / pool, b=share * cfg.n_alld / pool, m=cfg.m
+    )
 
 
 def stationary_of_population(cfg: PopulationConfig) -> MultinomialDist:
-    """Closed-form stationary law of the count vector: multinomial, weights (1/beta - 1)**(j-1)."""
-    if not 0.0 < cfg.beta < 1.0 - cfg.alpha:
-        raise ValueError(f"beta must lie in (0, 1 - alpha), got {cfg.beta}")
-    lam = 1.0 / cfg.beta - 1.0
-    weights = np.power(lam, np.arange(cfg.k, dtype=float))
-    p = weights / weights.sum()
-    return MultinomialDist(m=cfg.m, p=tuple(p))
+    """Closed-form stationary law of the count vector, through ``to_ehrenfest``."""
+    return stationary_closed(to_ehrenfest(cfg))

@@ -218,3 +218,8 @@ def test_config_file_flag_override(tmp_path, capsys):
 
 def test_missing_config_file_is_config_error():
     assert main(["--config", "/nonexistent/path.json", "stationary"]) == 2
+
+
+def test_config_flag_without_path_is_config_error(capsys):
+    assert main(["stationary", "--k", "3", "--config"]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtftlab.ehrenfest import (
     CapExceededError,
@@ -12,13 +14,13 @@ from gtftlab.ehrenfest import (
     MultinomialDist,
     StepLimitError,
     absorption_times,
-    absorption_walk,
     corner_labels,
     coupled_run,
     detailed_balance_residual,
     enumerate_states,
     estimate_mixing,
     expected_absorption_closed,
+    geometric_weights,
     mixing_bound,
     solve_stationary_exact,
     state_count,
@@ -51,6 +53,32 @@ def hitting_time_oracle(k: int, a: float, b: float) -> float:
     return float(np.linalg.solve(system, rhs)[k - 1])
 
 
+def exact_geometric_weights(lam: float, k: int) -> tuple[list[int], int]:
+    """Oracle: integers proportional to lam**(j-1), j = 1..k, and their sum, exactly.
+
+    A finite float lam is num / 2**e, so lam**(j-1) * 2**(e(k-1)) is the
+    integer num**(j-1) * 2**(e(k-j)).
+    """
+    num, den = lam.as_integer_ratio()
+    shift = den.bit_length() - 1
+    weights, power = [], 1
+    for j in range(k):
+        weights.append(power << shift * (k - 1 - j))
+        power *= num
+    return weights, sum(weights)
+
+
+def assert_matches_exact_weights(p, lam: float, k: int) -> None:
+    weights, total = exact_geometric_weights(lam, k)
+    exact = np.array([w / total for w in weights])
+    assert np.all(np.isfinite(p))
+    np.testing.assert_allclose(p, exact, rtol=1e-12, atol=1e-300)
+
+
+# beta below ~1e-308 makes lam = (1 - beta)/beta overflow to inf
+BETAS = st.floats(min_value=1e-300, max_value=1.0, exclude_max=True)
+
+
 # ------------------------------------------------------------------ params, states
 
 
@@ -76,6 +104,11 @@ def test_enumerate_states_small_and_counts():
 def test_enumerate_states_cap():
     with pytest.raises(CapExceededError):
         enumerate_states(6, 20, cap=1000)
+
+
+def test_multinomial_rejects_non_finite_cells():
+    with pytest.raises(ValueError):
+        MultinomialDist(m=3, p=(math.nan, math.nan, math.nan))
 
 
 def test_multinomial_pmf_sums_to_one():
@@ -162,6 +195,35 @@ def test_stationary_closed_geometric_weights():
     np.testing.assert_allclose(dist.p, [1 / 7, 2 / 7, 4 / 7], atol=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(min_value=1e-12, max_value=1e12), k=st.integers(2, 400))
+@example(lam=18.0, k=400)
+@example(lam=99.0, k=1000)
+@example(lam=19.0, k=300)
+@example(lam=2.0, k=1024)
+def test_geometric_weights_match_exact_oracle(lam, k):
+    assert_matches_exact_weights(geometric_weights(lam, k), lam, k)
+
+
+def test_geometric_weights_are_plain_powers_when_finite():
+    for lam in (0.1, 0.5, 1.0, 1.5, 3.0, 18.0):
+        for k in (2, 3, 17, 200):
+            weights = np.power(lam, np.arange(k, dtype=float))
+            if np.isfinite(weights.sum()):
+                np.testing.assert_array_equal(geometric_weights(lam, k), weights / weights.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=BETAS, k=st.integers(2, 400))
+@example(beta=0.05, k=300)
+@example(beta=0.01, k=1000)
+@example(beta=0.5 - 1e-13, k=6)
+@example(beta=0.5 - 1e-9, k=300)
+def test_stationary_closed_matches_exact_oracle(beta, k):
+    params = EhrenfestParams(k=k, a=1.0 - beta, b=beta, m=5)
+    assert_matches_exact_weights(stationary_closed(params).p, params.lam, k)
+
+
 def test_stationary_two_urns_is_binomial():
     params = EhrenfestParams(k=2, a=0.5, b=0.25, m=6)
     lam = params.lam
@@ -224,13 +286,16 @@ def test_detailed_balance_two_state_chain_exact():
 # ------------------------------------------------------------------ absorption
 
 
-def test_absorption_closed_balanced_is_k_squared():
+def test_absorption_closed_balanced():
     assert expected_absorption_closed(4, 0.5, 0.5) == 16.0
-    assert expected_absorption_closed(6, 0.3, 0.3) == 36.0
+    assert expected_absorption_closed(6, 0.3, 0.3) == 60.0
 
 
 def test_absorption_closed_matches_hitting_time_oracle():
-    for k, a, b in [(4, 0.5, 0.5), (8, 0.6, 0.2), (6, 0.3, 0.35), (1, 0.2, 0.5), (5, 0.45, 0.55)]:
+    for k, a, b in [
+        (4, 0.5, 0.5), (8, 0.6, 0.2), (6, 0.3, 0.35), (1, 0.2, 0.5), (5, 0.45, 0.55),
+        (6, 0.3, 0.3), (4, 0.2, 0.2),
+    ]:
         assert expected_absorption_closed(k, a, b) == pytest.approx(
             hitting_time_oracle(k, a, b), rel=1e-10
         )
@@ -253,9 +318,9 @@ def test_absorption_single_site_mean():
     assert expected_absorption_closed(1, 0.3, 0.5) == pytest.approx(1 / 0.8)
 
 
-def test_absorption_walk_single_runs_match_closed():
+def test_absorption_times_single_runs_match_closed():
     rng = stream(4, "absorb-one")
-    taus = np.array([absorption_walk(3, 0.5, 0.3, rng) for _ in range(20_000)])
+    taus = np.concatenate([absorption_times(3, 0.5, 0.3, 1, rng) for _ in range(20_000)])
     se = taus.std(ddof=1) / math.sqrt(taus.size)
     assert abs(taus.mean() - expected_absorption_closed(3, 0.5, 0.3)) < 3 * se
 
@@ -269,7 +334,7 @@ def test_absorption_batch_matches_closed():
 
 def test_absorption_step_limit():
     with pytest.raises(StepLimitError):
-        absorption_walk(10, 0.05, 0.05, stream(6, "limit"), step_limit=5)
+        absorption_times(10, 0.05, 0.05, 1, stream(6, "limit"), step_limit=5)
 
 
 # ------------------------------------------------------------------ coupling, mixing

@@ -14,7 +14,6 @@ from gtftlab.games import (
     gtft,
     initial_distribution,
     resolvent_entries,
-    simulate_game,
     simulate_games,
     transition_matrix,
 )
@@ -312,11 +311,12 @@ def test_simulation_alld_vs_alld_zero_payoff():
     assert np.all(pay_me == 0) and np.all(pay_opp == 0)
 
 
-def test_simulate_game_deterministic_given_seed():
+def test_simulate_games_deterministic_given_seed():
     cfg = GameConfig(delta=0.9, s1=0.5)
-    first = simulate_game(gtft(0.2), gtft(0.7), cfg, GENERAL, 1234)
-    second = simulate_game(gtft(0.2), gtft(0.7), cfg, GENERAL, 1234)
-    assert first == second
+    first = simulate_games(gtft(0.2), gtft(0.7), cfg, GENERAL, 1, 1234)
+    second = simulate_games(gtft(0.2), gtft(0.7), cfg, GENERAL, 1, 1234)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_rounds_are_geometric_mean():

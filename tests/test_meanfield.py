@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtftlab import games
 from gtftlab.games import GameConfig, RewardVector
@@ -22,6 +24,8 @@ from gtftlab.meanfield import (
 )
 from gtftlab.population import generosity_grid
 from gtftlab.rng import stream
+
+from test_ehrenfest import BETAS, exact_geometric_weights
 
 DONATION = RewardVector.donation(3, 2)
 CFG = GameConfig(delta=0.9, s1=0.5, g_hat=0.25)
@@ -102,6 +106,18 @@ def test_avg_generosity_matches_direct_sum():
                 closed = avg_stationary_generosity(k, beta, g_hat)
                 direct = direct_avg_generosity(k, beta, g_hat)
                 assert closed == pytest.approx(direct, abs=1e-12), (k, beta, g_hat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=BETAS, k=st.integers(2, 400))
+@example(beta=0.05, k=300)
+@example(beta=0.01, k=1000)
+@example(beta=0.5 - 1e-13, k=6)
+@example(beta=0.5 - 1e-9, k=6)
+def test_avg_generosity_matches_exact_oracle(beta, k):
+    weights, total = exact_geometric_weights((1 - beta) / beta, k)
+    exact = sum(j * w for j, w in enumerate(weights)) / (total * (k - 1))
+    assert avg_stationary_generosity(k, beta, 1.0) == pytest.approx(exact, rel=0, abs=1e-13)
 
 
 def test_avg_generosity_monotone_in_k_toward_ghat():

@@ -273,9 +273,16 @@ def test_stationary_matches_chain_closed_form():
 
 def test_one_step_frequencies_match_kernel_row():
     n = 400_000
-    for tag, z0 in (("interior", (7, 6, 7)), ("corner", (20, 0, 0)), ("edge", (0, 3, 17))):
-        counts = sample_one_step_counts(CFG, z0, n, stream(35, "corr", tag))
-        row = transition_row(z0, to_ehrenfest(CFG))
+    distinct = PopulationConfig(n=20, alpha=0.25, beta=0.25, k=3, g_hat=0.25,
+                                pairing="distinct-pair")
+    for cfg, tag, z0 in (
+        (CFG, "interior", (7, 6, 7)),
+        (CFG, "corner", (20, 0, 0)),
+        (CFG, "edge", (0, 3, 17)),
+        (distinct, "distinct", (4, 3, 3)),
+    ):
+        counts = sample_one_step_counts(cfg, z0, n, stream(35, "corr", tag))
+        row = transition_row(z0, to_ehrenfest(cfg))
         assert set(counts) <= set(row)
         for y, p in row.items():
             freq = counts.get(y, 0) / n
