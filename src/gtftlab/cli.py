@@ -2,10 +2,11 @@
 
 Subcommands cover trajectory simulation, stationary-law checks, mixing
 diagnostics, pairwise payoffs, optimality reports, and the mean-field
-versus granular payoff comparison. Trajectories stream as CSV; scalar
-reports print as JSON. Every invocation writes or embeds a manifest
-echoing the full configuration and seed, and a rerun with the same
-manifest reproduces the data byte for byte.
+versus granular payoff comparison. Tables are written as CSV with the
+manifest beside them; reports print as JSON with the manifest embedded.
+The manifest echoes the full configuration and seed, and
+``gtftlab <command> --config <file holding manifest["config"]>`` reruns
+it to the same data byte for byte.
 
 Exit codes: 0 success, 2 invalid configuration, 3 state cap or step
 limit exceeded.
@@ -33,12 +34,13 @@ EXIT_CONFIG = 2
 EXIT_LIMIT = 3
 
 
-def _manifest(command: str, config: dict, seed: int | None, outputs: list[str], t0: float) -> dict:
+def _manifest(args, outputs: list[str], t0: float) -> dict:
     return {
         "artifact_version": __version__,
-        "command": command,
-        "config": config,
-        "seed": seed,
+        "command": args.command,
+        "config": {key: value for key, value in sorted(vars(args).items())
+                   if key not in ("func", "config")},
+        "seed": getattr(args, "seed", None),
         "outputs": outputs,
         "wall_clock_s": round(time.monotonic() - t0, 6),
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -87,48 +89,30 @@ def _add_reward_args(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- simulate
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[str]:
     cfg = PopulationConfig(
         n=args.n, alpha=args.alpha, beta=args.beta, k=args.k, g_hat=args.g_hat,
         pairing=args.pairing,
     )
-    record_every = args.record_every if args.record_every else cfg.n
+    # resolved in place so that the manifest echoes the cadence that ran
+    args.record_every = args.record_every or cfg.n
     initial = tuple(args.init_counts) if args.init_counts else None
-    t0 = time.monotonic()
     rng = stream(args.seed, "simulate")
-    rows = population.run(cfg, args.steps, record_every, rng, initial)
+    rows = population.run(cfg, args.steps, args.record_every, rng, initial)
 
-    out_path = Path(args.out)
-    header = "t," + ",".join(f"z_{j}" for j in range(1, cfg.k + 1)) + ",avg_generosity"
-    lines = [header]
+    lines = ["t," + ",".join(f"z_{j}" for j in range(1, cfg.k + 1)) + ",avg_generosity"]
     for t, z, wg in rows:
         lines.append(f"{t}," + ",".join(str(c) for c in z) + f",{wg!r}")
-    out_path.write_text("\n".join(lines) + "\n")
-
-    manifest = _manifest(
-        "simulate",
-        {
-            "n": cfg.n, "alpha": cfg.alpha, "beta": cfg.beta, "k": cfg.k,
-            "g_hat": cfg.g_hat, "pairing": cfg.pairing, "steps": args.steps,
-            "record_every": record_every,
-            "init_counts": list(initial) if initial else None,
-        },
-        args.seed,
-        [str(out_path)],
-        t0,
-    )
-    _emit_json(manifest, str(out_path) + ".manifest.json")
-    return EXIT_OK
+    return lines
 
 
 # ---------------------------------------------------------------- stationary
 
 
-def cmd_stationary(args) -> int:
-    t0 = time.monotonic()
+def cmd_stationary(args) -> dict:
     if args.beta is not None:
-        if args.k is None:
-            raise ValueError("beta mode needs --k")
+        if args.k is None or args.k < 2:
+            raise ValueError("beta mode needs --k >= 2")
         if not 0.0 < args.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         lam = meanfield.weight_ratio(args.beta)
@@ -140,11 +124,11 @@ def cmd_stationary(args) -> int:
             # an explicit (a, b) pair with the same ratio reproduces the law
             params = EhrenfestParams(k=args.k, a=(1 - args.beta) / 2, b=args.beta / 2, m=args.m)
     else:
-        if None in (args.k, args.a, args.bb, args.m):
+        if None in (args.k, args.a, args.b, args.m):
             raise ValueError("chain mode needs --k --a --b --m (or use --beta)")
-        params = EhrenfestParams(k=args.k, a=args.a, b=args.bb, m=args.m)
+        params = EhrenfestParams(k=args.k, a=args.a, b=args.b, m=args.m)
         dist = ehrenfest.stationary_closed(params)
-        result = {"mode": "chain", "k": args.k, "a": args.a, "b": args.bb, "m": args.m,
+        result = {"mode": "chain", "k": args.k, "a": args.a, "b": args.b, "m": args.m,
                   "lambda": params.lam, "closed_form_p": list(dist.p)}
 
     if args.exact and params is not None:
@@ -169,10 +153,7 @@ def cmd_stationary(args) -> int:
     elif args.exact:
         result["exact_solver"] = None
         result["note"] = "exact comparison needs --m"
-
-    result["manifest"] = _manifest("stationary", _echo_args(args), None, [], t0)
-    _emit_json(result, args.out)
-    return EXIT_OK
+    return result
 
 
 # ---------------------------------------------------------------- mixing
@@ -210,33 +191,26 @@ def _parse_sweep(text: str) -> tuple[str, list[int]]:
         raise ValueError(f"sweep values must be integers, got {values!r}") from None
 
 
-def cmd_mixing(args) -> int:
-    t0 = time.monotonic()
-    result: dict
+def cmd_mixing(args) -> dict:
     if not args.sweep:
-        params = EhrenfestParams(k=args.k, a=args.a, b=args.bb, m=args.m)
-        result = _mixing_once(params, args, args.seed)
-    else:
-        key, sweep_values = _parse_sweep(args.sweep)
-        rows = []
-        for value in sorted(sweep_values):
-            params = EhrenfestParams(
-                k=value if key == "k" else args.k,
-                a=args.a, b=args.bb,
-                m=value if key == "m" else args.m,
-            )
-            rows.append(_mixing_once(params, args, args.seed))
-        result = {"sweep": key, "rows": rows}
-    result["manifest"] = _manifest("mixing", _echo_args(args), args.seed, [], t0)
-    _emit_json(result, args.out)
-    return EXIT_OK
+        params = EhrenfestParams(k=args.k, a=args.a, b=args.b, m=args.m)
+        return _mixing_once(params, args, args.seed)
+    key, sweep_values = _parse_sweep(args.sweep)
+    rows = []
+    for value in sorted(sweep_values):
+        params = EhrenfestParams(
+            k=value if key == "k" else args.k,
+            a=args.a, b=args.b,
+            m=value if key == "m" else args.m,
+        )
+        rows.append(_mixing_once(params, args, args.seed))
+    return {"sweep": key, "rows": rows}
 
 
 # ---------------------------------------------------------------- payoff
 
 
-def cmd_payoff(args) -> int:
-    t0 = time.monotonic()
+def cmd_payoff(args) -> dict:
     rv = _reward_vector(args)
     cfg = GameConfig(delta=args.delta, s1=args.s1, g_hat=args.g_hat)
     me = _strategy(args.me)
@@ -258,16 +232,13 @@ def cmd_payoff(args) -> int:
             "opp_mean": float(pay_opp.mean()),
             "mean_rounds": float(rounds.mean()),
         }
-    result["manifest"] = _manifest("payoff", _echo_args(args), args.seed, [], t0)
-    _emit_json(result, args.out)
-    return EXIT_OK
+    return result
 
 
 # ---------------------------------------------------------------- optimality
 
 
-def cmd_optimality(args) -> int:
-    t0 = time.monotonic()
+def cmd_optimality(args) -> dict:
     rv = _reward_vector(args)
     cfg = GameConfig(delta=args.delta, s1=args.s1, g_hat=args.g_hat)
     g_star, regime = meanfield.optimal_generosity(args.alpha, args.beta, args.n, cfg, rv)
@@ -290,16 +261,13 @@ def cmd_optimality(args) -> int:
                 "gap_bound": report.gap_bound,
             }
         )
-    result["manifest"] = _manifest("optimality", _echo_args(args), None, [], t0)
-    _emit_json(result, args.out)
-    return EXIT_OK
+    return result
 
 
 # ---------------------------------------------------------------- compare
 
 
-def cmd_compare(args) -> int:
-    t0 = time.monotonic()
+def cmd_compare(args) -> list[str]:
     rv = _reward_vector(args)
     cfg = GameConfig(delta=args.delta, s1=args.s1, g_hat=args.g_hat)
     pairs = []
@@ -309,6 +277,8 @@ def cmd_compare(args) -> int:
 
     lines = ["alpha,beta,g,F_meanfield,F_granular,avg_generosity,F_meanfield_at_avg"]
     for alpha, beta in pairs:
+        if not alpha + beta < 1.0:
+            raise ValueError(f"need alpha + beta < 1, got {alpha}, {beta}")
         # m GTFT nodes is held fixed across the sweep; n scales with the fractions
         n = args.m / (1.0 - alpha - beta)
         comp = meanfield.granular_expected_payoff(alpha, beta, n, args.k, cfg, rv)
@@ -317,19 +287,10 @@ def cmd_compare(args) -> int:
                 f"{alpha!r},{beta!r},{g!r},{f_mf!r},{comp.granular!r},"
                 f"{comp.avg_generosity!r},{comp.mean_field_at_avg!r}"
             )
-    out_path = Path(args.out)
-    out_path.write_text("\n".join(lines) + "\n")
-    manifest = _manifest("compare", _echo_args(args), None, [str(out_path)], t0)
-    _emit_json(manifest, str(out_path) + ".manifest.json")
-    return EXIT_OK
+    return lines
 
 
 # ---------------------------------------------------------------- wiring
-
-
-def _echo_args(args) -> dict:
-    skip = {"func", "config"}
-    return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", help="closed-form stationary law, optional exact check")
     p.add_argument("--k", type=int)
     p.add_argument("--a", type=float)
-    p.add_argument("--b", dest="bb", type=float)
+    p.add_argument("--b", type=float)
     p.add_argument("--m", type=int)
     p.add_argument("--beta", type=float, help="population mode: defect fraction")
     p.add_argument("--exact", action="store_true", help="compare against the linear solver")
@@ -370,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixing", help="mixing bound, coupling estimate, optional exact scan")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", dest="bb", type=float, required=True)
+    p.add_argument("--b", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--trials", type=int, default=200)
@@ -418,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold --config file values in as defaults; explicit flags win."""
+def _apply_config_file(argv: list[str]) -> list[str]:
+    """Fold --config file values in ahead of the explicit flags, which win
+    because argparse keeps the last value given. Null and false are skipped."""
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
@@ -429,23 +391,16 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     loaded = json.loads(Path(path).read_text())
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
-    rest = argv[:at] + argv[at + 2:]
-    command = rest[0] if rest else loaded.get("command")
-    if command is None:
+    rest = argv[:at] + argv[at + 2:] or [loaded.get("command")]
+    if rest[0] is None:
         raise ValueError("config file use requires a subcommand")
-    if not rest:
-        rest = [command]
     extra: list[str] = []
-    present = set(rest)
     for key, value in loaded.items():
-        if key == "command":
+        if key == "command" or value is None or value is False:
             continue
         flag = "--" + key.replace("_", "-")
-        if flag in present:
-            continue
-        if isinstance(value, bool):
-            if value:
-                extra.append(flag)
+        if value is True:
+            extra.append(flag)
         elif isinstance(value, list):
             extra.append(flag)
             extra.extend(str(v) for v in value)
@@ -458,15 +413,23 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+        args = parser.parse_args(_apply_config_file(argv))
+        t0 = time.monotonic()
+        report = args.func(args)
+        if isinstance(report, dict):
+            report["manifest"] = _manifest(args, [], t0)
+            _emit_json(report, args.out)
+        else:
+            Path(args.out).write_text("\n".join(report) + "\n")
+            _emit_json(_manifest(args, [args.out], t0), args.out + ".manifest.json")
+    except (ValueError, OSError) as exc:
+        # OSError: unreadable --config or unwritable --out; JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CapExceededError, StepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

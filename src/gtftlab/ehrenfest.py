@@ -412,16 +412,18 @@ def absorption_times(
 def expected_absorption_closed(k: int, a: float, b: float) -> float:
     """Expected absorption time of the +-k walk, from the martingale argument.
 
-    For a != b this is the optional-stopping value. A balanced walk needs
-    k^2 moves on average and moves w.p. a + b per step, hence k^2 / (a + b).
-    Both are exact for any a + b <= 1.
+    For a != b this is the optional-stopping value
+    k/(a-b) * (2(r-1)/(r-1/r) - 1) with r = (a/b)^k, written as
+    k/(a-b) * tanh(ln(r)/2) so that it neither cancels near a = b nor
+    overflows at large k. A balanced walk needs k^2 moves on average and
+    moves w.p. a + b per step, hence k^2 / (a + b). Both are exact for any
+    a + b <= 1.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     if a == b:
         return k * k / (a + b)
-    lam = a / b
-    return k / (a - b) * (2.0 * (lam**k - 1.0) / (lam**k - lam**-k) - 1.0)
+    return k / (a - b) * math.tanh(0.5 * k * math.log1p((a - b) / b))
 
 
 def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gtftlab.cli import main
 
@@ -103,6 +105,12 @@ def test_stationary_cap_exceeded_degrades_gracefully(capsys):
 
 def test_stationary_missing_args_is_config_error(capsys):
     assert main(["stationary", "--k", "3"]) == 2
+
+
+def test_stationary_beta_mode_needs_two_urns(capsys):
+    for k in ("1", "0", "-1"):
+        assert main(["stationary", "--beta", "0.3", "--k", k]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ------------------------------------------------------------------ mixing
@@ -223,3 +231,96 @@ def test_missing_config_file_is_config_error():
 def test_config_flag_without_path_is_config_error(capsys):
     assert main(["stationary", "--k", "3", "--config"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# ------------------------------------------------------------------ replay
+
+GAME = ["--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25"]
+REPLAYED = {
+    "simulate": (SIM_FLAGS + ["--record-every", "0"], "csv"),
+    "stationary": (["stationary", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4",
+                    "--exact"], "json"),
+    "stationary-beta": (["stationary", "--beta", "0.25", "--k", "3"], "json"),
+    "mixing": (["mixing", "--k", "3", "--a", "0.6", "--b", "0.2", "--m", "8", "--trials", "20",
+                "--seed", "5", "--sweep", "m=8,4", "--exact-scan"], "json"),
+    "payoff": (["payoff", "--me", "gtft:0.2", "--opp", "alld", *GAME, "--mc-games", "500",
+                "--seed", "3"], "json"),
+    "optimality": (["optimality", *GAME, "--alpha", "0.25", "--beta", "0.05", "--n", "100",
+                    "--k", "4"], "json"),
+    "compare": (["compare", *GAME, "--k", "3", "--m", "4", "--populations",
+                 "0.25,0.25;0.3,0.2"], "csv"),
+}
+
+
+def _run_record(argv, kind, out):
+    """Run once; return the data bytes (CSV) or report (JSON) and the manifest."""
+    assert main(argv + ["--out", str(out)]) == 0
+    if kind == "csv":
+        return out.read_bytes(), read_manifest(out.with_name(out.name + ".manifest.json"))
+    report = json.loads(out.read_text())
+    return report, report.pop("manifest")
+
+
+@pytest.mark.parametrize("argv,kind", REPLAYED.values(), ids=REPLAYED.keys())
+def test_manifest_config_replays_the_run(tmp_path, argv, kind):
+    first, manifest = _run_record(argv, kind, tmp_path / f"first.{kind}")
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(manifest["config"]))
+    fresh = tmp_path / f"replay.{kind}"
+    second, replayed = _run_record([argv[0], "--config", str(config_file)], kind, fresh)
+    assert second == first
+    assert replayed["config"] == {**manifest["config"], "out": str(fresh)}
+    for key in ("artifact_version", "command", "seed"):
+        assert replayed[key] == manifest[key]
+
+
+# ------------------------------------------------------------------ exit codes
+
+# the replayed runs, with relative CSV paths, are the valid base argvs
+FUZZ_BASE = {
+    name: argv + ["--out", f"{name}.csv"] if kind == "csv" else argv
+    for name, (argv, kind) in REPLAYED.items()
+}
+FUZZ_FLAGS = {
+    "simulate": ["--n", "--alpha", "--beta", "--k", "--g-hat", "--steps", "--record-every",
+                 "--init-counts", "--seed"],
+    "stationary": ["--k", "--a", "--b", "--m", "--beta", "--cap"],
+    "mixing": ["--k", "--a", "--b", "--m", "--epsilon", "--trials", "--sweep", "--step-limit",
+               "--cap", "--seed"],
+    "payoff": ["--b", "--c", "--R", "--S", "--T", "--P", "--delta", "--s1", "--g-hat", "--tol",
+               "--mc-games", "--seed"],
+    "optimality": ["--b", "--c", "--delta", "--s1", "--g-hat", "--alpha", "--beta", "--n", "--k"],
+    "compare": ["--b", "--c", "--delta", "--s1", "--g-hat", "--k", "--m", "--populations"],
+}
+DIRECTORY = "fuzz-dir"
+FUZZ_VALUES = ["-1", "0", "1", "2", "3", "0.25", "0.5", "1.5", "nan", "inf", "x", "",
+               DIRECTORY, "0.5,0.5"]
+
+
+@st.composite
+def cli_argvs(draw):
+    base = FUZZ_BASE[draw(st.sampled_from(sorted(FUZZ_BASE)))]
+    flags = st.sampled_from(FUZZ_FLAGS[base[0]] + ["--out", "--config"])
+    pairs = draw(st.lists(st.tuples(flags, st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3))
+    return base + [word for pair in pairs for word in pair]
+
+
+# one shared working directory for all examples, so the fixtures need no reset
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argvs())
+@example(argv=FUZZ_BASE["stationary"] + ["--out", DIRECTORY])
+@example(argv=FUZZ_BASE["simulate"] + ["--out", DIRECTORY])
+@example(argv=FUZZ_BASE["mixing"] + ["--config", DIRECTORY])
+@example(argv=FUZZ_BASE["compare"] + ["--populations", "0.5,0.5"])
+def test_exit_code_contract(argv, tmp_path, monkeypatch):
+    """Any argv ends in exit code 0, 2 or 3, or argparse's exit 2; never a traceback."""
+    # relative --out and --config values such as "x" resolve inside tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / DIRECTORY).mkdir(exist_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3)
+

@@ -295,6 +295,8 @@ def test_absorption_closed_matches_hitting_time_oracle():
     for k, a, b in [
         (4, 0.5, 0.5), (8, 0.6, 0.2), (6, 0.3, 0.35), (1, 0.2, 0.5), (5, 0.45, 0.55),
         (6, 0.3, 0.3), (4, 0.2, 0.2),
+        # near balance, where the r = (a/b)^k form cancels, and large k, where it overflows
+        (4, 0.3, 0.3 + 1e-12), (4, 0.3, 0.3 + 1e-9), (6, 0.5, 0.5 - 1e-14), (400, 0.9, 0.1),
     ]:
         assert expected_absorption_closed(k, a, b) == pytest.approx(
             hitting_time_oracle(k, a, b), rel=1e-10
