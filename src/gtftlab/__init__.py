@@ -34,6 +34,7 @@ from .ehrenfest import (
     expected_absorption_closed,
     mixing_bound,
     solve_stationary_exact,
+    state_array,
     stationary_closed,
     step,
     tmix_exact,

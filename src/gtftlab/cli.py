@@ -8,8 +8,8 @@ The manifest echoes the full configuration and seed, and
 ``gtftlab <command> --config <file holding manifest["config"]>`` reruns
 it to the same data byte for byte.
 
-Exit codes: 0 success, 2 invalid configuration, 3 state cap or step
-limit exceeded.
+Exit codes: 0 success, 2 invalid configuration, 3 state cap, step
+limit or stationary-solver residual bound exceeded.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, ehrenfest, games, meanfield, population
-from .ehrenfest import CapExceededError, EhrenfestParams, StepLimitError
+from .ehrenfest import CapExceededError, EhrenfestParams, ResidualError, StepLimitError
 from .games import GameConfig, RewardVector
 from .population import PopulationConfig
 from .rng import stream
@@ -134,10 +134,10 @@ def cmd_stationary(args) -> dict:
     if args.exact and params is not None:
         try:
             states, exact = ehrenfest.solve_stationary_exact(params, cap=args.cap)
-            closed = ehrenfest.stationary_closed(params)
-            closed_pmf = np.array([closed.pmf(x) for x in states])
+            counts = np.asarray(states)
+            closed_pmf = np.exp(ehrenfest.stationary_closed(params).log_pmf(counts))
             # per-urn probabilities implied by the solved law: mean counts over m
-            exact_p = exact @ np.asarray(states) / params.m
+            exact_p = exact @ counts / params.m
             result["exact_solver"] = {
                 "n_states": len(states),
                 "exact_p": exact_p.tolist(),
@@ -211,6 +211,8 @@ def cmd_mixing(args) -> dict:
 
 
 def cmd_payoff(args) -> dict:
+    if args.mc_games < 0 or args.mc_games == 1:
+        raise ValueError("--mc-games must be 0 (no Monte Carlo) or at least 2 for a standard error")
     rv = _reward_vector(args)
     cfg = GameConfig(delta=args.delta, s1=args.s1, g_hat=args.g_hat)
     me = _strategy(args.me)
@@ -294,9 +296,11 @@ def cmd_compare(args) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: _apply_config_file must see every spelling of --config
     parser = argparse.ArgumentParser(
         prog="gtftlab",
         description="Simulate and analyze generosity-tuning population dynamics.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="JSON file of defaults, keys matching flags")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -379,19 +383,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split_config(argv: list[str]) -> tuple[str | None, list[str]]:
+    """The --config path, given as ``--config PATH`` or ``--config=PATH``, and the other words."""
+    for at, word in enumerate(argv):
+        if word == "--config":
+            path = argv[at + 1] if at + 1 < len(argv) else ""
+            rest = argv[:at] + argv[at + 2:]
+        elif word.startswith("--config="):
+            path, rest = word.partition("=")[2], argv[:at] + argv[at + 1:]
+        else:
+            continue
+        if not path:
+            raise ValueError("--config needs a file path")
+        return path, rest
+    return None, argv
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Fold --config file values in ahead of the explicit flags, which win
     because argparse keeps the last value given. Null and false are skipped."""
-    if "--config" not in argv:
+    path, rest = _split_config(argv)
+    if path is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 == len(argv):
-        raise ValueError("--config needs a file path")
-    path = argv[at + 1]
     loaded = json.loads(Path(path).read_text())
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
-    rest = argv[:at] + argv[at + 2:] or [loaded.get("command")]
+    rest = rest or [loaded.get("command")]
     if rest[0] is None:
         raise ValueError("config file use requires a subcommand")
     extra: list[str] = []
@@ -426,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         # OSError: unreadable --config or unwritable --out; JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapExceededError, StepLimitError) as exc:
+    except (CapExceededError, StepLimitError, ResidualError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     return EXIT_OK

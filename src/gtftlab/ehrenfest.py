@@ -7,9 +7,13 @@ with probability b, truncating at the ends; otherwise nothing moves.
 
 Alongside the sampler the module carries the exact machinery used to
 verify it: the closed-form stationary law (a multinomial whose urn
-weights form a geometric sequence in a/b), an enumerated-state linear
-solver, detailed-balance residuals, total-variation evolution,
-coupling-based mixing estimates, and the explicit mixing-time bound.
+weights form a geometric sequence in a/b), the enumerated state space as
+an integer array ranked by the combinatorial number system, the sparse
+kernel built from array shifts of that ranking, a stationary solver that
+reads pi off the kernel alone by detailed balance along a spanning tree
+and accepts it only if ||pi P - pi||_1 <= tol, detailed-balance
+residuals, total-variation evolution, coupling-based mixing estimates,
+and the explicit mixing-time bound.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ class CapExceededError(RuntimeError):
 
 class StepLimitError(RuntimeError):
     """A sampled walk ran past its step limit without terminating."""
+
+
+class ResidualError(RuntimeError):
+    """A solved stationary law failed its residual check ||pi P - pi||_1 <= tol."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,23 @@ class MultinomialDist:
             log_prob += xi * math.log(q)
         return math.exp(log_coef + log_prob)
 
+    def log_pmf(self, states: np.ndarray) -> np.ndarray:
+        """Log-probability of each row of an (S, k) array of count vectors."""
+        states = np.asarray(states)
+        if (
+            states.ndim != 2
+            or states.shape[1] != len(self.p)
+            or np.any(states < 0)
+            or np.any(states.sum(axis=1) != self.m)
+        ):
+            raise ValueError(f"rows are not compositions of {self.m} into {len(self.p)} parts")
+        log_fact = np.array([math.lgamma(i + 1) for i in range(self.m + 1)])
+        with np.errstate(divide="ignore"):
+            log_p = np.log(self.p)
+        # an empty cell contributes nothing even where its probability is 0
+        log_prob = (states * np.where(states > 0, log_p, 0.0)).sum(axis=1)
+        return log_fact[self.m] - log_fact[states].sum(axis=1) + log_prob
+
     def mean(self) -> np.ndarray:
         return self.m * np.asarray(self.p)
 
@@ -112,22 +137,79 @@ def state_count(k: int, m: int) -> int:
     return math.comb(m + k - 1, k - 1)
 
 
-def enumerate_states(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
-    """All count vectors, in lexicographically decreasing order of coordinates."""
+def _rank_table(k: int, m: int) -> np.ndarray:
+    """table[j, t] = C(t + k - 2 - j, k - 1 - j) for urns j < k - 1 and t = 0..m.
+
+    With t balls above urn j, that is the number of count vectors that
+    agree with x below urn j and hold more balls in urn j, so they come
+    before x. Summed over j it is the rank of x in lexicographically
+    decreasing order: the combinatorial number system.
+    """
+    table = np.empty((k - 1, m + 1), dtype=np.int64)
+    row = np.ones(m + 1, dtype=np.int64)
+    row[0] = 0
+    for j in range(k - 2, -1, -1):
+        row = np.cumsum(row)  # Pascal's rule: C(t+r-1, r) = sum over u <= t of C(u+r-2, r-1)
+        table[j] = row
+    return table
+
+
+def _tails(states: np.ndarray, m: int) -> np.ndarray:
+    """tails[:, j]: the number of balls in the urns above urn j."""
+    return m - np.cumsum(states, axis=1, dtype=np.int64)
+
+
+def _rank(states: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:
+    """Position of each row of ``states`` in the enumeration order."""
+    k = states.shape[1]
+    return table[np.arange(k - 1), _tails(states, m)[:, :-1]].sum(axis=1)
+
+
+def state_array(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
+    """All count vectors as an (S, k) integer array.
+
+    Rows come in lexicographically decreasing order: row i is unranked from
+    i, one urn at a time, by the largest tail whose table entry fits in
+    what is left of i. The dtype is the smallest signed integer holding m.
+    """
     n_states = state_count(k, m)
     if n_states > cap:
         raise CapExceededError(f"{n_states} states exceeds cap {cap} for k={k}, m={m}")
-    out: list[tuple[int, ...]] = []
+    table = _rank_table(k, m)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= m)
+    states = np.empty((n_states, k), dtype=dtype)
+    rest = np.arange(n_states, dtype=np.int64)
+    left = np.full(n_states, m, dtype=np.int64)  # balls in urn j and above
+    for j in range(k - 1):
+        tail = np.searchsorted(table[j], rest, side="right") - 1
+        rest -= table[j, tail]
+        states[:, j] = left - tail
+        left = tail
+    states[:, -1] = left
+    return states
 
-    def fill(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining, -1, -1):
-            fill(prefix + (first,), remaining - first, slots - 1)
 
-    fill((), m, k)
-    return out
+def _as_tuples(states: np.ndarray) -> list[tuple[int, ...]]:
+    # zipping the columns builds the row tuples about twice as fast as map(tuple, rows)
+    return list(zip(*states.T.tolist()))
+
+
+def enumerate_states(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
+    """All count vectors, in lexicographically decreasing order of coordinates."""
+    return _as_tuples(state_array(k, m, cap))
+
+
+def _up_moves(
+    states: np.ndarray, table: np.ndarray, tails: np.ndarray, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with a ball in urn j, and the rows they reach when it moves up to urn j + 1.
+
+    The move adds one ball above urn j and leaves every other tail alone,
+    so only the urn-j term of the rank changes.
+    """
+    rows = np.flatnonzero(states[:, j])
+    t = tails[rows, j]
+    return rows, rows + table[j, t + 1] - table[j, t]
 
 
 def _check_state(x: tuple[int, ...], params: EhrenfestParams) -> None:
@@ -200,52 +282,105 @@ def stationary_closed(params: EhrenfestParams) -> MultinomialDist:
     return MultinomialDist(m=params.m, p=tuple(geometric_weights(params.lam, params.k)))
 
 
+def _kernel_matrix(params: EhrenfestParams, states: np.ndarray, table: np.ndarray):
+    """Sparse transition matrix over the rows of ``states``, one urn pair at a time.
+
+    Each up move x -> y across urns (j, j + 1) pairs with the down move
+    y -> x, so one rank shift gives both entries.
+    """
+    k, a, b, m = params.k, params.a, params.b, params.m
+    n = len(states)
+    tails = _tails(states, m)
+    rows, cols, vals = [], [], []
+    move = np.zeros(n)
+    for j in range(k - 1):
+        up = a * states[:, j] / m
+        down = b * states[:, j + 1] / m
+        move += up
+        move += down
+        lower, upper = _up_moves(states, table, tails, j)
+        rows += [lower, upper]
+        cols += [upper, lower]
+        vals += [up[lower], down[upper]]
+    # a + b may sit a few ulps above 1; keep the self loop a probability
+    diagonal = np.arange(n)
+    rows.append(diagonal)
+    cols.append(diagonal)
+    vals.append(np.maximum(0.0, 1.0 - move))
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.csr_matrix(entries, shape=(n, n))
+
+
+def _chain(params: EhrenfestParams, cap: int):
+    """The state array, its rank table and the sparse kernel over it."""
+    states = state_array(params.k, params.m, cap)
+    table = _rank_table(params.k, params.m)
+    return states, table, _kernel_matrix(params, states, table)
+
+
 def build_kernel(params: EhrenfestParams, cap: int = DEFAULT_STATE_CAP):
     """Enumerated states, their index map, and the sparse transition matrix."""
-    states = enumerate_states(params.k, params.m, cap)
-    index = {x: i for i, x in enumerate(states)}
-    rows, cols, vals = [], [], []
-    for i, x in enumerate(states):
-        for y, p in transition_row(x, params).items():
-            rows.append(i)
-            cols.append(index[y])
-            vals.append(p)
-    kernel = sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)))
-    return states, index, kernel
+    states, _, kernel = _chain(params, cap)
+    listed = _as_tuples(states)
+    return listed, dict(zip(listed, range(len(listed)))), kernel
+
+
+def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x + y rounded, and the exact rounding error (Knuth's TwoSum)."""
+    s = x + y
+    z = s - x
+    return s, (x - (s - z)) + (y - z)
 
 
 def solve_stationary_exact(
     params: EhrenfestParams,
     cap: int = DEFAULT_STATE_CAP,
-    tol: float = 1e-14,
-    max_iters: int = 200_000,
+    tol: float = 1e-12,
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Stationary distribution over enumerated states, independent of the closed form.
 
-    Power iteration from the uniform distribution until the L1 residual of
-    pi P = pi drops below ``tol``; on non-convergence, a direct null-space
-    solve of the same balance equations takes over.
+    The chain is reversible, so pi follows from the kernel alone by
+    detailed balance along a spanning tree. The parent of a state moves
+    one ball from its first non-empty urn j >= 1 down to urn j - 1, which
+    leads every state to (m, 0, ..., 0) in at most m(k - 1) moves, and
+    log pi(x) - log pi(parent) = log P(parent, x) - log P(x, parent), both
+    entries read from the kernel. Pointer doubling sums these steps along
+    every path in about log2(m(k - 1)) vectorised rounds, in compensated
+    (two-sum) arithmetic: log pi near the mode can be of order m, and
+    plain rounding at that size would unbalance neighbouring states by
+    more than ``tol`` long before the state cap. The normalised
+    result is accepted only if ||pi P - pi||_1 <= ``tol``, checked with one
+    sparse product; otherwise ResidualError.
     """
-    states, _, kernel = build_kernel(params, cap)
+    states, table, kernel = _chain(params, cap)
     n = len(states)
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
-        nxt = pi @ kernel
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() <= tol:
-            return states, nxt
-        pi = nxt
-    dense = kernel.toarray()
-    system = dense.T - np.eye(n)
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(system, rhs)
-    if pi.min() < -1e-10:
-        raise RuntimeError("stationary solve produced negative mass")
-    pi = np.clip(pi, 0.0, None)
+    child = np.arange(1, n)
+    # row 0 is the root; every other row has a ball above urn 0, and the
+    # first such urn is j + 1 where the parent holds one ball more in urn j
+    j = np.argmax(states[1:, 1:] > 0, axis=1)
+    t = _tails(states, params.m)[child, j] - 1  # the parent's tail above urn j
+    parent = child - (table[j, t + 1] - table[j, t])
+    forward = np.asarray(kernel[parent, child]).ravel()
+    backward = np.asarray(kernel[child, parent]).ravel()
+    # log pi is held as the unevaluated sum hi + lo
+    hi = np.zeros(n)
+    hi[1:] = np.log(forward) - np.log(backward)
+    lo = np.zeros(n)
+    pointer = np.zeros(n, dtype=np.int64)
+    pointer[1:] = parent
+    # after r rounds log pi[x] holds the steps of the first 2**r edges above x
+    while pointer.any():
+        hi, err = _two_sum(hi, hi[pointer])
+        lo += lo[pointer] + err
+        pointer = pointer[pointer]
+    top = np.argmax(hi)
+    shifted, err = _two_sum(hi, -hi[top])
+    pi = np.exp(shifted + (err + lo - lo[top]))
     pi /= pi.sum()
-    return states, pi
+    residual = float(np.abs(pi @ kernel - pi).sum())
+    if not residual <= tol:
+        raise ResidualError(f"stationary residual {residual:.3e} exceeds tol {tol:.3e}")
+    return _as_tuples(states), pi
 
 
 def detailed_balance_residual(
@@ -260,18 +395,17 @@ def detailed_balance_residual(
     """
     if dist is None:
         dist = stationary_closed(params)
-    states = enumerate_states(params.k, params.m, cap)
+    states = state_array(params.k, params.m, cap)
+    table = _rank_table(params.k, params.m)
+    tails = _tails(states, params.m)
+    px = np.exp(dist.log_pmf(states))
     a, b, m = params.a, params.b, params.m
     worst = 0.0
-    for x in states:
-        px = dist.pmf(x)
-        for j in range(params.k - 1):
-            if x[j] == 0:
-                continue
-            y = x[:j] + (x[j] - 1, x[j + 1] + 1) + x[j + 2:]
-            forward = px * a * x[j] / m
-            backward = dist.pmf(y) * b * (x[j + 1] + 1) / m
-            worst = max(worst, abs(forward - backward))
+    for j in range(params.k - 1):
+        lower, upper = _up_moves(states, table, tails, j)
+        forward = px[lower] * a * states[lower, j] / m
+        backward = px[upper] * b * states[upper, j + 1] / m
+        worst = max(worst, float(np.abs(forward - backward).max(initial=0.0)))
     return worst
 
 
@@ -375,6 +509,13 @@ def mixing_bound(params: EhrenfestParams) -> float:
     return 2.0 * phi * math.log2(4 * m)
 
 
+def _check_walk(k: int, a: float, b: float) -> None:
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
+        raise ValueError("need a, b > 0 with a + b <= 1")
+
+
 def absorption_times(
     k: int,
     a: float,
@@ -388,10 +529,7 @@ def absorption_times(
     Each walk starts at 0 on -k..k, steps +1 w.p. a and -1 w.p. b, and
     stops on first hitting +-k.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
-        raise ValueError("need a, b > 0 with a + b <= 1")
+    _check_walk(k, a, b)
     rng = ensure_rng(rng)
     z = np.zeros(n_runs, dtype=np.int64)
     tau = np.zeros(n_runs, dtype=np.int64)
@@ -419,8 +557,7 @@ def expected_absorption_closed(k: int, a: float, b: float) -> float:
     moves w.p. a + b per step, hence k^2 / (a + b). Both are exact for any
     a + b <= 1.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
+    _check_walk(k, a, b)
     if a == b:
         return k * k / (a + b)
     return k / (a - b) * math.tanh(0.5 * k * math.log1p((a - b) / b))
@@ -440,13 +577,13 @@ def tv_distance_exact(
     """TV distance to stationarity after t exact steps from a point mass at x0."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    states, index, kernel = build_kernel(params, cap)
+    _check_state(tuple(x0), params)
+    states, table, kernel = _chain(params, cap)
     mu = np.zeros(len(states))
-    mu[index[tuple(x0)]] = 1.0
+    mu[_rank(np.asarray([x0]), table, params.m)[0]] = 1.0
     for _ in range(t):
         mu = mu @ kernel
-    target = stationary_closed(params)
-    pi = np.array([target.pmf(x) for x in states])
+    pi = np.exp(stationary_closed(params).log_pmf(states))
     return tv_distance(mu, pi)
 
 
@@ -466,18 +603,13 @@ def tmix_exact(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    states, index, kernel = build_kernel(params, cap)
-    target = stationary_closed(params)
-    pi = np.array([target.pmf(x) for x in states])
-    if all_inits:
-        inits = list(range(len(states)))
-    else:
-        top = tuple([params.m] + [0] * (params.k - 1))
-        bottom = tuple([0] * (params.k - 1) + [params.m])
-        inits = [index[top], index[bottom]]
-    mus = np.zeros((len(inits), len(states)))
-    for row, i in enumerate(inits):
-        mus[row, i] = 1.0
+    states, _, kernel = _chain(params, cap)
+    pi = np.exp(stationary_closed(params).log_pmf(states))
+    n = len(states)
+    # the corners (m, 0, ..., 0) and (0, ..., 0, m) come first and last
+    inits = np.arange(n) if all_inits else np.array([0, n - 1])
+    mus = np.zeros((len(inits), n))
+    mus[np.arange(len(inits)), inits] = 1.0
     if t_max is None:
         t_max = 4 * math.ceil(mixing_bound(params)) + 1
     for t in range(t_max + 1):

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import games
-from .ehrenfest import (
-    CapExceededError,
-    MultinomialDist,
-    enumerate_states,
-    geometric_weights,
-    state_count,
-)
+from .ehrenfest import MultinomialDist, geometric_weights, state_array
 from .games import GameConfig, RewardVector
 from .population import generosity_grid
 
@@ -303,20 +297,14 @@ def granular_expected_payoff(
     if enumerate_counts:
         if m < 2:
             raise ValueError("count enumeration needs at least two GTFT nodes")
-        if state_count(k, m) > cap:
-            raise CapExceededError(f"count space for k={k}, m={m} exceeds cap {cap}")
-        granular = 0.0
-        for z in enumerate_states(k, m):
-            weight = dist.pmf(z)
-            if weight == 0.0:
-                continue
-            zv = np.asarray(z, dtype=float)
-            focal = zv / m
-            partner = (zv[None, :] - np.eye(k)) / (m - 1)
-            per_focal = (
-                alpha * f_allc + beta * f_alld + gtft_frac * (partner * f_gg).sum(axis=1)
-            )
-            granular += weight * float(focal @ per_focal)
+        states = state_array(k, m, cap)
+        weight = np.exp(dist.log_pmf(states))
+        counts = states.astype(float)
+        # row s, column i: a focal node at index i meets one of the other
+        # m - 1 GTFT nodes, so its own index leaves the partner counts
+        partner = (counts @ f_gg.T - np.diag(f_gg)) / (m - 1)
+        per_focal = alpha * f_allc + beta * f_alld + gtft_frac * partner
+        granular = float(weight @ (counts / m * per_focal).sum(axis=1))
     else:
         granular = float(
             p @ (alpha * f_allc + beta * f_alld + gtft_frac * (f_gg @ p))

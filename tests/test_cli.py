@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from gtftlab import ehrenfest
 from gtftlab.cli import main
 
 SIM_FLAGS = [
@@ -103,6 +104,16 @@ def test_stationary_cap_exceeded_degrades_gracefully(capsys):
     assert "exceeds cap" in payload["note"]
 
 
+def test_stationary_residual_failure_is_limit_exit(monkeypatch, capsys):
+    solve = ehrenfest.solve_stationary_exact
+    monkeypatch.setattr(ehrenfest, "solve_stationary_exact",
+                        lambda params, cap: solve(params, cap=cap, tol=1e-20))
+    code = main(["stationary", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--exact"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "residual" in out.err
+
+
 def test_stationary_missing_args_is_config_error(capsys):
     assert main(["stationary", "--k", "3"]) == 2
 
@@ -159,6 +170,15 @@ def test_payoff_command_closed_series_mc(capsys):
     assert payload["series"] == pytest.approx(-4.6, abs=1e-9)
     mc = payload["monte_carlo"]
     assert abs(mc["mean"] - (-4.6)) < 4 * mc["std_error"]
+
+
+def test_payoff_mc_games_needs_two_for_a_standard_error(capsys):
+    argv = ["payoff", "--me", "gtft:0.2", "--opp", "alld", "--b", "3", "--c", "2",
+            "--delta", "0.9", "--mc-games"]
+    assert main(argv + ["1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(argv + ["0"]) == 0
+    assert "monte_carlo" not in json.loads(capsys.readouterr().out)
 
 
 def test_payoff_rejects_bad_strategy(capsys):
@@ -222,6 +242,18 @@ def test_config_file_flag_override(tmp_path, capsys):
     assert main(["--config", str(cfg_file), "stationary", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["closed_form_p"] == pytest.approx([0.25, 0.75])
+
+
+def test_config_equals_form(tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"beta": 0.25, "k": 3}))
+    assert main([f"--config={cfg_file}", "stationary"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["closed_form_p"] == pytest.approx([1 / 13, 3 / 13, 9 / 13])
+    assert main([f"--config={cfg_file}", "stationary", "--k", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["closed_form_p"] == pytest.approx([0.25, 0.75])
+    assert main(["--config=", "stationary"]) == 2
 
 
 def test_missing_config_file_is_config_error():
@@ -313,6 +345,7 @@ def cli_argvs(draw):
 @example(argv=FUZZ_BASE["simulate"] + ["--out", DIRECTORY])
 @example(argv=FUZZ_BASE["mixing"] + ["--config", DIRECTORY])
 @example(argv=FUZZ_BASE["compare"] + ["--populations", "0.5,0.5"])
+@example(argv=FUZZ_BASE["payoff"] + ["--mc-games", "1"])
 def test_exit_code_contract(argv, tmp_path, monkeypatch):
     """Any argv ends in exit code 0, 2 or 3, or argparse's exit 2; never a traceback."""
     # relative --out and --config values such as "x" resolve inside tmp_path

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gtftlab.ehrenfest import (
@@ -12,8 +13,12 @@ from gtftlab.ehrenfest import (
     EhrenfestParams,
     MixingEstimate,
     MultinomialDist,
+    ResidualError,
     StepLimitError,
+    _rank,
+    _rank_table,
     absorption_times,
+    build_kernel,
     corner_labels,
     coupled_run,
     detailed_balance_residual,
@@ -23,6 +28,7 @@ from gtftlab.ehrenfest import (
     geometric_weights,
     mixing_bound,
     solve_stationary_exact,
+    state_array,
     state_count,
     stationary_closed,
     step,
@@ -75,6 +81,46 @@ def assert_matches_exact_weights(p, lam: float, k: int) -> None:
     np.testing.assert_allclose(p, exact, rtol=1e-12, atol=1e-300)
 
 
+def fill_states(k: int, m: int) -> list[tuple[int, ...]]:
+    """Oracle: the count vectors in lexicographically decreasing order, by recursion."""
+    out: list[tuple[int, ...]] = []
+
+    def fill(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for first in range(remaining, -1, -1):
+            fill(prefix + (first,), remaining - first, slots - 1)
+
+    fill((), m, k)
+    return out
+
+
+def dict_kernel(params: EhrenfestParams) -> sp.csr_matrix:
+    """Oracle: the kernel assembled row by row from ``transition_row`` and an index dict."""
+    states = fill_states(params.k, params.m)
+    index = {x: i for i, x in enumerate(states)}
+    rows, cols, vals = [], [], []
+    for i, x in enumerate(states):
+        for y, p in transition_row(x, params).items():
+            rows.append(i)
+            cols.append(index[y])
+            vals.append(p)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)))
+
+
+SMALL_K = st.integers(2, 7)
+SMALL_M = st.integers(1, 8)
+
+
+@st.composite
+def small_params(draw):
+    a = draw(st.floats(min_value=1e-3, max_value=1.0))
+    b = draw(st.floats(min_value=1e-3, max_value=1.0))
+    assume(a + b <= 1.0)
+    return EhrenfestParams(k=draw(SMALL_K), a=a, b=b, m=draw(SMALL_M))
+
+
 # beta below ~1e-308 makes lam = (1 - beta)/beta overflow to inf
 BETAS = st.floats(min_value=1e-300, max_value=1.0, exclude_max=True)
 
@@ -104,6 +150,48 @@ def test_enumerate_states_small_and_counts():
 def test_enumerate_states_cap():
     with pytest.raises(CapExceededError):
         enumerate_states(6, 20, cap=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=SMALL_K, m=SMALL_M)
+@example(k=2, m=1)
+@example(k=7, m=8)
+def test_state_array_matches_recursive_oracle_and_ranks(k, m):
+    states = state_array(k, m)
+    assert enumerate_states(k, m) == fill_states(k, m)
+    assert np.iinfo(states.dtype).max >= m and states.dtype.itemsize == 1
+    np.testing.assert_array_equal(_rank(states, _rank_table(k, m), m), np.arange(len(states)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=small_params())
+@example(params=EhrenfestParams(k=3, a=0.5, b=0.5, m=4))  # self loops of mass 0
+@example(params=EhrenfestParams(k=7, a=0.7, b=0.3, m=8))
+def test_kernel_matches_dict_oracle_entry_for_entry(params):
+    states, index, kernel = build_kernel(params)
+    oracle = dict_kernel(params)
+    assert states == fill_states(params.k, params.m)
+    assert index == {x: i for i, x in enumerate(states)}
+    assert kernel.shape == oracle.shape
+    assert (kernel != oracle).nnz == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=SMALL_K, m=SMALL_M, data=st.data())
+def test_log_pmf_matches_scalar_pmf(k, m, data):
+    # integer cell weights include empty cells, which the pmf must handle
+    weights = data.draw(st.lists(st.integers(0, 10), min_size=k, max_size=k).filter(any))
+    dist = MultinomialDist(m=m, p=tuple(np.array(weights) / sum(weights)))
+    states = fill_states(k, m)
+    expect = np.array([dist.pmf(x) for x in states])
+    np.testing.assert_allclose(np.exp(dist.log_pmf(np.array(states))), expect, rtol=1e-12, atol=0)
+
+
+def test_log_pmf_rejects_non_compositions():
+    dist = MultinomialDist(m=3, p=(0.5, 0.5))
+    for bad in ([[3, 0, 0]], [[2, 0]], [[4, -1]], [3, 0]):
+        with pytest.raises(ValueError):
+            dist.log_pmf(np.array(bad))
 
 
 def test_multinomial_rejects_non_finite_cells():
@@ -246,13 +334,38 @@ def test_exact_solver_matches_closed_form_grid():
                 np.testing.assert_allclose(pi, pmf, atol=1e-10)
 
 
-def test_exact_solver_nullspace_fallback_agrees():
-    # force the direct solve by giving power iteration no budget
+def test_exact_solver_agrees_to_1e12():
     params = EhrenfestParams(k=3, a=0.4, b=0.2, m=3)
-    states, pi = solve_stationary_exact(params, max_iters=0)
+    states, pi = solve_stationary_exact(params)
     dist = stationary_closed(params)
     pmf = np.array([dist.pmf(x) for x in states])
     np.testing.assert_allclose(pi, pmf, atol=1e-12)
+
+
+def test_exact_solver_at_half_a_million_states():
+    # the solver raises unless ||pi P - pi||_1 <= 1e-12, its default tol
+    params = EhrenfestParams(k=4, a=0.7, b=0.3, m=143)
+    states, pi = solve_stationary_exact(params)
+    assert len(states) == state_count(4, 143) == 508_080
+    closed = np.exp(stationary_closed(params).log_pmf(np.array(states)))
+    assert np.abs(pi - closed).max() <= 1e-10
+
+
+def test_exact_solver_far_from_its_root():
+    # log pi at the mode is about m log(1/0.3) = 1.2e5 above the root
+    # (m, 0); plain rounding of log pi at that size left a residual near 4e-12
+    params = EhrenfestParams(k=2, a=0.7, b=0.3, m=100_000)
+    states, pi = solve_stationary_exact(params)
+    assert len(states) == 100_001
+    closed = np.exp(stationary_closed(params).log_pmf(np.array(states)))
+    assert np.abs(pi - closed).max() <= 1e-10
+
+
+def test_exact_solver_raises_above_its_residual_bound():
+    # the residual here is about 3e-17, not zero
+    params = EhrenfestParams(k=3, a=0.4, b=0.2, m=4)
+    with pytest.raises(ResidualError, match="residual"):
+        solve_stationary_exact(params, tol=1e-20)
 
 
 def test_exact_solver_two_urn_midpoint():
@@ -301,6 +414,12 @@ def test_absorption_closed_matches_hitting_time_oracle():
         assert expected_absorption_closed(k, a, b) == pytest.approx(
             hitting_time_oracle(k, a, b), rel=1e-10
         )
+
+
+def test_absorption_closed_validates_weights():
+    for a, b in ((0.5, 0.0), (0.0, 0.5)):
+        with pytest.raises(ValueError, match="need a, b > 0"):
+            expected_absorption_closed(3, a, b)
 
 
 def test_absorption_closed_respects_min_bound():
