@@ -36,7 +36,6 @@ from .ehrenfest import (
     solve_stationary_exact,
     state_array,
     stationary_closed,
-    step,
     tmix_exact,
     transition_row,
     tv_distance_exact,

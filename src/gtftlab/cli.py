@@ -173,7 +173,7 @@ def _mixing_once(params: EhrenfestParams, args, seed: int) -> dict:
     }
     if args.exact_scan:
         try:
-            exact = ehrenfest.tmix_exact(params, epsilon=0.25, cap=args.cap)
+            exact = ehrenfest.tmix_exact(params, epsilon=args.epsilon, cap=args.cap)
             row["exact_tmix"] = exact.t_hat
         except CapExceededError as exc:
             row["exact_tmix"] = None

@@ -5,19 +5,21 @@ Each step picks a ball uniformly (equivalently, an urn proportionally
 to its load) and moves it one urn up with probability a, one urn down
 with probability b, truncating at the ends; otherwise nothing moves.
 
-Alongside the sampler the module carries the exact machinery used to
-verify it: the closed-form stationary law (a multinomial whose urn
-weights form a geometric sequence in a/b), the enumerated state space as
-an integer array ranked by the combinatorial number system, the sparse
-kernel built from array shifts of that ranking, a stationary solver that
-reads pi off the kernel alone by detailed balance along a spanning tree
-and accepts it only if ||pi P - pi||_1 <= tol, detailed-balance
-residuals, total-variation evolution, coupling-based mixing estimates,
-and the explicit mixing-time bound.
+The module holds the exact machinery that the samplers (the agent
+simulation and the coupling runs) are checked against: the closed-form
+stationary law (a multinomial whose urn weights form a geometric
+sequence in a/b), the enumerated state space as an integer array ranked
+by the combinatorial number system, the sparse kernel built from array
+shifts of that ranking, a stationary solver that reads pi off the kernel
+alone by detailed balance along a spanning tree and accepts it only if
+||pi P - pi||_1 <= tol, detailed-balance residuals, one exact scan of
+the total-variation distance to stationarity, coupling-based mixing
+estimates, and the explicit mixing-time bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +37,7 @@ class CapExceededError(RuntimeError):
 
 
 class StepLimitError(RuntimeError):
-    """A sampled walk ran past its step limit without terminating."""
+    """A sampled walk or an exact scan ran past its step limit without terminating."""
 
 
 class ResidualError(RuntimeError):
@@ -241,25 +243,6 @@ def transition_row(
     return row
 
 
-def step(
-    x: tuple[int, ...], params: EhrenfestParams, rng: np.random.Generator | int | None
-) -> tuple[int, ...]:
-    """Sample one transition from state x."""
-    _check_state(x, params)
-    rng = ensure_rng(rng)
-    k, a, b, m = params.k, params.a, params.b, params.m
-    u = rng.random()
-    acc = 0.0
-    for j in range(k - 1):
-        acc += a * x[j] / m
-        if u < acc:
-            return x[:j] + (x[j] - 1, x[j + 1] + 1) + x[j + 2:]
-        acc += b * x[j + 1] / m
-        if u < acc:
-            return x[:j] + (x[j] + 1, x[j + 1] - 1) + x[j + 2:]
-    return x
-
-
 def geometric_weights(lam: float, k: int) -> np.ndarray:
     """The k cell probabilities proportional to lam**(j-1), j = 1..k.
 
@@ -442,8 +425,9 @@ def coupled_run(
     t = 0
     block = 1 << 14
     while t < step_limit:
-        coords = rng.integers(0, m, size=block).tolist()
-        moves = rng.random(block)
+        size = min(block, step_limit - t)
+        coords = rng.integers(0, m, size=size).tolist()
+        moves = rng.random(size)
         ups = (moves < a).tolist()
         downs = (moves >= a) & (moves < a + b)
         downs = downs.tolist()
@@ -463,8 +447,6 @@ def coupled_run(
             x[i], y[i] = dx, dy
             if unmatched == 0:
                 return t
-            if t >= step_limit:
-                break
     raise StepLimitError(f"coupling did not coalesce within {step_limit} steps")
 
 
@@ -568,6 +550,20 @@ def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(mu) - np.asarray(nu)).sum())
 
 
+def _tv_scan(params: EhrenfestParams, inits: list[tuple[int, ...]], cap: int):
+    """Exact TV distance to stationarity, maximized over point masses at ``inits``.
+
+    Yields the distance at t = 0, 1, 2, ...; one kernel build serves every t.
+    """
+    states, table, kernel = _chain(params, cap)
+    pi = np.exp(stationary_closed(params).log_pmf(states))
+    mus = np.zeros((len(inits), len(states)))
+    mus[np.arange(len(inits)), _rank(np.asarray(inits), table, params.m)] = 1.0
+    while True:
+        yield 0.5 * float(np.abs(mus - pi).sum(axis=1).max())
+        mus = mus @ kernel
+
+
 def tv_distance_exact(
     params: EhrenfestParams,
     t: int,
@@ -578,43 +574,28 @@ def tv_distance_exact(
     if t < 0:
         raise ValueError("t must be nonnegative")
     _check_state(tuple(x0), params)
-    states, table, kernel = _chain(params, cap)
-    mu = np.zeros(len(states))
-    mu[_rank(np.asarray([x0]), table, params.m)[0]] = 1.0
-    for _ in range(t):
-        mu = mu @ kernel
-    pi = np.exp(stationary_closed(params).log_pmf(states))
-    return tv_distance(mu, pi)
+    return next(itertools.islice(_tv_scan(params, [tuple(x0)], cap), t, None))
 
 
 def tmix_exact(
     params: EhrenfestParams,
     epsilon: float = 0.25,
-    all_inits: bool = False,
-    t_max: int | None = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> MixingEstimate:
     """First t at which the exact distance to stationarity is <= epsilon.
 
-    By default the distance is maximized over the two corner point masses
-    (all balls in urn 1 or urn k), which are the extreme states under the
-    coupling order; no proof pins them as the global worst case, so
-    ``all_inits=True`` maximizes over the whole state space instead.
+    The distance is maximized over the two corner point masses (all balls
+    in urn 1 or urn k), the extreme states under the coupling order; the
+    tests check on small instances that no other start is slower. The scan
+    gives up with StepLimitError after 4 * ceil(mixing_bound) + 1 steps;
+    rounding holds the distance near 1e-15, so a smaller epsilon raises it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    states, _, kernel = _chain(params, cap)
-    pi = np.exp(stationary_closed(params).log_pmf(states))
-    n = len(states)
-    # the corners (m, 0, ..., 0) and (0, ..., 0, m) come first and last
-    inits = np.arange(n) if all_inits else np.array([0, n - 1])
-    mus = np.zeros((len(inits), n))
-    mus[np.arange(len(inits)), inits] = 1.0
-    if t_max is None:
-        t_max = 4 * math.ceil(mixing_bound(params)) + 1
-    for t in range(t_max + 1):
-        d = 0.5 * np.abs(mus - pi).sum(axis=1).max()
+    k, m = params.k, params.m
+    corners = [(m,) + (0,) * (k - 1), (0,) * (k - 1) + (m,)]
+    t_max = 4 * math.ceil(mixing_bound(params)) + 1
+    for t, d in enumerate(itertools.islice(_tv_scan(params, corners, cap), t_max + 1)):
         if d <= epsilon:
             return MixingEstimate(t_hat=t, method="exact-tv", epsilon=epsilon, trials=0)
-        mus = mus @ kernel
-    raise RuntimeError(f"distance stayed above {epsilon} through t_max={t_max}")
+    raise StepLimitError(f"distance stayed above {epsilon} through t={t_max}")

@@ -16,6 +16,7 @@ parameters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -180,10 +181,23 @@ def _rollback(state: PopulationState, initiator: int, j: int | None, j_new: int 
         state.z[j - 1] += 1
 
 
-def _draw_partner(initiator: int, raw: int, distinct: bool) -> int:
-    if not distinct:
-        return raw
-    return raw + 1 if raw >= initiator else raw
+def _pairs(n: int, distinct: bool, count: int, rng: np.random.Generator):
+    """``count`` (initiator, partner) node pairs, drawn in blocks of 2**16.
+
+    The partner is uniform over all n nodes, or with ``distinct`` over the
+    other n - 1: draws from 0..n-2 at or above the initiator shift up by one.
+    """
+    def block(size: int):
+        initiators = rng.integers(0, n, size=size)
+        partners = rng.integers(0, n - 1 if distinct else n, size=size)
+        if distinct:
+            partners += partners >= initiators
+        return zip(initiators.tolist(), partners.tolist())
+
+    stride = 1 << 16
+    return itertools.chain.from_iterable(
+        block(min(stride, count - done)) for done in range(0, count, stride)
+    )
 
 
 def interact(
@@ -197,10 +211,7 @@ def interact(
     population unchanged but still advances the clock.
     """
     rng = ensure_rng(rng)
-    distinct = cfg.pairing == "distinct-pair"
-    initiator = int(rng.integers(0, state.n))
-    raw = int(rng.integers(0, state.n - 1 if distinct else state.n))
-    partner = _draw_partner(initiator, raw, distinct)
+    initiator, partner = next(_pairs(state.n, cfg.pairing == "distinct-pair", 1, rng))
     j, j_new = _apply(state, initiator, partner)
     return InteractionRecord(
         initiator, partner, state.node_kind(initiator), state.node_kind(partner), j, j_new
@@ -235,20 +246,10 @@ def run(
     grid = cfg.grid
     out: list[tuple[int, tuple[int, ...], float]] = []
     out.append((0, state.counts(), state.avg_generosity(grid)))
-    distinct = cfg.pairing == "distinct-pair"
-    n = state.n
-    block = 1 << 16
-    done = 0
-    while done < steps:
-        size = min(block, steps - done)
-        initiators = rng.integers(0, n, size=size).tolist()
-        raws = rng.integers(0, n - 1 if distinct else n, size=size).tolist()
-        for initiator, raw in zip(initiators, raws):
-            partner = _draw_partner(initiator, raw, distinct)
-            _apply(state, initiator, partner)
-            if state.t % record_every == 0:
-                out.append((state.t, state.counts(), state.avg_generosity(grid)))
-        done += size
+    for initiator, partner in _pairs(state.n, cfg.pairing == "distinct-pair", steps, rng):
+        _apply(state, initiator, partner)
+        if state.t % record_every == 0:
+            out.append((state.t, state.counts(), state.avg_generosity(grid)))
     return out
 
 
@@ -266,22 +267,12 @@ def sample_one_step_counts(
     """
     rng = ensure_rng(rng)
     state = init_population(cfg, z0)
-    distinct = cfg.pairing == "distinct-pair"
-    n = state.n
     counts: dict[tuple[int, ...], int] = {}
-    block = 1 << 16
-    done = 0
-    while done < n_samples:
-        size = min(block, n_samples - done)
-        initiators = rng.integers(0, n, size=size).tolist()
-        raws = rng.integers(0, n - 1 if distinct else n, size=size).tolist()
-        for initiator, raw in zip(initiators, raws):
-            partner = _draw_partner(initiator, raw, distinct)
-            j, j_new = _apply(state, initiator, partner)
-            key = state.counts()
-            counts[key] = counts.get(key, 0) + 1
-            _rollback(state, initiator, j, j_new)
-        done += size
+    for initiator, partner in _pairs(state.n, cfg.pairing == "distinct-pair", n_samples, rng):
+        j, j_new = _apply(state, initiator, partner)
+        key = state.counts()
+        counts[key] = counts.get(key, 0) + 1
+        _rollback(state, initiator, j, j_new)
     return counts
 
 

@@ -137,6 +137,16 @@ def test_mixing_single_instance(capsys):
     assert payload["estimate"]["trials"] == 100
 
 
+def test_mixing_exact_scan_uses_epsilon(capsys):
+    code = main(["mixing", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "8",
+                 "--trials", "20", "--epsilon", "0.1", "--seed", "5", "--exact-scan"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    params = ehrenfest.EhrenfestParams(k=3, a=0.4, b=0.2, m=8)
+    assert payload["exact_tmix"] == ehrenfest.tmix_exact(params, 0.1).t_hat
+    assert payload["exact_tmix"] != ehrenfest.tmix_exact(params, 0.25).t_hat
+
+
 def test_mixing_sweep_sorted(capsys):
     code = main(["mixing", "--k", "3", "--a", "0.6", "--b", "0.2", "--m", "8",
                  "--trials", "50", "--seed", "5", "--sweep", "m=16,8"])
@@ -155,6 +165,10 @@ def test_mixing_malformed_sweep_is_config_error(capsys):
 def test_mixing_step_limit_exit_code(capsys):
     code = main(["mixing", "--k", "4", "--a", "0.3", "--b", "0.3", "--m", "16",
                  "--trials", "5", "--seed", "5", "--step-limit", "3"])
+    assert code == 3
+    # rounding keeps the exact distance above an epsilon this small
+    code = main(["mixing", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4",
+                 "--trials", "5", "--seed", "5", "--epsilon", "1e-18", "--exact-scan"])
     assert code == 3
 
 

@@ -31,7 +31,6 @@ from gtftlab.ehrenfest import (
     state_array,
     state_count,
     stationary_closed,
-    step,
     tmix_exact,
     transition_row,
     tv_distance_exact,
@@ -235,39 +234,6 @@ def test_last_urn_self_loop_probability():
     params = EhrenfestParams(k=4, a=0.3, b=0.25, m=6)
     row = transition_row((0, 0, 0, 6), params)
     assert row[(0, 0, 0, 6)] == pytest.approx(1 - params.b)
-
-
-def test_step_conserves_mass_and_stays_adjacent():
-    params = EhrenfestParams(k=3, a=0.4, b=0.2, m=5)
-    rng = stream(0, "step")
-    x = (5, 0, 0)
-    for _ in range(500):
-        y = step(x, params, rng)
-        assert sum(y) == 5 and all(c >= 0 for c in y)
-        assert sum(abs(c - d) for c, d in zip(x, y)) in (0, 2)
-        x = y
-
-
-def test_step_from_corner_moves_only_up():
-    params = EhrenfestParams(k=2, a=0.4, b=0.3, m=5)
-    rng = stream(1, "corner")
-    seen = {step((5, 0), params, rng) for _ in range(2000)}
-    assert seen <= {(5, 0), (4, 1)}
-
-
-def test_step_frequencies_match_kernel():
-    params = EhrenfestParams(k=3, a=0.4, b=0.2, m=4)
-    x = (2, 1, 1)
-    rng = stream(2, "freq")
-    n = 1_000_000
-    counts: dict = {}
-    for _ in range(n):
-        y = step(x, params, rng)
-        counts[y] = counts.get(y, 0) + 1
-    for y, p in transition_row(x, params).items():
-        freq = counts.get(y, 0) / n
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(freq - p) <= 4 * sigma, (y, freq, p)
 
 
 # ------------------------------------------------------------------ stationary law
@@ -482,6 +448,17 @@ def test_coupled_run_step_limit():
         coupled_run(params, x0, y0, stream(10, "lim"), step_limit=3)
 
 
+def test_coupled_run_stops_at_step_limit_on_a_stay_step():
+    # with a + b < 1 the limit can fall on a step that moves no ball
+    params = EhrenfestParams(k=2, a=0.3, b=0.3, m=1)
+    for seed in range(200):
+        try:
+            tau = coupled_run(params, [1], [2], stream(seed, "x"), step_limit=1)
+        except StepLimitError:
+            continue
+        assert tau <= 1, (seed, tau)
+
+
 def test_mean_coupling_time_within_analytic_envelope():
     params = EhrenfestParams(k=4, a=0.3, b=0.3, m=32)
     x0, y0 = corner_labels(params)
@@ -574,9 +551,20 @@ def test_tv_below_quarter_at_mixing_bound():
             assert tv_distance_exact(params, t_bound, x0) <= 0.25
 
 
-def test_tmix_exact_corner_vs_full_maximization():
-    params = EhrenfestParams(k=3, a=0.4, b=0.2, m=4)
-    corners = tmix_exact(params, epsilon=0.25)
-    everywhere = tmix_exact(params, epsilon=0.25, all_inits=True)
-    assert corners.method == "exact-tv"
-    assert everywhere.t_hat >= corners.t_hat
+def test_tmix_exact_corners_equal_all_starts():
+    # d(t), maximized over every start state, is nonincreasing in t, so the
+    # corner mixing time equals the all-starts one iff d crosses epsilon there
+    for params in [
+        EhrenfestParams(k=3, a=0.4, b=0.2, m=4),
+        EhrenfestParams(k=4, a=0.2, b=0.4, m=3),
+    ]:
+        starts = enumerate_states(params.k, params.m)
+
+        def d(t):
+            return max(tv_distance_exact(params, t, x0) for x0 in starts)
+
+        for epsilon in (0.5, 0.25, 0.1):
+            corners = tmix_exact(params, epsilon=epsilon)
+            assert corners.method == "exact-tv"
+            assert d(corners.t_hat) <= epsilon
+            assert corners.t_hat == 0 or d(corners.t_hat - 1) > epsilon
