@@ -3,7 +3,9 @@
 Subcommands cover trajectory simulation, stationary-law checks, mixing
 diagnostics, pairwise payoffs, optimality reports, and the mean-field
 versus granular payoff comparison. Tables are written as CSV with the
-manifest beside them; reports print as JSON with the manifest embedded.
+manifest beside them; a ``simulate`` trajectory streams to its CSV
+record by record, so its memory does not grow with its length. Reports
+print as JSON with the manifest embedded.
 The manifest echoes the full configuration and seed, and
 ``gtftlab <command> --config <file holding manifest["config"]>`` reruns
 it to the same data byte for byte.
@@ -15,9 +17,11 @@ limit or stationary-solver residual bound exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -89,7 +93,12 @@ def _add_reward_args(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- simulate
 
 
-def cmd_simulate(args) -> list[str]:
+def cmd_simulate(args) -> Iterator[str]:
+    """The CSV lines, streamed from run().
+
+    Not a generator itself: the config is checked and run() called here,
+    so a bad config raises before main() opens --out.
+    """
     cfg = PopulationConfig(
         n=args.n, alpha=args.alpha, beta=args.beta, k=args.k, g_hat=args.g_hat,
         pairing=args.pairing,
@@ -100,10 +109,10 @@ def cmd_simulate(args) -> list[str]:
     rng = stream(args.seed, "simulate")
     rows = population.run(cfg, args.steps, args.record_every, rng, initial)
 
-    lines = ["t," + ",".join(f"z_{j}" for j in range(1, cfg.k + 1)) + ",avg_generosity"]
-    for t, z, wg in rows:
-        lines.append(f"{t}," + ",".join(str(c) for c in z) + f",{wg!r}")
-    return lines
+    header = "t," + ",".join(f"z_{j}" for j in range(1, cfg.k + 1)) + ",avg_generosity"
+    return itertools.chain(
+        [header], (f"{t}," + ",".join(map(str, z)) + f",{wg!r}" for t, z, wg in rows)
+    )
 
 
 # ---------------------------------------------------------------- stationary
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of defaults, keys matching flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run the population dynamics, stream CSV")
+    p = sub.add_parser("simulate", help="run the population dynamics, streaming the CSV to --out")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
@@ -437,7 +446,8 @@ def main(argv: list[str] | None = None) -> int:
             report["manifest"] = _manifest(args, [], t0)
             _emit_json(report, args.out)
         else:
-            Path(args.out).write_text("\n".join(report) + "\n")
+            with open(args.out, "w") as fh:
+                fh.writelines(f"{line}\n" for line in report)
             _emit_json(_manifest(args, [args.out], t0), args.out + ".manifest.json")
     except (ValueError, OSError) as exc:
         # OSError: unreadable --config or unwritable --out; JSONDecodeError is a ValueError

@@ -12,11 +12,18 @@ population, or from the other n - 1 nodes) the count vector of grid
 indices is exactly the weighted multi-urn walk in
 :mod:`gtftlab.ehrenfest`; ``to_ehrenfest`` produces the matching
 parameters.
+
+``interact`` applies one step at a time through ``_apply``, the per-step
+rule. ``run`` draws its pairs in the same 2**16 blocks, yields its
+records as it goes, and visits only the GTFT steps of each block in one
+loop of its own, which the tests hold equal to stepping ``_apply``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -127,7 +134,7 @@ class PopulationState:
         return tuple(self.z)
 
     def avg_generosity(self, grid: tuple[float, ...]) -> float:
-        return sum(g * zj for g, zj in zip(grid, self.z)) / self.m
+        return sum(map(operator.mul, grid, self.z)) / self.m
 
 
 def init_population(
@@ -153,8 +160,9 @@ def init_population(
 def _apply(state: PopulationState, initiator: int, partner: int):
     """Advance the clock one interaction; return the initiator's (index before, after).
 
-    Both are None when the initiator is not GTFT. Shared by interact(),
-    run() and sample_one_step_counts() so they cannot drift apart.
+    Both are None when the initiator is not GTFT. Shared by interact()
+    and sample_one_step_counts(), and the reference that run()'s GTFT-only
+    loop is tested against.
     """
     state.t += 1
     slot = initiator - state.gtft_start
@@ -181,22 +189,27 @@ def _rollback(state: PopulationState, initiator: int, j: int | None, j_new: int 
         state.z[j - 1] += 1
 
 
-def _pairs(n: int, distinct: bool, count: int, rng: np.random.Generator):
-    """``count`` (initiator, partner) node pairs, drawn in blocks of 2**16.
+def _pair_blocks(n: int, distinct: bool, count: int, rng: np.random.Generator):
+    """``count`` (initiators, partners) node draws, as array pairs of at most 2**16.
 
     The partner is uniform over all n nodes, or with ``distinct`` over the
     other n - 1: draws from 0..n-2 at or above the initiator shift up by one.
     """
-    def block(size: int):
+    stride = 1 << 16
+    for done in range(0, count, stride):
+        size = min(stride, count - done)
         initiators = rng.integers(0, n, size=size)
         partners = rng.integers(0, n - 1 if distinct else n, size=size)
         if distinct:
             partners += partners >= initiators
-        return zip(initiators.tolist(), partners.tolist())
+        yield initiators, partners
 
-    stride = 1 << 16
+
+def _pairs(n: int, distinct: bool, count: int, rng: np.random.Generator):
+    """The draws of _pair_blocks() one (initiator, partner) pair at a time."""
     return itertools.chain.from_iterable(
-        block(min(stride, count - done)) for done in range(0, count, stride)
+        zip(initiators.tolist(), partners.tolist())
+        for initiators, partners in _pair_blocks(n, distinct, count, rng)
     )
 
 
@@ -229,13 +242,17 @@ def run(
     record_every: int,
     rng: np.random.Generator | int | None,
     initial_counts: tuple[int, ...] | None = None,
-) -> list[tuple[int, tuple[int, ...], float]]:
-    """Simulate ``steps`` interactions; record (t, counts, average generosity).
+) -> Iterator[tuple[int, tuple[int, ...], float]]:
+    """Simulate ``steps`` interactions; yield (t, counts, average generosity).
 
     Records are taken at t = 0 and every ``record_every`` interactions
-    after that (every interaction counts, including null ones). Draws are
-    batched for speed but the per-step rule is the shared _apply(), so a
-    trajectory is deterministic given the seed.
+    after that (every interaction counts, including null ones). The
+    arguments are checked and the starting population is drawn when run()
+    is called; the records then stream as the pairs are drawn, in blocks
+    of 2**16, so memory does not grow with the number of records. A block
+    visits only its GTFT initiators, in step order and with _apply()'s
+    clamp rule, so the trajectory equals stepping _apply() over the same
+    draws and is deterministic given the seed.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -243,14 +260,45 @@ def run(
         raise ValueError("record_every must be >= 1")
     rng = ensure_rng(rng)
     state = init_population(cfg, initial_counts, rng)
+    return _trajectory(state, cfg, steps, record_every, rng)
+
+
+def _trajectory(state: PopulationState, cfg: PopulationConfig, steps: int, record_every: int,
+                rng: np.random.Generator) -> Iterator[tuple[int, tuple[int, ...], float]]:
+    """run()'s records, from the population it has drawn."""
     grid = cfg.grid
-    out: list[tuple[int, tuple[int, ...], float]] = []
-    out.append((0, state.counts(), state.avg_generosity(grid)))
-    for initiator, partner in _pairs(state.n, cfg.pairing == "distinct-pair", steps, rng):
-        _apply(state, initiator, partner)
-        if state.t % record_every == 0:
-            out.append((state.t, state.counts(), state.avg_generosity(grid)))
-    return out
+    idx, z, k, start = state.idx, state.z, state.k, state.gtft_start
+    yield state.t, state.counts(), state.avg_generosity(grid)
+    for initiators, partners in _pair_blocks(state.n, cfg.pairing == "distinct-pair", steps, rng):
+        begin = state.t
+        end = begin + len(initiators)
+        # the block's GTFT steps: offsets, then slots and whether the partner is a defector
+        offsets = np.flatnonzero(initiators >= start)
+        met = partners[offsets]
+        moves = zip(
+            (initiators[offsets] - start).tolist(),
+            ((met >= state.n_allc) & (met < start)).tolist(),
+        )
+        # segments end at each record time inside the block, the last at the block's end
+        marks = list(range(begin - begin % record_every + record_every, end, record_every))
+        marks.append(end)
+        done = 0
+        for mark, stop in zip(marks, np.searchsorted(offsets, np.array(marks) - begin).tolist()):
+            for slot, down in itertools.islice(moves, stop - done):
+                j = idx[slot]
+                if down:
+                    if j > 1:
+                        idx[slot] = j - 1
+                        z[j - 1] -= 1
+                        z[j - 2] += 1
+                elif j < k:
+                    idx[slot] = j + 1
+                    z[j - 1] -= 1
+                    z[j] += 1
+            done = stop
+            state.t = mark
+            if mark % record_every == 0:
+                yield state.t, state.counts(), state.avg_generosity(grid)
 
 
 def sample_one_step_counts(

@@ -88,7 +88,7 @@ def test_criterion_2_end_to_end_stationary_histogram():
     thin = cfg.n
     n_samples = 100_000
     skip = math.ceil(burn_in / thin)
-    rows = run(cfg, thin * (n_samples + skip), thin, stream(SEED, "c2"))
+    rows = list(run(cfg, thin * (n_samples + skip), thin, stream(SEED, "c2")))
     samples = [z for t, z, _ in rows[1:] if t > burn_in][:n_samples]
     assert len(samples) == n_samples
     counts = Counter(samples)

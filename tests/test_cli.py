@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line front end."""
 
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -59,9 +61,56 @@ def test_simulate_zero_steps(tmp_path):
 
 def test_simulate_validation_failure_writes_nothing(tmp_path):
     out = tmp_path / "traj.csv"
-    bad = [f if f != "40" else "41" for f in SIM_FLAGS]  # 0.25 * 41 not integral
-    assert main(bad + ["--out", str(out)]) == 2
-    assert not out.exists()
+    for bad in (
+        [f if f != "40" else "41" for f in SIM_FLAGS],  # 0.25 * 41 not integral
+        SIM_FLAGS + ["--init-counts", "1", "2"],
+        [f if f != "2000" else "-1" for f in SIM_FLAGS],
+        SIM_FLAGS + ["--record-every", "-1"],
+    ):
+        assert main(bad + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "traj.csv.manifest.json").exists()
+
+
+# sha256 of the CSV and of the manifest's config (json.dumps, sorted keys) for
+# --out traj.csv, fixed before run() streamed its records
+PINNED = {
+    "idealized": (
+        ["--n", "40"],
+        "8eaaf821a5c69802c157ed589c52354a97f82b36a79ead5faf7be0bb7a2293e1",
+        "c4594a8c80d9052e3d415cf9a742c27194c6e21e761acdceb312a07ceb959134",
+    ),
+    "distinct-pair": (
+        ["--n", "20", "--pairing", "distinct-pair", "--record-every", "7",
+         "--init-counts", "4", "3", "3"],
+        "88bd6f44ad14af4980ca0ba5dce00931e83356e55c39b6ef92f795b33abe0cf9",
+        "d622d9f00d7133af4563402863582646c9c765615adb888e4a3344ca1da079b1",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags,csv_sha,config_sha", PINNED.values(), ids=PINNED.keys())
+def test_simulate_bytes_are_pinned(tmp_path, monkeypatch, flags, csv_sha, config_sha):
+    monkeypatch.chdir(tmp_path)
+    argv = [f if f != "2000" else "100000" for f in SIM_FLAGS if f not in ("--n", "40")]
+    assert main(argv + flags + ["--out", "traj.csv"]) == 0
+    assert hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest() == csv_sha
+    config = read_manifest(tmp_path / "traj.csv.manifest.json")["config"]
+    assert hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest() == config_sha
+
+
+def test_simulate_streams_its_csv(tmp_path):
+    # 50,001 records; held as one list of lines the run peaked at 13.4 MB,
+    # streamed it holds about one block of 2**16 draws (6.1 MB)
+    argv = [f if f != "2000" else "50000" for f in SIM_FLAGS]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--record-every", "1", "--out", str(tmp_path / "traj.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "traj.csv").read_text().splitlines()) == 2 + 50_000
+    assert peak < 8e6
 
 
 def test_simulate_explicit_init_counts(tmp_path):

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gtftlab.ehrenfest import stationary_closed, transition_row
 from gtftlab.population import (
+    PAIRING_MODES,
     PopulationConfig,
+    _apply,
+    _pairs,
     generosity_grid,
     init_population,
     interact,
@@ -191,7 +196,7 @@ def test_undo_interaction_restores_state():
 
 
 def test_run_records_cadence_and_simplex():
-    rows = run(CFG, 1000, 100, stream(30, "cadence"))
+    rows = list(run(CFG, 1000, 100, stream(30, "cadence")))
     assert [t for t, _, _ in rows] == list(range(0, 1001, 100))
     for _, z, wg in rows:
         assert sum(z) == CFG.m and all(c >= 0 for c in z)
@@ -199,21 +204,84 @@ def test_run_records_cadence_and_simplex():
 
 
 def test_run_zero_steps():
-    rows = run(CFG, 0, 40, stream(31, "zero"), initial_counts=(20, 0, 0))
+    rows = list(run(CFG, 0, 40, stream(31, "zero"), initial_counts=(20, 0, 0)))
     assert rows == [(0, (20, 0, 0), 0.0)]
 
 
 def test_run_deterministic_given_seed():
-    first = run(CFG, 5000, 100, stream(32, "det"))
-    second = run(CFG, 5000, 100, stream(32, "det"))
+    first = list(run(CFG, 5000, 100, stream(32, "det")))
+    second = list(run(CFG, 5000, 100, stream(32, "det")))
     assert first == second
 
 
 def test_run_absorbs_without_defectors():
     cfg = PopulationConfig(n=10, alpha=0.2, beta=0.0, k=2, g_hat=0.25)
-    rows = run(cfg, 2000, 2000, stream(33, "absorb"), initial_counts=(8, 0))
+    rows = list(run(cfg, 2000, 2000, stream(33, "absorb"), initial_counts=(8, 0)))
     assert rows[-1][1] == (0, 8)
     assert rows[-1][2] == pytest.approx(0.25)
+
+
+def reference_run(cfg, steps, record_every, rng, initial_counts=None):
+    """run() written as the per-step rule: _apply() over _pairs(), same draws."""
+    state, grid = init_population(cfg, initial_counts, rng), cfg.grid
+    rows = [(0, state.counts(), state.avg_generosity(grid))]
+    for initiator, partner in _pairs(cfg.n, cfg.pairing == "distinct-pair", steps, rng):
+        _apply(state, initiator, partner)
+        if state.t % record_every == 0:
+            rows.append((state.t, state.counts(), state.avg_generosity(grid)))
+    return rows
+
+
+BLOCK = 1 << 16
+
+
+@pytest.mark.parametrize("pairing", PAIRING_MODES)
+@pytest.mark.parametrize(
+    "cfg_args, initial_counts",
+    [
+        ((8, 0.25, 0.25, 3, 0.5), (4, 0, 0)),  # the bottom clamp fires
+        ((8, 0.25, 0.25, 3, 0.5), (0, 0, 4)),  # the top clamp fires
+        ((10, 0.2, 0.0, 2, 0.25), (8, 0)),  # no defectors: absorbs at the top
+    ],
+)
+def test_run_equals_the_apply_loop(pairing, cfg_args, initial_counts):
+    cfg = PopulationConfig(*cfg_args, pairing=pairing)
+    for steps in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+        key = (35, pairing, steps, *initial_counts)
+        # every step's record; a cadence keeps the ones at multiples of it
+        each = reference_run(cfg, steps, 1, stream(*key), initial_counts)
+        for record_every in (1, 7, cfg.n, steps + 1):
+            got = list(run(cfg, steps, record_every, stream(*key), initial_counts))
+            assert got == [row for row in each if row[0] % record_every == 0]
+
+
+@st.composite
+def populations(draw):
+    n = draw(st.integers(2, 30))
+    n_allc = draw(st.integers(0, n - 1))
+    n_alld = draw(st.integers(0, n - 1 - n_allc))
+    return PopulationConfig(
+        n=n, alpha=n_allc / n, beta=n_alld / n, k=draw(st.integers(2, 6)), g_hat=0.5,
+        pairing=draw(st.sampled_from(PAIRING_MODES)),
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    cfg=populations(), steps=st.integers(0, 3 * BLOCK),
+    record_every=st.integers(1, 100) | st.integers(1, 3 * BLOCK), seed=st.integers(0, 2**32 - 1),
+)
+def test_run_equals_the_apply_loop_anywhere(cfg, steps, record_every, seed):
+    got = list(run(cfg, steps, record_every, stream(seed, "prop")))
+    assert got == reference_run(cfg, steps, record_every, stream(seed, "prop"))
+
+
+def test_run_validates_when_called():
+    # ValueError at the call itself, not at the first next(): nothing is streamed
+    rng = stream(36, "eager")
+    for args in ((-1, 40, rng), (10, 0, rng), (10, 40, rng, (20, 0))):
+        with pytest.raises(ValueError):
+            run(CFG, *args)
 
 
 def test_run_matches_interact_distributionally():
@@ -222,7 +290,7 @@ def test_run_matches_interact_distributionally():
     totals_int = np.zeros(3)
     reps = 200
     for rep in range(reps):
-        rows = run(CFG, 300, 300, stream(34, "a", rep), initial_counts=(20, 0, 0))
+        rows = list(run(CFG, 300, 300, stream(34, "a", rep), initial_counts=(20, 0, 0)))
         totals_run += rows[-1][1]
         state = init_population(CFG, (20, 0, 0))
         rng = stream(34, "b", rep)
