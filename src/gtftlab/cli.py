@@ -17,6 +17,7 @@ limit or stationary-solver residual bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -304,6 +305,7 @@ def cmd_compare(args) -> list[str]:
 # ---------------------------------------------------------------- wiring
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: _apply_config_file must see every spelling of --config
     parser = argparse.ArgumentParser(

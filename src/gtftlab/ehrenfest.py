@@ -397,10 +397,25 @@ def corner_labels(params: EhrenfestParams) -> tuple[list[int], list[int]]:
     return [1] * params.m, [params.k] * params.m
 
 
+def _labels(v, k: int, m: int) -> np.ndarray:
+    """A start of ``coupled_run`` as an int array: m integral labels in 1..k."""
+    x = np.asarray(v)
+    if x.shape != (m,):
+        raise ValueError(f"label vectors must have length m={m}")
+    if x.dtype.kind not in "iuf" or not ((x >= 1) & (x <= k) & (x == np.round(x))).all():
+        raise ValueError("labels must be integers in 1..k")
+    return x.astype(np.int64)
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in a non-negative int array."""
+    return x != np.concatenate(([-1], x[:-1]))
+
+
 def coupled_run(
     params: EhrenfestParams,
-    x0: list[int],
-    y0: list[int],
+    x0: list[int] | np.ndarray,
+    y0: list[int] | np.ndarray,
     rng: np.random.Generator | int | None,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> int:
@@ -408,45 +423,55 @@ def coupled_run(
 
     Both walks hold m labels in 1..k. Each step samples one ball position
     uniformly and applies the same up/down/stay draw to that coordinate of
-    both walks, truncating to the label range. Shared draws make the
-    per-coordinate gap non-increasing, which is asserted as the run goes.
+    both walks, truncating to the label range. The draws come in blocks
+    of 2^14 steps, each resolved in numpy on a prefix that grows 4x from
+    256 steps until every ball has met. Shared draws never widen a ball's
+    gap, so before its copies meet the lower one, lo, is clamped only at 1
+    and the upper one, hi, only at k. With L <= 0 <= H the running min and
+    max of the ball's own +-1 path, they meet where
+    hi - lo - max(0, hi+H-k) - max(0, 1-lo-L) first reaches 0; it is
+    asserted to be exactly 0 there, so the copies never cross.
     """
     rng = ensure_rng(rng)
     k, a, b, m = params.k, params.a, params.b, params.m
-    if len(x0) != m or len(y0) != m:
-        raise ValueError(f"label vectors must have length m={m}")
-    if any(not 1 <= v <= k for v in x0 + y0):
-        raise ValueError("labels must lie in 1..k")
-    x = list(x0)
-    y = list(y0)
-    unmatched = sum(1 for xi, yi in zip(x, y) if xi != yi)
-    if unmatched == 0:
+    x, y = _labels(x0, k, m), _labels(y0, k, m)
+    lo, hi, unmet = np.minimum(x, y), np.maximum(x, y), x != y
+    if not unmet.any():
         return 0
     t = 0
-    block = 1 << 14
     while t < step_limit:
-        size = min(block, step_limit - t)
-        coords = rng.integers(0, m, size=size).tolist()
+        size = min(1 << 14, step_limit - t)
+        coords = rng.integers(0, m, size=size)
         moves = rng.random(size)
-        ups = (moves < a).tolist()
-        downs = (moves >= a) & (moves < a + b)
-        downs = downs.tolist()
-        for i, up, down in zip(coords, ups, downs):
-            t += 1
-            if up:
-                dx, dy = min(x[i] + 1, k), min(y[i] + 1, k)
-            elif down:
-                dx, dy = max(x[i] - 1, 1), max(y[i] - 1, 1)
-            else:
-                continue
-            gap_before = abs(x[i] - y[i])
-            gap_after = abs(dx - dy)
-            assert gap_after <= gap_before, "coupling gap increased"
-            if gap_before != 0 and gap_after == 0:
-                unmatched -= 1
-            x[i], y[i] = dx, dy
-            if unmatched == 0:
-                return t
+        n = min(256, size)
+        while True:
+            steps = np.flatnonzero(unmet[coords[:n]] & (moves[:n] < a + b))
+            key = np.sort(coords[steps] << 14 | steps)  # steps < 2^14: moves by ball, then step
+            balls, steps = key >> 14, key & (1 << 14) - 1
+            d = np.where(moves[steps] < a, 1, -1)
+            first = _run_starts(balls)
+            seg = np.cumsum(first) - 1
+            s = np.cumsum(d)
+            s -= (s - d)[first][seg]
+            off = seg * (2 * n + 1)
+            top = np.maximum.accumulate(s + off) - off
+            bottom = np.minimum.accumulate(s - off) + off
+            l, h = lo[balls], hi[balls]
+            over, under = np.maximum(h + top - k, 0), np.maximum(1 - l - bottom, 0)
+            gap = h - l - over - under
+            met = np.flatnonzero(gap <= 0)
+            met = met[_run_starts(balls[met])]
+            assert (gap[met] == 0).all(), "coupling copies crossed"
+            if met.size == np.count_nonzero(unmet):
+                return t + 1 + int(steps[met].max())
+            if n == size:
+                break
+            n = min(4 * n, size)
+        ends = np.diff(balls, append=-1) != 0
+        lo[balls[ends]] = (l + s + under)[ends]
+        hi[balls[ends]] = (h + s - over)[ends]
+        unmet[balls[met]] = False
+        t += size
     raise StepLimitError(f"coupling did not coalesce within {step_limit} steps")
 
 

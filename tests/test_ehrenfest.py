@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gtftlab.ehrenfest import (
+    DEFAULT_STEP_LIMIT,
     CapExceededError,
     EhrenfestParams,
     MixingEstimate,
@@ -439,6 +440,128 @@ def test_coupled_run_coalesces_and_validates_labels():
     assert tau > 0
     with pytest.raises(ValueError):
         coupled_run(params, [0] * 6, y0, stream(9, "bad"))
+
+
+def test_coupled_run_accepts_array_starts():
+    params = EhrenfestParams(k=3, a=0.3, b=0.2, m=6)
+    x0, y0 = corner_labels(params)
+    tau = coupled_run(params, x0, y0, stream(8, "coal"))
+    assert coupled_run(params, np.array(x0), np.array(y0), stream(8, "coal")) == tau
+
+
+@pytest.mark.parametrize(
+    "x0, y0",
+    [
+        (np.array([0] * 4), np.array([2] * 4)),  # label 0 in an array start
+        ([1.5] * 4, [1] * 4),  # a fractional label
+        ([1] * 4, [4] * 4),  # a label above k
+        ([1] * 3, [3] * 3),  # wrong length
+        ([[1, 2]] * 4, [[3, 3]] * 4),  # m rows, but not a vector of labels
+    ],
+)
+def test_coupled_run_rejects_bad_labels(x0, y0):
+    params = EhrenfestParams(k=3, a=0.3, b=0.2, m=4)
+    with pytest.raises(ValueError):
+        coupled_run(params, x0, y0, stream(9, "bad"))
+    with pytest.raises(ValueError):
+        coupled_run(params, y0, x0, stream(9, "bad"))
+
+
+def reference_coupled_run(params, x0, y0, rng, step_limit=DEFAULT_STEP_LIMIT):
+    """coupled_run written as the per-step rule, with the same draws."""
+    k, a, b, m = params.k, params.a, params.b, params.m
+    x, y = list(x0), list(y0)
+    unmatched = sum(1 for xi, yi in zip(x, y) if xi != yi)
+    if unmatched == 0:
+        return 0
+    t = 0
+    while t < step_limit:
+        size = min(1 << 14, step_limit - t)
+        coords = rng.integers(0, m, size=size).tolist()
+        moves = rng.random(size)
+        ups = (moves < a).tolist()
+        downs = ((moves >= a) & (moves < a + b)).tolist()
+        for i, up, down in zip(coords, ups, downs):
+            t += 1
+            if up:
+                dx, dy = min(x[i] + 1, k), min(y[i] + 1, k)
+            elif down:
+                dx, dy = max(x[i] - 1, 1), max(y[i] - 1, 1)
+            else:
+                continue
+            gap_before = abs(x[i] - y[i])
+            gap_after = abs(dx - dy)
+            assert gap_after <= gap_before, "coupling gap increased"
+            if gap_before != 0 and gap_after == 0:
+                unmatched -= 1
+            x[i], y[i] = dx, dy
+            if unmatched == 0:
+                return t
+    raise StepLimitError(f"coupling did not coalesce within {step_limit} steps")
+
+
+def assert_same_coupling(params, x0, y0, seed, step_limit=DEFAULT_STEP_LIMIT):
+    """Same return or same StepLimitError, and the same generator state after; returns tau."""
+    got_rng, want_rng = stream(seed, "oracle"), stream(seed, "oracle")
+    try:
+        want = reference_coupled_run(params, x0, y0, want_rng, step_limit)
+    except StepLimitError:
+        want = None
+    try:
+        got = coupled_run(params, x0, y0, got_rng, step_limit)
+    except StepLimitError:
+        got = None
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got
+
+
+@st.composite
+def coupling_cases(draw):
+    k, m = draw(st.integers(2, 8)), draw(st.integers(1, 40))
+    a = draw(st.floats(0.05, 0.95))
+    b = draw(st.floats(0.05, 1.0 - a))
+    labels = st.lists(st.integers(1, k), min_size=m, max_size=m)
+    x0 = draw(labels | st.just([1] * m) | st.just([k] * m))
+    y0 = draw(labels | st.just(x0) | st.just([1] * m) | st.just([k] * m))
+    return EhrenfestParams(k=k, a=a, b=b, m=m), x0, y0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=coupling_cases(), seed=st.integers(0, 2**32 - 1),
+    step_limit=st.sampled_from([1, 3, 1 << 14, (1 << 14) + 1, DEFAULT_STEP_LIMIT]),
+)
+@example(case=(EhrenfestParams(k=2, a=0.5, b=0.5, m=1), [1], [2]), seed=0, step_limit=1)
+@example(case=(EhrenfestParams(k=8, a=0.05, b=0.05, m=40), [1] * 40, [8] * 40), seed=1,
+         step_limit=(1 << 14) + 1)
+def test_coupled_run_equals_the_step_loop(case, seed, step_limit):
+    assert_same_coupling(*case, seed, step_limit)
+
+
+def test_coupled_run_equals_the_step_loop_across_blocks():
+    params = EhrenfestParams(k=8, a=0.1, b=0.1, m=64)
+    x0, y0 = corner_labels(params)
+    for seed in range(3):
+        assert assert_same_coupling(params, x0, y0, seed) > 1 << 14
+        assert assert_same_coupling(params, y0, x0, seed) > 1 << 14
+
+
+def test_estimate_mixing_criterion_6_values_are_pinned():
+    # t_hat of acceptance criterion 6, recorded from the per-step loop
+    seed, trials = 20260810, 500
+    for key, size, chain, t_hat in [
+        ("c6m", 8, (4, 0.7, 0.2, 8), 100),
+        ("c6m", 16, (4, 0.7, 0.2, 16), 227),
+        ("c6m", 32, (4, 0.7, 0.2, 32), 506),
+        ("c6m", 64, (4, 0.7, 0.2, 64), 1142),
+        ("c6k", 2, (2, 0.7, 0.2, 16), 69),
+        ("c6k", 4, (4, 0.7, 0.2, 16), 226),
+        ("c6k", 8, (8, 0.7, 0.2, 16), 486),
+        ("c6k", 16, (16, 0.7, 0.2, 16), 885),
+    ]:
+        est = estimate_mixing(EhrenfestParams(*chain), 0.25, trials, stream(seed, key, size))
+        assert est.t_hat == t_hat, (key, size)
 
 
 def test_coupled_run_step_limit():
