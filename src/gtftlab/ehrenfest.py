@@ -215,7 +215,7 @@ def _up_moves(
 
 
 def _check_state(x: tuple[int, ...], params: EhrenfestParams) -> None:
-    if len(x) != params.k or any(xi < 0 for xi in x) or sum(x) != params.m:
+    if len(x) != params.k or sum(x) != params.m or any(xi < 0 or xi % 1 for xi in x):
         raise ValueError(f"{x} is not a valid count vector for k={params.k}, m={params.m}")
 
 

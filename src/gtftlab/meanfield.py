@@ -183,8 +183,10 @@ def check_local_optimality(
     GTFT opponent strictly increases in own generosity, against AllC it
     stays constant, and against AllD it strictly decreases. Runs only
     when the reward vector and config satisfy the preconditions; else
-    reports them and skips.
+    reports them and skips. Needs at least two grid points.
     """
+    if grid_size < 2:
+        raise ValueError(f"need grid_size >= 2, got {grid_size}")
     failures = []
     if rv.R + rv.P > rv.T + rv.S + 1e-12:
         failures.append(f"requires R + P <= T + S, got {rv.R + rv.P} > {rv.T + rv.S}")
@@ -205,28 +207,21 @@ def check_local_optimality(
         )
 
     grid = np.linspace(0.0, cfg.g_hat, grid_size)
-    violations: list[tuple[str, float, float, float]] = []
-    n_comparisons = 0
     f_allc, f_alld, f_gg = _payoff_tables(grid, cfg, rv)
-    for i in range(grid_size):
-        for j in range(i + 1, grid_size):
-            g_lo, g_hi = float(grid[i]), float(grid[j])
-            n_comparisons += 2
-            if f_allc[i] != f_allc[j]:
-                violations.append(("vs-allc-not-constant", g_lo, g_hi, float("nan")))
-            if not f_alld[i] > f_alld[j]:
-                violations.append(("vs-alld-not-decreasing", g_lo, g_hi, float("nan")))
-            for idx2 in range(grid_size):
-                n_comparisons += 1
-                if not f_gg[i, idx2] < f_gg[j, idx2]:
-                    violations.append(
-                        ("vs-gtft-not-increasing", g_lo, g_hi, float(grid[idx2]))
-                    )
+    lo, hi = np.triu_indices(grid_size, 1)
+    # one row per pair g < g'; columns AllC, AllD, then each GTFT opponent
+    bad = np.column_stack((f_allc[lo] != f_allc[hi], ~(f_alld[lo] > f_alld[hi]),
+                           ~(f_gg[lo] < f_gg[hi])))
+    pair, col = np.nonzero(bad)
+    names = np.array(("vs-allc-not-constant", "vs-alld-not-decreasing", "vs-gtft-not-increasing"))
+    opponent = np.concatenate(([np.nan, np.nan], grid))
+    violations = zip(names[np.minimum(col, 2)].tolist(), grid[lo[pair]].tolist(),
+                     grid[hi[pair]].tolist(), opponent[col].tolist())
     return LocalOptimalityReport(
         checked=True,
         precondition_failures=(),
         grid_size=grid_size,
-        n_comparisons=n_comparisons,
+        n_comparisons=bad.size,
         violations=tuple(violations),
     )
 

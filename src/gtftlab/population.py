@@ -14,9 +14,10 @@ indices is exactly the weighted multi-urn walk in
 parameters.
 
 ``interact`` applies one step at a time through ``_apply``, the per-step
-rule. ``run`` draws its pairs in the same 2**16 blocks, yields its
-records as it goes, and visits only the GTFT steps of each block in one
-loop of its own, which the tests hold equal to stepping ``_apply``.
+rule, and ``sample_one_step_counts`` applies it once per class of draws.
+``run`` draws its pairs in the same 2**16 blocks, yields its records as
+it goes, and visits only the GTFT steps of each block in one loop of its
+own, which the tests hold equal to stepping ``_apply``.
 """
 
 from __future__ import annotations
@@ -160,9 +161,9 @@ def init_population(
 def _apply(state: PopulationState, initiator: int, partner: int):
     """Advance the clock one interaction; return the initiator's (index before, after).
 
-    Both are None when the initiator is not GTFT. Shared by interact()
-    and sample_one_step_counts(), and the reference that run()'s GTFT-only
-    loop is tested against.
+    Both are None when the initiator is not GTFT. The partner matters only
+    as defector or not. Shared by interact() and sample_one_step_counts(),
+    and the reference that run()'s GTFT-only loop is tested against.
     """
     state.t += 1
     slot = initiator - state.gtft_start
@@ -205,14 +206,6 @@ def _pair_blocks(n: int, distinct: bool, count: int, rng: np.random.Generator):
         yield initiators, partners
 
 
-def _pairs(n: int, distinct: bool, count: int, rng: np.random.Generator):
-    """The draws of _pair_blocks() one (initiator, partner) pair at a time."""
-    return itertools.chain.from_iterable(
-        zip(initiators.tolist(), partners.tolist())
-        for initiators, partners in _pair_blocks(n, distinct, count, rng)
-    )
-
-
 def interact(
     state: PopulationState, cfg: PopulationConfig, rng: np.random.Generator | int | None
 ) -> InteractionRecord:
@@ -224,7 +217,8 @@ def interact(
     population unchanged but still advances the clock.
     """
     rng = ensure_rng(rng)
-    initiator, partner = next(_pairs(state.n, cfg.pairing == "distinct-pair", 1, rng))
+    initiators, partners = next(_pair_blocks(state.n, cfg.pairing == "distinct-pair", 1, rng))
+    initiator, partner = initiators.item(), partners.item()
     j, j_new = _apply(state, initiator, partner)
     return InteractionRecord(
         initiator, partner, state.node_kind(initiator), state.node_kind(partner), j, j_new
@@ -309,17 +303,28 @@ def sample_one_step_counts(
 ) -> dict[tuple[int, ...], int]:
     """Resample single interactions from the fixed count vector z0.
 
-    Each sample runs one interaction and rolls it back, so all draws see
-    the same starting state. Returns how often each successor count
-    vector appeared; the self loop shows up under z0 itself.
+    From z0 a draw's successor depends only on its initiator and on
+    whether its partner is a defector, so the draws are tallied by that
+    class, and _apply() steps one draw of each class and is rolled back.
+    Returns how often each successor count vector appeared; the self
+    loop shows up under z0 itself.
     """
+    if n_samples < 0:
+        raise ValueError("n_samples must be nonnegative")
     rng = ensure_rng(rng)
     state = init_population(cfg, z0)
+    n = state.n
+    tally = np.zeros(2 * n, dtype=np.int64)
+    for initiators, partners in _pair_blocks(n, cfg.pairing == "distinct-pair", n_samples, rng):
+        defector = (partners >= state.n_allc) & (partners < state.gtft_start)
+        tally += np.bincount(2 * initiators + defector, minlength=2 * n)
     counts: dict[tuple[int, ...], int] = {}
-    for initiator, partner in _pairs(state.n, cfg.pairing == "distinct-pair", n_samples, rng):
-        j, j_new = _apply(state, initiator, partner)
+    for cls in np.flatnonzero(tally).tolist():
+        initiator, down = divmod(cls, 2)
+        # node n - 1 is GTFT (m >= 1), so it stands for every non-defector partner
+        j, j_new = _apply(state, initiator, state.n_allc if down else n - 1)
         key = state.counts()
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + int(tally[cls])
         _rollback(state, initiator, j, j_new)
     return counts
 

@@ -231,6 +231,15 @@ def test_transition_row_support_and_mass():
         assert all(v >= 0 for v in row.values())
 
 
+BAD_COUNTS = [(2.5, 1.5, 0), (4, 0), (5, -1, 0), (3, 0, 0)]  # fractional, k, sign, m
+
+
+@pytest.mark.parametrize("x", BAD_COUNTS)
+def test_transition_row_rejects_bad_counts(x):
+    with pytest.raises(ValueError):
+        transition_row(x, EhrenfestParams(k=3, a=0.3, b=0.3, m=4))
+
+
 def test_last_urn_self_loop_probability():
     params = EhrenfestParams(k=4, a=0.3, b=0.25, m=6)
     row = transition_row((0, 0, 0, 6), params)
@@ -651,6 +660,12 @@ def test_tv_distance_at_time_zero():
     dist = stationary_closed(params)
     x0 = (4, 0, 0)
     assert tv_distance_exact(params, 0, x0) == pytest.approx(1 - dist.pmf(x0), abs=1e-12)
+
+
+@pytest.mark.parametrize("x0", BAD_COUNTS)
+def test_tv_distance_rejects_bad_counts(x0):
+    with pytest.raises(ValueError):
+        tv_distance_exact(EhrenfestParams(k=3, a=0.3, b=0.3, m=4), 2, x0)
 
 
 def test_tv_distance_monotone_nonincreasing():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtftlab import games
+from gtftlab import games, meanfield
 from gtftlab.games import GameConfig, RewardVector
 from gtftlab.meanfield import (
+    LocalOptimalityReport,
     avg_stationary_generosity,
     check_local_optimality,
     gap_bound,
@@ -235,6 +236,65 @@ def test_local_optimality_holds_on_grid():
     report = check_local_optimality(CFG, DONATION, grid_size=20)
     assert report.checked and report.ok
     assert report.n_comparisons > 0 and report.violations == ()
+
+
+def reference_local_optimality(cfg, rv, grid_size):
+    """check_local_optimality() past its preconditions, as one comparison at a time."""
+    grid = np.linspace(0.0, cfg.g_hat, grid_size)
+    violations = []
+    n_comparisons = 0
+    f_allc, f_alld, f_gg = meanfield._payoff_tables(grid, cfg, rv)
+    for i in range(grid_size):
+        for j in range(i + 1, grid_size):
+            g_lo, g_hi = float(grid[i]), float(grid[j])
+            n_comparisons += 2
+            if f_allc[i] != f_allc[j]:
+                violations.append(("vs-allc-not-constant", g_lo, g_hi, float("nan")))
+            if not f_alld[i] > f_alld[j]:
+                violations.append(("vs-alld-not-decreasing", g_lo, g_hi, float("nan")))
+            for idx2 in range(grid_size):
+                n_comparisons += 1
+                if not f_gg[i, idx2] < f_gg[j, idx2]:
+                    violations.append(
+                        ("vs-gtft-not-increasing", g_lo, g_hi, float(grid[idx2]))
+                    )
+    return LocalOptimalityReport(True, (), grid_size, n_comparisons, tuple(violations))
+
+
+def test_local_optimality_equals_the_comparison_loop():
+    for grid_size in (2, 5, 20):
+        report = check_local_optimality(CFG, DONATION, grid_size)
+        # repr: equal floats print alike, and a nan opponent equals itself
+        assert repr(report) == repr(reference_local_optimality(CFG, DONATION, grid_size))
+
+
+@pytest.mark.parametrize("grid_size", [2, 3, 7, 20])
+@pytest.mark.parametrize("seed", range(5))
+def test_local_optimality_equals_the_comparison_loop_on_planted_violations(
+    monkeypatch, grid_size, seed
+):
+    grid = np.linspace(0.0, CFG.g_hat, grid_size)
+    f_allc, f_alld, f_gg = meanfield._payoff_tables(grid, CFG, DONATION)
+    rng = stream(40, "planted", grid_size, seed)
+    f_allc = f_allc + (rng.random(grid_size) < 0.3)
+    f_alld = np.where(rng.random(grid_size) < 0.3, f_alld[::-1], f_alld)  # rises and ties
+    f_gg = np.where(rng.random(f_gg.shape) < 0.2, np.round(-f_gg, 1), f_gg)
+    f_gg[rng.random(f_gg.shape) < 0.05] = np.nan  # fails every comparison it is in
+    monkeypatch.setattr(meanfield, "_payoff_tables", lambda *args: (f_allc, f_alld, f_gg))
+    report = check_local_optimality(CFG, DONATION, grid_size)
+    assert repr(report) == repr(reference_local_optimality(CFG, DONATION, grid_size))
+    pairs = grid_size * (grid_size - 1) // 2
+    assert report.checked and report.n_comparisons == pairs * (grid_size + 2)
+    if grid_size > 2:
+        assert report.violations
+
+
+def test_local_optimality_needs_two_grid_points():
+    low_delta = GameConfig(delta=0.5, s1=0.5, g_hat=0.25)  # fails a precondition too
+    for grid_size in (-3, 0, 1):
+        for cfg in (CFG, low_delta):
+            with pytest.raises(ValueError):
+                check_local_optimality(cfg, DONATION, grid_size)
 
 
 def test_local_optimality_allc_payoff_exactly_constant():

@@ -1,5 +1,7 @@
 """Tests for the agent-level dynamics and the urn-walk reduction."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +15,8 @@ from gtftlab.population import (
     PAIRING_MODES,
     PopulationConfig,
     _apply,
-    _pairs,
+    _pair_blocks,
+    _rollback,
     generosity_grid,
     init_population,
     interact,
@@ -182,6 +185,24 @@ def test_idealized_pair_can_self():
     assert any(rec.partner == rec.initiator for rec in records)
 
 
+PINNED_INTERACT = {
+    # sha256 of repr() of 2000 records and the generator's next draw, recorded
+    # when interact() read its pair through _pairs()
+    "idealized": ("829327b0df670ee6139340f4bbdcbe84a0b19cf917f0db736ce625f4cf220786", 986134931),
+    "distinct-pair": ("e8c01c3051520c958250536f4c56764685404646667da8bffd5f5f1088809af4", 886159632),
+}
+
+
+@pytest.mark.parametrize("pairing", PAIRING_MODES)
+def test_interact_records_are_pinned(pairing):
+    cfg = PopulationConfig(n=8, alpha=0.25, beta=0.25, k=3, g_hat=0.5, pairing=pairing)
+    state = init_population(cfg, (2, 1, 1))
+    rng = stream(37, "pinned", pairing)
+    records = [interact(state, cfg, rng) for _ in range(2000)]
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert (digest, rng.integers(1 << 30)) == PINNED_INTERACT[pairing]
+
+
 def test_undo_interaction_restores_state():
     state = init_population(CFG, (7, 6, 7), rng=stream(29, "undo"))
     rng = stream(29, "undo-run")
@@ -219,6 +240,14 @@ def test_run_absorbs_without_defectors():
     rows = list(run(cfg, 2000, 2000, stream(33, "absorb"), initial_counts=(8, 0)))
     assert rows[-1][1] == (0, 8)
     assert rows[-1][2] == pytest.approx(0.25)
+
+
+def _pairs(n, distinct, count, rng):
+    """The draws of _pair_blocks() one (initiator, partner) pair at a time."""
+    return itertools.chain.from_iterable(
+        zip(initiators.tolist(), partners.tolist())
+        for initiators, partners in _pair_blocks(n, distinct, count, rng)
+    )
 
 
 def reference_run(cfg, steps, record_every, rng, initial_counts=None):
@@ -274,6 +303,44 @@ def populations(draw):
 def test_run_equals_the_apply_loop_anywhere(cfg, steps, record_every, seed):
     got = list(run(cfg, steps, record_every, stream(seed, "prop")))
     assert got == reference_run(cfg, steps, record_every, stream(seed, "prop"))
+
+
+def reference_one_step_counts(cfg, z0, n_samples, rng):
+    """sample_one_step_counts() as the per-sample rule: _apply() then _rollback() over _pairs()."""
+    state, counts = init_population(cfg, z0), {}
+    for initiator, partner in _pairs(cfg.n, cfg.pairing == "distinct-pair", n_samples, rng):
+        j, j_new = _apply(state, initiator, partner)
+        counts[state.counts()] = counts.get(state.counts(), 0) + 1
+        _rollback(state, initiator, j, j_new)
+    return counts
+
+
+def assert_one_step_equals_the_apply_loop(cfg, z0, n_samples, seed):
+    got_rng, ref_rng = stream(seed, "one-step"), stream(seed, "one-step")
+    got = sample_one_step_counts(cfg, z0, n_samples, got_rng)
+    assert got == reference_one_step_counts(cfg, z0, n_samples, ref_rng)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
+@pytest.mark.parametrize("z0", [(7, 6, 7), (20, 0, 0), (0, 3, 17), (0, 0, 20)])
+def test_one_step_equals_the_apply_loop(z0, n_samples):
+    # criterion 3's population and start (7, 6, 7), both corners and an edge
+    assert_one_step_equals_the_apply_loop(CFG, z0, n_samples, 38)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cfg=populations(), n_samples=st.integers(0, 3 * BLOCK),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_step_equals_the_apply_loop_anywhere(data, cfg, n_samples, seed):
+    labels = data.draw(st.lists(st.integers(0, cfg.k - 1), min_size=cfg.m, max_size=cfg.m))
+    z0 = tuple(np.bincount(labels, minlength=cfg.k).tolist())
+    assert_one_step_equals_the_apply_loop(cfg, z0, n_samples, seed)
+
+
+def test_one_step_rejects_negative_samples():
+    with pytest.raises(ValueError):
+        sample_one_step_counts(CFG, (7, 6, 7), -5, stream(39, "negative"))
 
 
 def test_run_validates_when_called():
