@@ -224,6 +224,7 @@ def transition_row(
 ) -> dict[tuple[int, ...], float]:
     """Exact one-step distribution out of state x, including the self loop."""
     _check_state(x, params)
+    x = tuple(map(int, x))
     k, a, b, m = params.k, params.a, params.b, params.m
     row: dict[tuple[int, ...], float] = {}
     move_mass = 0.0
@@ -433,8 +434,14 @@ def coupled_run(
     asserted to be exactly 0 there, so the copies never cross.
     """
     rng = ensure_rng(rng)
+    x, y = _labels(x0, params.k, params.m), _labels(y0, params.k, params.m)
+    return _coupling_time(params, x, y, rng, step_limit)
+
+
+def _coupling_time(params: EhrenfestParams, x: np.ndarray, y: np.ndarray,
+                   rng: np.random.Generator, step_limit: int) -> int:
+    """coupled_run() from starts already checked by _labels(); x and y are not modified."""
     k, a, b, m = params.k, params.a, params.b, params.m
-    x, y = _labels(x0, k, m), _labels(y0, k, m)
     lo, hi, unmet = np.minimum(x, y), np.maximum(x, y), x != y
     if not unmet.any():
         return 0
@@ -495,8 +502,8 @@ def estimate_mixing(
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = ensure_rng(rng)
-    x0, y0 = corner_labels(params)
-    taus = [coupled_run(params, x0, y0, rng, step_limit) for _ in range(trials)]
+    x0, y0 = (_labels(v, params.k, params.m) for v in corner_labels(params))
+    taus = [_coupling_time(params, x0, y0, rng, step_limit) for _ in range(trials)]
     t_hat = int(np.quantile(taus, 1.0 - epsilon, method="higher"))
     return MixingEstimate(t_hat=t_hat, method="coupling-tail", epsilon=epsilon, trials=trials)
 

@@ -6,6 +6,11 @@ and the row player collects the entry of the reward vector matching the
 joint state. States are ordered CC, CD, DC, DD, where the first letter
 is the row player's action.
 
+Every strategy is a reactive rule: one probability of cooperating in
+round one, one after the opponent cooperated and one after it defected
+(AllC 1, 1, 1; AllD 0, 0, 0; GTFT(g) s1, 1, g). The round chain, its
+first round and the simulation all read these three numbers.
+
 The module provides three independent routes to the expected total
 payoff of the row player:
 
@@ -51,8 +56,8 @@ class RewardVector:
     @classmethod
     def donation(cls, benefit: float, cost: float) -> "RewardVector":
         """Donation game: cooperation pays `benefit` to the other side at `cost` to self."""
-        if not benefit > cost >= 0:
-            raise ValueError(f"donation game needs benefit > cost >= 0, got {benefit}, {cost}")
+        if not benefit > cost > 0:
+            raise ValueError(f"donation game needs benefit > cost > 0, got {benefit}, {cost}")
         return cls(R=benefit - cost, S=-cost, T=benefit, P=0.0)
 
     def as_array(self) -> np.ndarray:
@@ -68,7 +73,7 @@ class RewardVector:
         ok = (
             abs(self.P) <= 1e-12
             and abs(self.R - (self.T + self.S)) <= 1e-12
-            and benefit > cost >= 0
+            and benefit > cost > 0
         )
         if not ok:
             raise ValueError(f"not a donation-game reward vector: {self}")
@@ -131,56 +136,39 @@ def gtft(g: float) -> Strategy:
     return Strategy("gtft", g)
 
 
-def _first_coop(strategy: Strategy, cfg: GameConfig) -> float:
-    if strategy.kind == "allc":
-        return 1.0
-    if strategy.kind == "alld":
-        return 0.0
-    return cfg.s1
+def _coop(strategy: Strategy, s1: float) -> tuple[float, float, float]:
+    """Cooperation probabilities in round one, after the opponent cooperated, after it defected.
 
-
-def _next_coop(strategy: Strategy, opp_cooperated):
-    """Cooperation probability in round r+1 given the opponent's round-r action.
-
-    Accepts a bool or a boolean array; returns a float or float array.
+    ``s1`` is a GTFT player's round-one probability (``GameConfig.s1``).
     """
-    opp = np.asarray(opp_cooperated, dtype=float)
     if strategy.kind == "allc":
-        out = np.ones_like(opp)
-    elif strategy.kind == "alld":
-        out = np.zeros_like(opp)
-    else:
-        out = strategy.g + (1.0 - strategy.g) * opp
-    return out if out.ndim else float(out)
+        return 1.0, 1.0, 1.0
+    if strategy.kind == "alld":
+        return 0.0, 0.0, 0.0
+    g = strategy.g
+    return s1, g + (1.0 - g), g
+
+
+def _joint(p_me, p_opp) -> np.ndarray:
+    """Probabilities of CC, CD, DC, DD for independent draws, along the last axis."""
+    return np.stack(
+        (p_me * p_opp, p_me * (1 - p_opp), (1 - p_me) * p_opp, (1 - p_me) * (1 - p_opp)),
+        axis=-1,
+    )
 
 
 def transition_matrix(me: Strategy, opp: Strategy) -> np.ndarray:
     """4x4 row-stochastic matrix over CC, CD, DC, DD, conditioned on another round."""
-    m = np.empty((4, 4))
-    for s, (mine_c, theirs_c) in enumerate([(1, 1), (1, 0), (0, 1), (0, 0)]):
-        p_me = _next_coop(me, bool(theirs_c))
-        p_opp = _next_coop(opp, bool(mine_c))
-        m[s] = (
-            p_me * p_opp,
-            p_me * (1 - p_opp),
-            (1 - p_me) * p_opp,
-            (1 - p_me) * (1 - p_opp),
-        )
-    return m
+    # the matrix starts after round one, so s1 plays no part
+    _, me_c, me_d = _coop(me, 0.0)
+    _, opp_c, opp_d = _coop(opp, 0.0)
+    # rows CC, CD, DC, DD: each side answers the other's previous action
+    return _joint(np.array([me_c, me_d, me_c, me_d]), np.array([opp_c, opp_c, opp_d, opp_d]))
 
 
 def initial_distribution(me: Strategy, opp: Strategy, cfg: GameConfig) -> np.ndarray:
     """Round-one distribution over CC, CD, DC, DD."""
-    p_me = _first_coop(me, cfg)
-    p_opp = _first_coop(opp, cfg)
-    return np.array(
-        [
-            p_me * p_opp,
-            p_me * (1 - p_opp),
-            (1 - p_me) * p_opp,
-            (1 - p_me) * (1 - p_opp),
-        ]
-    )
+    return _joint(_coop(me, cfg.s1)[0], _coop(opp, cfg.s1)[0])
 
 
 def series_truncation_index(delta: float, max_abs_payoff: float, tol: float) -> int:
@@ -205,8 +193,6 @@ def expected_payoff_series(
         raise ValueError("tol must be positive")
     v = rv.as_array()
     q = initial_distribution(me, opp, cfg)
-    if cfg.delta == 0.0:
-        return float(q @ v)
     m = transition_matrix(me, opp)
     n_terms = series_truncation_index(cfg.delta, rv.max_abs, tol)
     total = float(q @ v)
@@ -296,31 +282,30 @@ def simulate_games(
     """Play ``n_games`` independent full games; return (row payoffs, column payoffs, rounds).
 
     All games advance in lockstep, one round per pass, until each has hit
-    its geometric stopping time.
+    its geometric stopping time. Round one is the first pass; each pass
+    draws both actions and then whether to go on, over the live games in
+    index order.
     """
     rng = ensure_rng(rng)
     v = rv.as_array()
     v_col = v[_SWAP]
     pay_me = np.zeros(n_games)
     pay_opp = np.zeros(n_games)
-    rounds = np.ones(n_games, dtype=np.int64)
-
-    my_c = rng.random(n_games) < _first_coop(me, cfg)
-    their_c = rng.random(n_games) < _first_coop(opp, cfg)
-    state = 2 * (~my_c).astype(np.int64) + (~their_c).astype(np.int64)
-    pay_me += v[state]
-    pay_opp += v_col[state]
-
-    active = rng.random(n_games) < cfg.delta
-    while active.any():
-        idx = np.flatnonzero(active)
-        mc = rng.random(idx.size) < _next_coop(me, their_c[idx])
-        tc = rng.random(idx.size) < _next_coop(opp, my_c[idx])
+    rounds = np.zeros(n_games, dtype=np.int64)
+    # the first pass plays round one with the round-one probabilities
+    p_me, me_c, me_d = _coop(me, cfg.s1)
+    p_opp, opp_c, opp_d = _coop(opp, cfg.s1)
+    live = np.arange(n_games)
+    while live.size:
+        mc = rng.random(live.size) < p_me
+        tc = rng.random(live.size) < p_opp
         state = 2 * (~mc).astype(np.int64) + (~tc).astype(np.int64)
-        pay_me[idx] += v[state]
-        pay_opp[idx] += v_col[state]
-        rounds[idx] += 1
-        my_c[idx] = mc
-        their_c[idx] = tc
-        active[idx] = rng.random(idx.size) < cfg.delta
+        pay_me[live] += v[state]
+        pay_opp[live] += v_col[state]
+        rounds[live] += 1
+        more = rng.random(live.size) < cfg.delta
+        live = live[more]
+        # each side answers the other's action in the round just played
+        p_me = np.where(tc[more], me_c, me_d)
+        p_opp = np.where(mc[more], opp_c, opp_d)
     return pay_me, pay_opp, rounds

@@ -49,21 +49,22 @@ def avg_stationary_generosity(k: int, beta: float, g_hat: float) -> float:
     return float(grid @ geometric_weights(weight_ratio(beta), k))
 
 
-def mean_field_payoff(
-    g: float, alpha: float, beta: float, cfg: GameConfig, rv: RewardVector
-) -> float:
-    """F(g, alpha, beta): payoff of GTFT(g) against a random opponent, all GTFT at g."""
-    if alpha < 0 or beta < 0 or alpha + beta > 1:
+def mean_field_payoff(g, alpha: float, beta: float, cfg: GameConfig, rv: RewardVector):
+    """F(g, alpha, beta): payoff of GTFT(g) against a random opponent, all GTFT at g.
+
+    Broadcasts over an array of g and returns a float for a float g. A
+    zero-weighted term adds an exact zero; the GTFT share is held at 0
+    where 1 - alpha - beta rounds below it.
+    """
+    if not (alpha >= 0 and beta >= 0 and alpha + beta <= 1):
         raise ValueError(f"invalid population fractions alpha={alpha}, beta={beta}")
-    gtft_frac = 1.0 - alpha - beta
-    total = 0.0
-    if alpha > 0:
-        total += alpha * games.payoff_gtft_vs_allc(g, cfg, rv)
-    if beta > 0:
-        total += beta * games.payoff_gtft_vs_alld(g, cfg, rv)
-    if gtft_frac > 0:
-        total += gtft_frac * games.payoff_gtft_vs_gtft(g, g, cfg, rv)
-    return float(total)
+    gtft_frac = max(1.0 - alpha - beta, 0.0)
+    total = (
+        alpha * games.payoff_gtft_vs_allc(g, cfg, rv)
+        + beta * games.payoff_gtft_vs_alld(g, cfg, rv)
+        + gtft_frac * games.payoff_gtft_vs_gtft(g, g, cfg, rv)
+    )
+    return total if np.ndim(total) else float(total)
 
 
 def phi_ratio(alpha: float, beta: float) -> float:
@@ -306,9 +307,7 @@ def granular_expected_payoff(
         )
 
     wg = avg_stationary_generosity(k, beta, cfg.g_hat)
-    mean_field_curve = tuple(
-        mean_field_payoff(float(g), alpha, beta, cfg, rv) for g in grid
-    )
+    mean_field_curve = tuple(mean_field_payoff(grid, alpha, beta, cfg, rv).tolist())
     at_avg = mean_field_payoff(wg, alpha, beta, cfg, rv)
     return PayoffComparison(
         alpha=alpha,

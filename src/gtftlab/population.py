@@ -303,29 +303,31 @@ def sample_one_step_counts(
 ) -> dict[tuple[int, ...], int]:
     """Resample single interactions from the fixed count vector z0.
 
-    From z0 a draw's successor depends only on its initiator and on
-    whether its partner is a defector, so the draws are tallied by that
-    class, and _apply() steps one draw of each class and is rolled back.
-    Returns how often each successor count vector appeared; the self
-    loop shows up under z0 itself.
+    From z0 a draw's successor depends only on its initiator's grid index
+    (0 for AllC and AllD) and on whether its partner is a defector, so the
+    draws are tallied by that class, and _apply() steps one initiator of
+    each class and is rolled back. Returns how often each successor count
+    vector appeared; the self loop shows up under z0 itself.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     rng = ensure_rng(rng)
     state = init_population(cfg, z0)
-    n = state.n
-    tally = np.zeros(2 * n, dtype=np.int64)
+    n, k = state.n, state.k
+    label = np.concatenate((np.zeros(state.gtft_start, dtype=np.int64), state.idx))
+    tally = np.zeros(2 * (k + 1), dtype=np.int64)
     for initiators, partners in _pair_blocks(n, cfg.pairing == "distinct-pair", n_samples, rng):
         defector = (partners >= state.n_allc) & (partners < state.gtft_start)
-        tally += np.bincount(2 * initiators + defector, minlength=2 * n)
+        tally += np.bincount(2 * label[initiators] + defector, minlength=2 * (k + 1))
     counts: dict[tuple[int, ...], int] = {}
     for cls in np.flatnonzero(tally).tolist():
-        initiator, down = divmod(cls, 2)
+        j, down = divmod(cls, 2)
+        initiator = int(np.argmax(label == j))  # the first node of that grid index
         # node n - 1 is GTFT (m >= 1), so it stands for every non-defector partner
-        j, j_new = _apply(state, initiator, state.n_allc if down else n - 1)
+        before, after = _apply(state, initiator, state.n_allc if down else n - 1)
         key = state.counts()
         counts[key] = counts.get(key, 0) + int(tally[cls])
-        _rollback(state, initiator, j, j_new)
+        _rollback(state, initiator, before, after)
     return counts
 
 

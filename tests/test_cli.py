@@ -288,6 +288,37 @@ def test_compare_emits_fig_shaped_table(tmp_path):
     assert manifest["command"] == "compare"
 
 
+# sha256 of the README's payoff report (json.dumps, sorted keys, without the
+# manifest, which holds the time) and of its compare CSV, recorded before the
+# payoff layer read each strategy's round rule from one table
+README_REPORTS = {
+    "payoff": (
+        ["payoff", "--me", "gtft:0.2", "--opp", "alld", "--b", "3", "--c", "2",
+         "--delta", "0.9", "--mc-games", "1000000", "--seed", "1"],
+        "fa21ed43a601d8fe9638a905d94693a888bbd14b1d0fb0d45f57e2eb0edc0e70",
+    ),
+    "compare": (
+        ["compare", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25", "--k", "6",
+         "--m", "20", "--populations", "0.4,0.1;0.3,0.2;0.25,0.25;0.2,0.3;0.1,0.4",
+         "--out", "compare.csv"],
+        "222de05c5124ac32170b788230754cae91c3adb0d3e8c47c4b51aed71bdc5e57",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,sha", README_REPORTS.values(), ids=README_REPORTS.keys())
+def test_readme_payoff_reports_are_pinned(tmp_path, monkeypatch, capsys, argv, sha):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    if argv[0] == "compare":
+        body = (tmp_path / "compare.csv").read_bytes()
+    else:
+        payload = json.loads(capsys.readouterr().out)
+        del payload["manifest"]
+        body = json.dumps(payload, sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == sha
+
+
 # ------------------------------------------------------------------ config file
 
 

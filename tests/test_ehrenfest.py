@@ -231,6 +231,14 @@ def test_transition_row_support_and_mass():
         assert all(v >= 0 for v in row.values())
 
 
+def test_transition_row_keys_are_int_tuples():
+    params = EhrenfestParams(k=3, a=0.3, b=0.3, m=4)
+    for x in [(2.0, 2.0, 0.0), np.array([2, 2, 0]), (2, 2, 0)]:
+        row = transition_row(x, params)
+        assert row == transition_row((2, 2, 0), params)
+        assert all(type(c) is int for key in row for c in key)
+
+
 BAD_COUNTS = [(2.5, 1.5, 0), (4, 0), (5, -1, 0), (3, 0, 0)]  # fractional, k, sign, m
 
 

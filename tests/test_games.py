@@ -1,5 +1,8 @@
 """Tests for the repeated-game engine: matrices, payoffs, and their cross-checks."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,12 @@ def test_donation_constructor():
         RewardVector.donation(2, 2)
     with pytest.raises(ValueError):
         GENERAL.donation_params()
+
+
+def test_donation_rejects_zero_cost():
+    # with no cost T equals R, so the generic ordering check would fire instead
+    with pytest.raises(ValueError, match="donation game needs benefit > cost > 0"):
+        RewardVector.donation(3, 0)
 
 
 def test_strategy_validation():
@@ -342,3 +351,52 @@ def test_column_payoffs_match_swapped_closed_form():
     closed = expected_payoff_closed(gtft(0.3), ALLD, cfg, DONATION)
     se = pay_opp.std(ddof=1) / np.sqrt(pay_opp.size)
     assert abs(pay_opp.mean() - closed) < 3 * se
+
+
+# ------------------------------------------------------------------ pinned outputs
+
+
+def digest(parts) -> str:
+    """sha256 over the dtype, shape and bytes of each array or scalar in ``parts``."""
+    h = hashlib.sha256()
+    for part in parts:
+        a = np.asarray(part)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+PIN_CONFIGS = [
+    GameConfig(delta=0.0, s1=0.5),
+    GameConfig(delta=0.3, s1=0.0),
+    GameConfig(delta=0.9, s1=0.5),
+    GameConfig(delta=0.99, s1=0.9),
+]
+
+
+def test_round_chain_outputs_are_pinned():
+    # recorded before the strategies' round rules were merged into one table
+    parts = []
+    for me, opp in itertools.product(ALL_STRATS + [gtft(0.1), gtft(0.65)], repeat=2):
+        m = transition_matrix(me, opp)
+        assert m.flags.c_contiguous  # q @ m sums in memory order
+        parts.append(m)
+        for cfg in PIN_CONFIGS:
+            parts.append(initial_distribution(me, opp, cfg))
+            for rv in (DONATION, GENERAL):
+                parts.append(expected_payoff_series(me, opp, cfg, rv))
+                parts.append(expected_payoff_closed(me, opp, cfg, rv))
+    assert digest(parts) == "4315dc93da7278c554d236a1a1f3b2206232742f7c26699bbe6cca47bf97670e"
+
+
+def test_simulate_games_outputs_are_pinned():
+    # payoffs, rounds and the generator's next draw, recorded before round one
+    # was played as the first pass of simulate_games' loop
+    parts = []
+    for cfg in (PIN_CONFIGS[0], PIN_CONFIGS[2]):
+        for i, (me, opp) in enumerate(itertools.product(ALL_STRATS, repeat=2)):
+            for n_games in (0, 1, 7, 1000):
+                rng = np.random.default_rng([i, n_games])
+                parts += simulate_games(me, opp, cfg, GENERAL, n_games, rng)
+                parts.append(rng.random())
+    assert digest(parts) == "488652e12e85abe2eaf1da4b9609e469c6b7d172a8faa6e0263f75bb71c791ea"

@@ -1,5 +1,6 @@
 """Tests for stationary generosity, the mean-field payoff, and optimality results."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from gtftlab.population import generosity_grid
 from gtftlab.rng import stream
 
 from test_ehrenfest import BETAS, exact_geometric_weights
+from test_games import GENERAL
 
 DONATION = RewardVector.donation(3, 2)
 CFG = GameConfig(delta=0.9, s1=0.5, g_hat=0.25)
@@ -151,6 +153,47 @@ def test_mean_field_concave_in_g():
     values = np.array([mean_field_payoff(float(g), 0.25, 0.25, CFG, DONATION) for g in grid])
     second_diff = values[2:] - 2 * values[1:-1] + values[:-2]
     assert np.all(second_diff < 0)
+
+
+# (alpha, beta) pairs with zero weights, and one whose GTFT share
+# 1 - alpha - beta rounds to -1.1e-16 although alpha + beta == 1.0
+POPULATIONS = [(0.25, 0.25), (0.0, 0.2), (0.3, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0),
+               (0.04097352393619469, 0.9590264760638054)]
+PAYOFF_CFGS = [CFG, GameConfig(delta=0.5, s1=0.2, g_hat=1.0), GameConfig(delta=0.0, s1=0.7)]
+
+
+def test_mean_field_payoff_on_an_array_equals_the_scalar_calls():
+    g = np.concatenate((np.linspace(0.0, 1.0, 11), stream(9, "mf-grid").uniform(0, 1, 20)))
+    for alpha, beta in POPULATIONS:
+        for cfg in PAYOFF_CFGS:
+            for rv in (DONATION, GENERAL):
+                curve = mean_field_payoff(g, alpha, beta, cfg, rv)
+                scalar = [mean_field_payoff(float(x), alpha, beta, cfg, rv) for x in g]
+                assert isinstance(curve, np.ndarray) and type(scalar[0]) is float
+                assert curve.tolist() == scalar
+
+
+def test_mean_field_rejects_nan_fractions():
+    for alpha, beta in [(math.nan, 0.2), (0.2, math.nan)]:
+        with pytest.raises(ValueError):
+            mean_field_payoff(0.1, alpha, beta, CFG, DONATION)
+
+
+def test_mean_field_and_granular_payoffs_are_pinned():
+    # sha256 of repr() of every value, recorded when mean_field_payoff took
+    # one g at a time and skipped its zero-weighted terms
+    values = []
+    for cfg in PAYOFF_CFGS:
+        for rv in (DONATION, GENERAL):
+            for alpha, beta in POPULATIONS:
+                values += [mean_field_payoff(g, alpha, beta, cfg, rv)
+                           for g in (0.0, 0.1, 0.25, 1 / 3, 1.0)]
+            for alpha, beta, n in [(0.25, 0.25, 40), (0.0, 0.5, 8), (0.2, 0.3, 20)]:
+                for k in (2, 3, 6):
+                    values.append(granular_expected_payoff(alpha, beta, n, k, cfg, rv))
+                    values.append(granular_expected_payoff(alpha, beta, n, k, cfg, rv,
+                                                           enumerate_counts=True))
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == "17e74b92bba62e4b1335518c193cded76c1d4e8ae3feaec37018db1c600d3ce3"
 
 
 # ------------------------------------------------------------------ optimality
