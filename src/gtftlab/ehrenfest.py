@@ -114,9 +114,6 @@ class MultinomialDist:
         log_prob = (states * np.where(states > 0, log_p, 0.0)).sum(axis=1)
         return log_fact[self.m] - log_fact[states].sum(axis=1) + log_prob
 
-    def mean(self) -> np.ndarray:
-        return self.m * np.asarray(self.p)
-
 
 @dataclass(frozen=True)
 class MixingEstimate:
@@ -266,13 +263,19 @@ def stationary_closed(params: EhrenfestParams) -> MultinomialDist:
     return MultinomialDist(m=params.m, p=tuple(geometric_weights(params.lam, params.k)))
 
 
-def _kernel_matrix(params: EhrenfestParams, states: np.ndarray, table: np.ndarray):
-    """Sparse transition matrix over the rows of ``states``, one urn pair at a time.
+def build_kernel(
+    params: EhrenfestParams, cap: int = DEFAULT_STATE_CAP
+) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+    """The (S, k) state array, its rank table, and the sparse transition matrix over its rows.
 
-    Each up move x -> y across urns (j, j + 1) pairs with the down move
-    y -> x, so one rank shift gives both entries.
+    ``_rank(states, table, m)`` gives the row of each count vector. The
+    kernel is built one urn pair at a time: each up move x -> y across
+    urns (j, j + 1) pairs with the down move y -> x, so one rank shift
+    gives both entries.
     """
     k, a, b, m = params.k, params.a, params.b, params.m
+    states = state_array(k, m, cap)
+    table = _rank_table(k, m)
     n = len(states)
     tails = _tails(states, m)
     rows, cols, vals = [], [], []
@@ -292,21 +295,7 @@ def _kernel_matrix(params: EhrenfestParams, states: np.ndarray, table: np.ndarra
     cols.append(diagonal)
     vals.append(np.maximum(0.0, 1.0 - move))
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return sp.csr_matrix(entries, shape=(n, n))
-
-
-def _chain(params: EhrenfestParams, cap: int):
-    """The state array, its rank table and the sparse kernel over it."""
-    states = state_array(params.k, params.m, cap)
-    table = _rank_table(params.k, params.m)
-    return states, table, _kernel_matrix(params, states, table)
-
-
-def build_kernel(params: EhrenfestParams, cap: int = DEFAULT_STATE_CAP):
-    """Enumerated states, their index map, and the sparse transition matrix."""
-    states, _, kernel = _chain(params, cap)
-    listed = _as_tuples(states)
-    return listed, dict(zip(listed, range(len(listed)))), kernel
+    return states, table, sp.csr_matrix(entries, shape=(n, n))
 
 
 def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +325,7 @@ def solve_stationary_exact(
     result is accepted only if ||pi P - pi||_1 <= ``tol``, checked with one
     sparse product; otherwise ResidualError.
     """
-    states, table, kernel = _chain(params, cap)
+    states, table, kernel = build_kernel(params, cap)
     n = len(states)
     child = np.arange(1, n)
     # row 0 is the root; every other row has a ball above urn 0, and the
@@ -425,11 +414,14 @@ def coupled_run(
     Both walks hold m labels in 1..k. Each step samples one ball position
     uniformly and applies the same up/down/stay draw to that coordinate of
     both walks, truncating to the label range. The draws come in blocks
-    of 2^14 steps, each resolved in numpy on a prefix that grows 4x from
-    256 steps until every ball has met. Shared draws never widen a ball's
-    gap, so before its copies meet the lower one, lo, is clamped only at 1
-    and the upper one, hi, only at k. With L <= 0 <= H the running min and
-    max of the ball's own +-1 path, they meet where
+    of 2^14 steps. Each block is resolved in numpy in consecutive chunks,
+    [0, 256), [256, 1024), [1024, 4096) and [4096, 2^14), up to the chunk
+    in which the last ball meets, and each draw is resolved once: after
+    every chunk the balls that moved carry their lo, hi and whether they
+    have met into the next. Shared draws never widen a ball's gap, so
+    before its copies meet the lower one, lo, is clamped only at 1 and the
+    upper one, hi, only at k. With L <= 0 <= H the running min and max of
+    the ball's own +-1 path in a chunk, they meet where
     hi - lo - max(0, hi+H-k) - max(0, 1-lo-L) first reaches 0; it is
     asserted to be exactly 0 there, so the copies never cross.
     """
@@ -450,9 +442,11 @@ def _coupling_time(params: EhrenfestParams, x: np.ndarray, y: np.ndarray,
         size = min(1 << 14, step_limit - t)
         coords = rng.integers(0, m, size=size)
         moves = rng.random(size)
-        n = min(256, size)
-        while True:
-            steps = np.flatnonzero(unmet[coords[:n]] & (moves[:n] < a + b))
+        start = 0
+        while start < size:
+            stop = min(4 * start or 256, size)
+            steps = start + np.flatnonzero(
+                unmet[coords[start:stop]] & (moves[start:stop] < a + b))
             key = np.sort(coords[steps] << 14 | steps)  # steps < 2^14: moves by ball, then step
             balls, steps = key >> 14, key & (1 << 14) - 1
             d = np.where(moves[steps] < a, 1, -1)
@@ -460,7 +454,7 @@ def _coupling_time(params: EhrenfestParams, x: np.ndarray, y: np.ndarray,
             seg = np.cumsum(first) - 1
             s = np.cumsum(d)
             s -= (s - d)[first][seg]
-            off = seg * (2 * n + 1)
+            off = seg * (2 * (stop - start) + 1)
             top = np.maximum.accumulate(s + off) - off
             bottom = np.minimum.accumulate(s - off) + off
             l, h = lo[balls], hi[balls]
@@ -471,13 +465,11 @@ def _coupling_time(params: EhrenfestParams, x: np.ndarray, y: np.ndarray,
             assert (gap[met] == 0).all(), "coupling copies crossed"
             if met.size == np.count_nonzero(unmet):
                 return t + 1 + int(steps[met].max())
-            if n == size:
-                break
-            n = min(4 * n, size)
-        ends = np.diff(balls, append=-1) != 0
-        lo[balls[ends]] = (l + s + under)[ends]
-        hi[balls[ends]] = (h + s - over)[ends]
-        unmet[balls[met]] = False
+            ends = np.diff(balls, append=-1) != 0
+            lo[balls[ends]] = (l + s + under)[ends]
+            hi[balls[ends]] = (h + s - over)[ends]
+            unmet[balls[met]] = False
+            start = stop
         t += size
     raise StepLimitError(f"coupling did not coalesce within {step_limit} steps")
 
@@ -587,7 +579,7 @@ def _tv_scan(params: EhrenfestParams, inits: list[tuple[int, ...]], cap: int):
 
     Yields the distance at t = 0, 1, 2, ...; one kernel build serves every t.
     """
-    states, table, kernel = _chain(params, cap)
+    states, table, kernel = build_kernel(params, cap)
     pi = np.exp(stationary_closed(params).log_pmf(states))
     mus = np.zeros((len(inits), len(states)))
     mus[np.arange(len(inits)), _rank(np.asarray(inits), table, params.m)] = 1.0

@@ -265,8 +265,6 @@ def resolvent_entries(g: float, g_other: float, cfg: GameConfig) -> np.ndarray:
 
     Nonsingular whenever delta < 1, since M is row stochastic.
     """
-    if cfg.delta * (1 - g) * (1 - g_other) >= 1.0:
-        raise ValueError("resolvent undefined: delta * (1-g) * (1-g') >= 1")
     m = transition_matrix(gtft(g), gtft(g_other))
     return np.linalg.solve(np.eye(4) - cfg.delta * m, np.eye(4))
 

@@ -68,7 +68,13 @@ def mean_field_payoff(g, alpha: float, beta: float, cfg: GameConfig, rv: RewardV
 
 
 def phi_ratio(alpha: float, beta: float) -> float:
-    """Defector-to-GTFT ratio beta*n/m = beta/(1 - alpha - beta)."""
+    """Defector-to-GTFT ratio beta*n/m = beta/(1 - alpha - beta).
+
+    Defined for alpha >= 0, beta > 0 and alpha + beta < 1; anything else,
+    NaN included, raises ValueError.
+    """
+    if not (alpha >= 0 and beta > 0 and alpha + beta < 1):
+        raise ValueError(f"need alpha >= 0, beta > 0 and alpha + beta < 1, got {alpha}, {beta}")
     return beta / (1.0 - alpha - beta)
 
 
@@ -107,8 +113,6 @@ def optimal_generosity(
     is the interior root, clamped to the domain as a guard.
     """
     rv.donation_params()  # reject non-donation vectors
-    if beta <= 0 or alpha + beta >= 1:
-        raise ValueError("need beta > 0 and alpha + beta < 1")
     del n  # phi depends only on the fractions; kept for signature symmetry
     phi = phi_ratio(alpha, beta)
     if phi <= low_phi_threshold(cfg, rv):

@@ -269,6 +269,16 @@ def test_optimality_with_k_reports_gap(capsys):
     assert 0 <= payload["avg_stationary_generosity"] <= 0.25
 
 
+def test_optimality_impossible_fractions_are_config_errors(tmp_path, capsys):
+    base = ["optimality", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25",
+            "--beta", "0.1", "--n", "100"]
+    for alpha in ("-0.5", "nan"):
+        out = tmp_path / f"opt{alpha}.json"
+        assert main(base + ["--alpha", alpha, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 # ------------------------------------------------------------------ compare
 
 

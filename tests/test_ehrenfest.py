@@ -168,10 +168,10 @@ def test_state_array_matches_recursive_oracle_and_ranks(k, m):
 @example(params=EhrenfestParams(k=3, a=0.5, b=0.5, m=4))  # self loops of mass 0
 @example(params=EhrenfestParams(k=7, a=0.7, b=0.3, m=8))
 def test_kernel_matches_dict_oracle_entry_for_entry(params):
-    states, index, kernel = build_kernel(params)
+    states, table, kernel = build_kernel(params)
     oracle = dict_kernel(params)
-    assert states == fill_states(params.k, params.m)
-    assert index == {x: i for i, x in enumerate(states)}
+    assert list(map(tuple, states.tolist())) == fill_states(params.k, params.m)
+    np.testing.assert_array_equal(_rank(states, table, params.m), np.arange(len(states)))
     assert kernel.shape == oracle.shape
     assert (kernel != oracle).nnz == 0
 
@@ -552,6 +552,20 @@ def coupling_cases(draw):
 @example(case=(EhrenfestParams(k=2, a=0.5, b=0.5, m=1), [1], [2]), seed=0, step_limit=1)
 @example(case=(EhrenfestParams(k=8, a=0.05, b=0.05, m=40), [1] * 40, [8] * 40), seed=1,
          step_limit=(1 << 14) + 1)
+# starts whose tau lands in each chunk coupled_run resolves, (0, 256] to (4096, 2^14],
+# and past the first block; balls meet in different chunks, e.g. at 50 and 1128
+@example(case=(EhrenfestParams(k=3, a=0.6, b=0.3, m=5), [1, 2, 3, 1, 2], [3, 3, 1, 2, 2]),
+         seed=0, step_limit=DEFAULT_STEP_LIMIT)  # tau 12
+@example(case=(EhrenfestParams(k=4, a=0.7, b=0.2, m=16), [1] * 16, [4] * 16), seed=0,
+         step_limit=DEFAULT_STEP_LIMIT)  # tau 145
+@example(case=(EhrenfestParams(k=4, a=0.7, b=0.2, m=64), [1] * 64, [4] * 64), seed=1,
+         step_limit=DEFAULT_STEP_LIMIT)  # tau 805
+@example(case=(EhrenfestParams(k=4, a=0.7, b=0.2, m=64), [1] * 64, [4] * 64), seed=0,
+         step_limit=DEFAULT_STEP_LIMIT)  # tau 1128, first ball meets at 50
+@example(case=(EhrenfestParams(k=8, a=0.3, b=0.3, m=40), [1] * 40, [8] * 40), seed=0,
+         step_limit=DEFAULT_STEP_LIMIT)  # tau 5712
+@example(case=(EhrenfestParams(k=8, a=0.1, b=0.1, m=40), [1] * 40, [8] * 40), seed=0,
+         step_limit=DEFAULT_STEP_LIMIT)  # tau 17472 = 2^14 + 1088
 def test_coupled_run_equals_the_step_loop(case, seed, step_limit):
     assert_same_coupling(*case, seed, step_limit)
 

@@ -258,6 +258,12 @@ def test_resolvent_identity_at_delta_zero():
     np.testing.assert_allclose(resolvent_entries(0.3, 0.7, cfg), np.eye(4), atol=1e-14)
 
 
+def test_resolvent_rejects_generosity_outside_unit_interval():
+    for g, gp in [(-0.1, 0.5), (0.5, 1.5), (-5.0, -5.0), (np.nan, 0.5)]:
+        with pytest.raises(ValueError):
+            resolvent_entries(g, gp, GameConfig(delta=0.9))
+
+
 def test_resolvent_first_row_and_spot_entry():
     for g, gp in [(0.0, 0.0), (0.25, 0.25), (0.9, 0.1)]:
         cfg = GameConfig(delta=0.9)

@@ -246,6 +246,16 @@ def test_optimal_generosity_rejects_non_donation():
         optimal_generosity(0.25, 0.25, 40, CFG, general)
 
 
+def test_impossible_fractions_raise():
+    for alpha, beta in [(-0.5, 0.1), (math.nan, 0.1), (0.25, math.nan), (0.5, 0.5), (0.2, 0.0)]:
+        with pytest.raises(ValueError):
+            phi_ratio(alpha, beta)
+        with pytest.raises(ValueError):
+            optimal_generosity(alpha, beta, 100, CFG, DONATION)
+        with pytest.raises(ValueError):
+            interior_optimum(alpha, beta, CFG, DONATION)
+
+
 def test_gap_bound_values_and_shape():
     assert gap_bound(6, 0.25) == pytest.approx(0.1)
     with pytest.raises(ValueError):
