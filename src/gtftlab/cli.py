@@ -223,6 +223,8 @@ def cmd_mixing(args) -> dict:
 def cmd_payoff(args) -> dict:
     if args.mc_games < 0 or args.mc_games == 1:
         raise ValueError("--mc-games must be 0 (no Monte Carlo) or at least 2 for a standard error")
+    if not args.tol > 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     rv = _reward_vector(args)
     cfg = GameConfig(delta=args.delta, s1=args.s1, g_hat=args.g_hat)
     me = _strategy(args.me)

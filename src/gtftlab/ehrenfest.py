@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import add, mul
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,9 +71,33 @@ class EhrenfestParams:
         return self.a / self.b
 
 
+class _LogFactorials(dict):
+    """lgamma(i + 1) for each count i in 0..m met so far.
+
+    A miss first checks that i is such a count, so the memo never holds
+    more than m + 1 entries.
+    """
+
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, i):
+        if not (0 <= i <= self.m and i % 1 == 0):
+            raise ValueError(f"{i!r} is not a count in 0..{self.m}")
+        value = self[i] = math.lgamma(int(i) + 1)  # int(): a numpy count must not wrap
+        return value
+
+
 @dataclass(frozen=True)
 class MultinomialDist:
-    """Multinomial law with m trials and cell probabilities p."""
+    """Multinomial law with m trials and cell probabilities p.
+
+    The log terms of the pmf are built once per distribution, on first use:
+    a memo of lgamma(i + 1) filled only for the counts it meets, which
+    ``log_pmf`` reads too, log q for each cell with q > 0, and the cells
+    with q = 0.
+    """
 
     m: int
     p: tuple[float, ...]
@@ -84,18 +110,26 @@ class MultinomialDist:
         if any(q < 0 for q in self.p):
             raise ValueError("cell probabilities must be nonnegative")
 
+    @cached_property
+    def _log_terms(self) -> tuple[_LogFactorials, tuple[float, ...], tuple[int, ...]]:
+        # an empty cell's log weight is never read: its count is 0 or the pmf is 0
+        log_q = tuple(math.log(q) if q > 0 else 0.0 for q in self.p)
+        return _LogFactorials(self.m), log_q, tuple(j for j, q in enumerate(self.p) if q == 0)
+
     def pmf(self, x: tuple[int, ...]) -> float:
-        if len(x) != len(self.p) or sum(x) != self.m:
-            raise ValueError(f"{x} is not a composition of {self.m} into {len(self.p)} parts")
-        log_coef = math.lgamma(self.m + 1) - sum(math.lgamma(xi + 1) for xi in x)
-        log_prob = 0.0
-        for xi, q in zip(x, self.p):
-            if xi == 0:
-                continue
-            if q == 0.0:
-                return 0.0
-            log_prob += xi * math.log(q)
-        return math.exp(log_coef + log_prob)
+        log_fact, log_q, empty = self._log_terms
+        try:
+            if len(x) != len(log_q) or sum(x) != self.m:
+                raise ValueError
+            # a count the memo has not met is checked on the miss
+            log_coef = log_fact[self.m] - sum(map(log_fact.__getitem__, x))
+        except ValueError:
+            raise ValueError(
+                f"{x} is not a composition of {self.m} into {len(self.p)} parts") from None
+        if empty and any(x[j] for j in empty):
+            return 0.0
+        # plain left-to-right addition: builtin sum() compensates from Python 3.12 on
+        return math.exp(log_coef + reduce(add, map(mul, x, log_q), 0.0))
 
     def log_pmf(self, states: np.ndarray) -> np.ndarray:
         """Log-probability of each row of an (S, k) array of count vectors."""
@@ -103,16 +137,22 @@ class MultinomialDist:
         if (
             states.ndim != 2
             or states.shape[1] != len(self.p)
+            or states.dtype.kind not in "iuf"
             or np.any(states < 0)
+            or (states.dtype.kind == "f" and np.any(states != np.round(states)))
             or np.any(states.sum(axis=1) != self.m)
         ):
             raise ValueError(f"rows are not compositions of {self.m} into {len(self.p)} parts")
-        log_fact = np.array([math.lgamma(i + 1) for i in range(self.m + 1)])
+        if states.dtype.kind == "f":
+            states = states.astype(np.int64)
+        log_fact = self._log_terms[0]
+        table = np.array([log_fact[i] for i in range(self.m + 1)])
+        # not the memo's math.log weights: numpy's log can differ from it in the last bit
         with np.errstate(divide="ignore"):
             log_p = np.log(self.p)
         # an empty cell contributes nothing even where its probability is 0
         log_prob = (states * np.where(states > 0, log_p, 0.0)).sum(axis=1)
-        return log_fact[self.m] - log_fact[states].sum(axis=1) + log_prob
+        return log_fact[self.m] - table[states].sum(axis=1) + log_prob
 
 
 @dataclass(frozen=True)
@@ -537,19 +577,21 @@ def absorption_times(
     """
     _check_walk(k, a, b)
     rng = ensure_rng(rng)
-    z = np.zeros(n_runs, dtype=np.int64)
     tau = np.zeros(n_runs, dtype=np.int64)
     alive = np.arange(n_runs)
+    z = np.zeros(n_runs, dtype=np.int64)  # z[i]: the position of walk alive[i]
     t = 0
     while alive.size:
         t += 1
         if t > step_limit:
             raise StepLimitError(f"no absorption within {step_limit} steps")
         u = rng.random(alive.size)
-        z[alive] += (u < a).astype(np.int64) - ((u >= a) & (u < a + b)).astype(np.int64)
-        hit = np.abs(z[alive]) == k
-        tau[alive[hit]] = t
-        alive = alive[~hit]
+        z += u < a
+        z -= (u >= a) & (u < a + b)
+        hit = np.abs(z) == k
+        if hit.any():
+            tau[alive[hit]] = t
+            alive, z = alive[~hit], z[~hit]
     return tau
 
 

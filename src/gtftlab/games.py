@@ -189,8 +189,8 @@ def expected_payoff_series(
     The tail after I terms is bounded by max|v| * delta^I / (1 - delta),
     so the truncation error is at most ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     v = rv.as_array()
     q = initial_distribution(me, opp, cfg)
     m = transition_matrix(me, opp)

@@ -244,6 +244,14 @@ def test_payoff_mc_games_needs_two_for_a_standard_error(capsys):
     assert "monte_carlo" not in json.loads(capsys.readouterr().out)
 
 
+def test_payoff_bad_tol_is_config_error_naming_the_flag(capsys):
+    argv = ["payoff", "--me", "gtft:0.2", "--opp", "alld", "--b", "3", "--c", "2",
+            "--delta", "0.9", "--tol"]
+    for tol in ("nan", "0", "-1"):
+        assert main(argv + [tol]) == 2
+        assert capsys.readouterr().err.startswith("error: --tol must be positive")
+
+
 def test_payoff_rejects_bad_strategy(capsys):
     assert main(["payoff", "--me", "grudger", "--opp", "alld", "--b", "3", "--c", "2",
                  "--delta", "0.9"]) == 2

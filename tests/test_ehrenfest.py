@@ -1,5 +1,6 @@
 """Tests for the urn walk: kernel, stationary law, absorption, coupling, mixing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -189,9 +190,90 @@ def test_log_pmf_matches_scalar_pmf(k, m, data):
 
 def test_log_pmf_rejects_non_compositions():
     dist = MultinomialDist(m=3, p=(0.5, 0.5))
-    for bad in ([[3, 0, 0]], [[2, 0]], [[4, -1]], [3, 0]):
-        with pytest.raises(ValueError):
+    for bad in ([[3, 0, 0]], [[2, 0]], [[4, -1]], [3, 0], [[2.5, 0.5]], [[np.nan, 3.0]],
+                [[np.inf, -np.inf]]):
+        with pytest.raises(ValueError, match="not compositions"):
             dist.log_pmf(np.array(bad))
+    # integral floats are counts, as they are for pmf
+    rows = np.array([[3, 0], [1, 2]])
+    assert dist.log_pmf(rows.astype(float)).tobytes() == dist.log_pmf(rows).tobytes()
+
+
+def reference_pmf(dist: MultinomialDist, x) -> float:
+    """MultinomialDist.pmf written as the per-cell loop, one lgamma and one log per cell."""
+    if len(x) != len(dist.p) or sum(x) != dist.m:
+        raise ValueError(f"{x} is not a composition of {dist.m} into {len(dist.p)} parts")
+    log_coef = math.lgamma(dist.m + 1) - sum(math.lgamma(xi + 1) for xi in x)
+    log_prob = 0.0
+    for xi, q in zip(x, dist.p):
+        if xi == 0:
+            continue
+        if q == 0.0:
+            return 0.0
+        log_prob += xi * math.log(q)
+    return math.exp(log_coef + log_prob)
+
+
+@st.composite
+def pmf_cases(draw):
+    """A law over k in 2..8 cells, some empty or tiny, and a composition of m <= 10^4."""
+    k, m = draw(st.integers(2, 8)), draw(st.integers(1, 10**4))
+    cell = st.just(0.0) | st.floats(1e-300, 1e-250) | st.floats(1e-3, 1.0)
+    weights = draw(st.lists(cell, min_size=k, max_size=k).filter(any))
+    p = tuple((np.array(weights) / sum(weights)).tolist())
+    # counts on every cell, or on the non-empty cells only, where the pmf is not 0
+    cells = draw(st.sampled_from([range(k), [j for j in range(k) if p[j] > 0]]))
+    cuts = sorted(draw(st.lists(st.integers(0, m), min_size=len(cells) - 1,
+                                max_size=len(cells) - 1)))
+    x = [0] * k
+    for j, lo, hi in zip(cells, [0] + cuts, cuts + [m]):
+        x[j] = hi - lo
+    form = draw(st.sampled_from([int, float, np.int64]))
+    return MultinomialDist(m=m, p=p), tuple(map(form, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pmf_cases())
+@example(case=(MultinomialDist(m=20, p=(0.0, 0.5, 0.5)), (0, 9, 11)))
+@example(case=(MultinomialDist(m=20, p=(0.0, 0.5, 0.5)), (1.0, 9.0, 10.0)))
+# np.log of this weight is one ulp off math.log's on hosts where numpy uses SIMD logs
+@example(case=(MultinomialDist(m=10_000, p=(0.6069010136690235, 0.3930989863309765)),
+               (5000, 5000)))
+def test_pmf_equals_the_per_cell_loop_bitwise(case):
+    dist, x = case
+    assert dist.pmf(x).hex() == reference_pmf(dist, x).hex()
+
+
+def test_pmf_is_pinned_on_the_benchmark_instances():
+    # sha256 of the pmf and log_pmf bytes over every state of the four large
+    # instances of the exact benchmark, recorded with the per-cell pmf loop
+    pmf, log_pmf = hashlib.sha256(), hashlib.sha256()
+    for k, m, a, b in ((4, 20, 0.7, 0.3), (5, 20, 0.7, 0.3), (4, 60, 0.7, 0.3), (6, 20, 0.7, 0.3)):
+        dist = stationary_closed(EhrenfestParams(k=k, a=a, b=b, m=m))
+        states = enumerate_states(k, m)
+        pmf.update(np.array([dist.pmf(x) for x in states]).tobytes())
+        log_pmf.update(dist.log_pmf(np.array(states)).tobytes())
+    assert pmf.hexdigest() == "58917fb5df2ea68883885cb3a946c5a4a866883ba33d4dacec1be86d305ab59d"
+    assert log_pmf.hexdigest() == "5caa74805007642ad2b8feefb65e47beeb50bc203f372a4c7f39da326d2376bc"
+
+
+def test_pmf_at_a_trillion_balls_builds_no_table():
+    dist = MultinomialDist(m=10**12, p=(0.3, 0.7))
+    x = (3 * 10**11 + 17, 7 * 10**11 - 17)
+    assert dist.pmf(x).hex() == reference_pmf(dist, x).hex()
+    assert len(dist._log_terms[0]) <= 3  # lgamma of m and of the two counts
+
+
+def test_pmf_rejects_non_counts():
+    dist = MultinomialDist(m=20, p=(0.2, 0.3, 0.5))
+    for bad in ((-1, 1, 20), (2.5, 7.5, 10), (np.float64(0.5), 9.5, 10), (20, 0), (19, 0, 0),
+                (-1.0, 1.0, 20.0), (math.inf, -math.inf, 20), (21, -1, 0), (10**6, 20 - 10**6, 0)):
+        with pytest.raises(ValueError, match="is not a composition of 20 into 3 parts"):
+            dist.pmf(bad)
+    # the memo holds only counts in 0..m, and whole counts of any type still work
+    assert all(0 <= i <= 20 and i % 1 == 0 for i in dist._log_terms[0])
+    want = reference_pmf(dist, (2, 8, 10))
+    assert dist.pmf((2.0, 8.0, 10.0)) == dist.pmf(tuple(np.array([2, 8, 10]))) == want
 
 
 def test_multinomial_rejects_non_finite_cells():
@@ -440,6 +522,48 @@ def test_absorption_batch_matches_closed():
 def test_absorption_step_limit():
     with pytest.raises(StepLimitError):
         absorption_times(10, 0.05, 0.05, 1, stream(6, "limit"), step_limit=5)
+
+
+def reference_absorption_times(k, a, b, n_runs, rng, step_limit=DEFAULT_STEP_LIMIT):
+    """absorption_times with every walk's position in one array indexed by the live walks."""
+    z = np.zeros(n_runs, dtype=np.int64)
+    tau = np.zeros(n_runs, dtype=np.int64)
+    alive = np.arange(n_runs)
+    t = 0
+    while alive.size:
+        t += 1
+        if t > step_limit:
+            raise StepLimitError(f"no absorption within {step_limit} steps")
+        u = rng.random(alive.size)
+        z[alive] += (u < a).astype(np.int64) - ((u >= a) & (u < a + b)).astype(np.int64)
+        hit = np.abs(z[alive]) == k
+        tau[alive[hit]] = t
+        alive = alive[~hit]
+    return tau
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 8), a=st.floats(0.05, 0.95), data=st.data(),
+    n_runs=st.sampled_from([0, 1, 2, 50, 2000]), seed=st.integers(0, 2**32 - 1),
+    step_limit=st.sampled_from([1, 4, 60, DEFAULT_STEP_LIMIT]),
+)
+def test_absorption_times_equals_the_indexed_loop(k, a, data, n_runs, seed, step_limit):
+    b = data.draw(st.floats(0.05, 1.0 - a))
+    got_rng, want_rng = stream(seed, "absorb-oracle"), stream(seed, "absorb-oracle")
+    try:
+        want = reference_absorption_times(k, a, b, n_runs, want_rng, step_limit)
+    except StepLimitError:
+        want = None
+    try:
+        got = absorption_times(k, a, b, n_runs, got_rng, step_limit)
+    except StepLimitError:
+        got = None
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # ------------------------------------------------------------------ coupling, mixing

@@ -246,8 +246,9 @@ def test_non_gtft_row_player_payoffs_are_series_backed():
 
 def test_series_rejects_bad_tol():
     cfg = GameConfig(delta=0.5)
-    with pytest.raises(ValueError):
-        expected_payoff_series(ALLC, ALLC, cfg, DONATION, tol=0.0)
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            expected_payoff_series(ALLC, ALLC, cfg, DONATION, tol=tol)
 
 
 # ------------------------------------------------------------------ resolvent
