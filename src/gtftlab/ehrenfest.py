@@ -103,6 +103,8 @@ class MultinomialDist:
     p: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.m, (int, np.integer)) and self.m >= 0):
+            raise ValueError(f"m must be a non-negative integer, got {self.m!r}")
         if not all(math.isfinite(q) for q in self.p):
             raise ValueError(f"cell probabilities must be finite, got {self.p}")
         if abs(sum(self.p) - 1.0) > 1e-12:

@@ -157,13 +157,18 @@ def _joint(p_me, p_opp) -> np.ndarray:
     )
 
 
-def transition_matrix(me: Strategy, opp: Strategy) -> np.ndarray:
-    """4x4 row-stochastic matrix over CC, CD, DC, DD, conditioned on another round."""
-    # the matrix starts after round one, so s1 plays no part
+def _answers(me: Strategy, opp: Strategy) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's cooperation probability after a round in state CC, CD, DC, DD."""
+    # after round one, so s1 plays no part
     _, me_c, me_d = _coop(me, 0.0)
     _, opp_c, opp_d = _coop(opp, 0.0)
-    # rows CC, CD, DC, DD: each side answers the other's previous action
-    return _joint(np.array([me_c, me_d, me_c, me_d]), np.array([opp_c, opp_c, opp_d, opp_d]))
+    # each side answers the other's previous action
+    return np.array([me_c, me_d, me_c, me_d]), np.array([opp_c, opp_c, opp_d, opp_d])
+
+
+def transition_matrix(me: Strategy, opp: Strategy) -> np.ndarray:
+    """4x4 row-stochastic matrix over CC, CD, DC, DD, conditioned on another round."""
+    return _joint(*_answers(me, opp))
 
 
 def initial_distribution(me: Strategy, opp: Strategy, cfg: GameConfig) -> np.ndarray:
@@ -279,31 +284,49 @@ def simulate_games(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Play ``n_games`` independent full games; return (row payoffs, column payoffs, rounds).
 
-    All games advance in lockstep, one round per pass, until each has hit
-    its geometric stopping time. Round one is the first pass; each pass
-    draws both actions and then whether to go on, over the live games in
-    index order.
+    Length first. Every game's round count R ~ Geometric(1 - delta) is
+    drawn up front, in game order. The games are then ordered by R,
+    longest first and ties in game order, so the games still playing
+    round r are a prefix of that order. Each round draws the row player's
+    actions over the prefix, then the column player's, and adds both
+    payoffs into prefix slices; one scatter at the end puts the payoffs
+    back in game order. Memory is O(n_games), however long the longest game.
+
+    Raises ValueError for a negative or non-integral ``n_games``, and for a
+    game too long for R to share an int64 sort key with the game index
+    (about 2**63 / n_games rounds, more than any run could play).
     """
+    if not (isinstance(n_games, (int, np.integer)) and n_games >= 0):
+        raise ValueError(f"n_games must be a non-negative integer, got {n_games!r}")
     rng = ensure_rng(rng)
     v = rv.as_array()
     v_col = v[_SWAP]
+    rounds = rng.geometric(1.0 - cfg.delta, n_games)
+    # -R in the high bits and the game index in the low ones: the keys are
+    # unique, so the order does not depend on the sort algorithm numpy picks
+    bits = int(max(n_games - 1, 1)).bit_length()
+    if n_games and rounds.max() >= 1 << (63 - bits):
+        raise ValueError(f"a game of {rounds.max()} rounds is too long to simulate")
+    key = np.arange(n_games) - (rounds << bits)
+    key.sort()
     pay_me = np.zeros(n_games)
     pay_opp = np.zeros(n_games)
-    rounds = np.zeros(n_games, dtype=np.int64)
-    # the first pass plays round one with the round-one probabilities
-    p_me, me_c, me_d = _coop(me, cfg.s1)
-    p_opp, opp_c, opp_d = _coop(opp, cfg.s1)
-    live = np.arange(n_games)
-    while live.size:
-        mc = rng.random(live.size) < p_me
-        tc = rng.random(live.size) < p_opp
-        state = 2 * (~mc).astype(np.int64) + (~tc).astype(np.int64)
-        pay_me[live] += v[state]
-        pay_opp[live] += v_col[state]
-        rounds[live] += 1
-        more = rng.random(live.size) < cfg.delta
-        live = live[more]
-        # each side answers the other's action in the round just played
-        p_me = np.where(tc[more], me_c, me_d)
-        p_opp = np.where(mc[more], opp_c, opp_d)
-    return pay_me, pay_opp, rounds
+    p_me, p_opp = _coop(me, cfg.s1)[0], _coop(opp, cfg.s1)[0]
+    me_next, opp_next = _answers(me, opp)
+    live, r = n_games, 1
+    while live:
+        state = 2 * (rng.random(live) >= p_me)
+        state += rng.random(live) >= p_opp
+        pay_me[:live] += v[state]
+        pay_opp[:live] += v_col[state]
+        r += 1
+        # the games with R >= r are the keys below (1 - r) << bits
+        live = int(np.searchsorted(key, (1 - r) << bits))
+        p_me = me_next[state[:live]]
+        p_opp = opp_next[state[:live]]
+    order = key & ((1 << bits) - 1)
+    out_me = np.empty(n_games)
+    out_opp = np.empty(n_games)
+    out_me[order] = pay_me
+    out_opp[order] = pay_opp
+    return out_me, out_opp, rounds

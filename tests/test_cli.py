@@ -308,12 +308,13 @@ def test_compare_emits_fig_shaped_table(tmp_path):
 
 # sha256 of the README's payoff report (json.dumps, sorted keys, without the
 # manifest, which holds the time) and of its compare CSV, recorded before the
-# payoff layer read each strategy's round rule from one table
+# payoff layer read each strategy's round rule from one table; the payoff
+# digest leaves out the Monte Carlo block, pinned on its own below
 README_REPORTS = {
     "payoff": (
         ["payoff", "--me", "gtft:0.2", "--opp", "alld", "--b", "3", "--c", "2",
          "--delta", "0.9", "--mc-games", "1000000", "--seed", "1"],
-        "fa21ed43a601d8fe9638a905d94693a888bbd14b1d0fb0d45f57e2eb0edc0e70",
+        "82f6b833ceaee6a6dc1202fbacaf3b320525e722d00e776b700237927c2e1153",
     ),
     "compare": (
         ["compare", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25", "--k", "6",
@@ -321,6 +322,17 @@ README_REPORTS = {
          "--out", "compare.csv"],
         "222de05c5124ac32170b788230754cae91c3adb0d3e8c47c4b51aed71bdc5e57",
     ),
+}
+
+
+# the payoff report's Monte Carlo block, recorded when simulate_games began
+# drawing every game's round count first
+README_PAYOFF_MC = {
+    "games": 1000000,
+    "mean": -4.599184,
+    "mean_rounds": 9.998444,
+    "opp_mean": 6.898776,
+    "std_error": 0.0046036593844271025,
 }
 
 
@@ -333,6 +345,9 @@ def test_readme_payoff_reports_are_pinned(tmp_path, monkeypatch, capsys, argv, s
     else:
         payload = json.loads(capsys.readouterr().out)
         del payload["manifest"]
+        mc = payload.pop("monte_carlo")
+        assert mc == README_PAYOFF_MC
+        assert abs(mc["mean"] - payload["closed_form"]) <= 3 * mc["std_error"]
         body = json.dumps(payload, sort_keys=True).encode()
     assert hashlib.sha256(body).hexdigest() == sha
 

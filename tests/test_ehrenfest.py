@@ -281,6 +281,15 @@ def test_multinomial_rejects_non_finite_cells():
         MultinomialDist(m=3, p=(math.nan, math.nan, math.nan))
 
 
+def test_multinomial_rejects_bad_trial_counts():
+    for m in (2.5, -2, 2.0, math.nan, "3"):
+        with pytest.raises(ValueError, match="m must be"):
+            MultinomialDist(m=m, p=(0.5, 0.5))
+    dist = MultinomialDist(m=np.int64(2), p=(0.5, 0.5))
+    assert dist.pmf((1, 1)) == pytest.approx(0.5)
+    assert MultinomialDist(m=0, p=(0.5, 0.5)).pmf((0, 0)) == 1.0
+
+
 def test_multinomial_pmf_sums_to_one():
     dist = MultinomialDist(m=5, p=(0.2, 0.3, 0.5))
     total = sum(dist.pmf(x) for x in enumerate_states(3, 5))

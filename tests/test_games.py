@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gtftlab.games import (
     simulate_games,
     transition_matrix,
 )
+from gtftlab.rng import ensure_rng
 
 DONATION = RewardVector.donation(3, 2)
 GENERAL = RewardVector(R=3, S=0, T=5, P=1)
@@ -315,6 +318,52 @@ def test_resolvent_reproduces_gtft_gtft_payoff():
 # ------------------------------------------------------------------ simulation
 
 
+def reference_simulate_games(me, opp, cfg, rv, n_games, rng):
+    """Lockstep oracle for ``simulate_games``: the same law, other draws.
+
+    All games advance together, one round per pass, until each has hit its
+    geometric stopping time. Each pass draws both actions and then whether
+    to go on, over the live games in index order.
+    """
+    rng = ensure_rng(rng)
+    v = rv.as_array()
+    v_col = v[games._SWAP]
+    pay_me = np.zeros(n_games)
+    pay_opp = np.zeros(n_games)
+    rounds = np.zeros(n_games, dtype=np.int64)
+    p_me, me_c, me_d = games._coop(me, cfg.s1)
+    p_opp, opp_c, opp_d = games._coop(opp, cfg.s1)
+    live = np.arange(n_games)
+    while live.size:
+        mc = rng.random(live.size) < p_me
+        tc = rng.random(live.size) < p_opp
+        state = 2 * (~mc).astype(np.int64) + (~tc).astype(np.int64)
+        pay_me[live] += v[state]
+        pay_opp[live] += v_col[state]
+        rounds[live] += 1
+        more = rng.random(live.size) < cfg.delta
+        live = live[more]
+        p_me = np.where(tc[more], me_c, me_d)
+        p_opp = np.where(mc[more], opp_c, opp_d)
+    return pay_me, pay_opp, rounds
+
+
+def pull(sample, expected) -> float:
+    """|mean - expected| in standard errors of the mean; exact when the sample is constant."""
+    se = sample.std(ddof=1) / np.sqrt(sample.size)
+    if se == 0:
+        return 0.0 if sample.mean() == pytest.approx(expected, abs=1e-12) else np.inf
+    return abs(sample.mean() - expected) / se
+
+
+def two_sample_pull(a, b) -> float:
+    """|mean(a) - mean(b)| in standard errors of the difference."""
+    se = np.hypot(a.std(ddof=1) / np.sqrt(a.size), b.std(ddof=1) / np.sqrt(b.size))
+    if se == 0:
+        return 0.0 if a.mean() == b.mean() else np.inf
+    return abs(a.mean() - b.mean()) / se
+
+
 def test_simulation_delta_zero_is_one_round():
     cfg = GameConfig(delta=0.0, s1=0.5)
     _, _, rounds = simulate_games(gtft(0.5), ALLC, cfg, DONATION, 1000, 1)
@@ -333,6 +382,39 @@ def test_simulate_games_deterministic_given_seed():
     second = simulate_games(gtft(0.2), gtft(0.7), cfg, GENERAL, 1, 1234)
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
+
+
+def test_simulate_games_rejects_bad_game_counts():
+    cfg = GameConfig(delta=0.9, s1=0.5)
+    for bad in (-1, 2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="n_games"):
+            simulate_games(ALLC, ALLD, cfg, DONATION, bad, 1)
+    pay_me, _, _ = simulate_games(ALLC, ALLD, cfg, DONATION, np.int64(3), 1)
+    assert pay_me.shape == (3,)
+
+
+def test_long_games_need_no_array_sized_by_the_longest():
+    cfg = GameConfig(delta=0.999, s1=0.5)
+    rng = np.random.default_rng(8)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        _, _, rounds = simulate_games(gtft(0.3), gtft(0.6), cfg, GENERAL, 3, rng)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rounds.max() >= 1000
+    # an int64 table over 0..max(rounds) alone would take 8 * max(rounds) bytes
+    assert peak < 8 * rounds.max()
+    assert elapsed < 1.0
+
+
+def test_simulate_games_refuses_rounds_past_its_sort_key():
+    # at delta = 1 - 2**-53 games last about 9e15 rounds, which could never be played
+    cfg = GameConfig(delta=1 - 2**-53, s1=0.5)
+    with pytest.raises(ValueError, match="too long"):
+        simulate_games(ALLC, ALLD, cfg, DONATION, 4096, 1)
 
 
 def test_rounds_are_geometric_mean():
@@ -358,6 +440,40 @@ def test_column_payoffs_match_swapped_closed_form():
     closed = expected_payoff_closed(gtft(0.3), ALLD, cfg, DONATION)
     se = pay_opp.std(ddof=1) / np.sqrt(pay_opp.size)
     assert abs(pay_opp.mean() - closed) < 3 * se
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.6, 0.9, 0.99])
+def test_simulation_law_matches_the_lockstep_oracle_and_closed_forms(delta):
+    cfg = GameConfig(delta=delta, s1=0.5)
+    me = gtft(0.2)
+    for i, opp in enumerate((ALLC, ALLD, gtft(0.15))):
+        new = simulate_games(me, opp, cfg, GENERAL, 50_000, [i, 1])
+        old = reference_simulate_games(me, opp, cfg, GENERAL, 50_000, [i, 2])
+        expected = (
+            expected_payoff_closed(me, opp, cfg, GENERAL),
+            expected_payoff_closed(opp, me, cfg, GENERAL),
+            1 / (1 - delta),
+        )
+        for a, b, want in zip(new, old, expected):
+            assert pull(a, want) < 4, (opp, want)
+            assert pull(b, want) < 4, (opp, want)
+            assert two_sample_pull(a, b) < 4, (opp, want)
+
+
+@pytest.mark.parametrize("me,opp", [(gtft(0.3), gtft(0.6)), (gtft(0.3), ALLD), (ALLC, gtft(0.6))])
+def test_each_game_keeps_its_own_round_count(me, opp):
+    # a game's payoff given R = r is the sum over its first r rounds, so a
+    # scatter that paired payoffs with the wrong games would show here
+    cfg = GameConfig(delta=0.6, s1=0.5)
+    pay_me, _, rounds = simulate_games(me, opp, cfg, GENERAL, 200_000, 11)
+    v = GENERAL.as_array()
+    m = transition_matrix(me, opp)
+    q = initial_distribution(me, opp, cfg)
+    want = 0.0
+    for r in range(1, 9):
+        want += q @ v
+        q = q @ m
+        assert pull(pay_me[rounds == r], want) < 5, r
 
 
 # ------------------------------------------------------------------ pinned outputs
@@ -396,14 +512,26 @@ def test_round_chain_outputs_are_pinned():
     assert digest(parts) == "4315dc93da7278c554d236a1a1f3b2206232742f7c26699bbe6cca47bf97670e"
 
 
-def test_simulate_games_outputs_are_pinned():
-    # payoffs, rounds and the generator's next draw, recorded before round one
-    # was played as the first pass of simulate_games' loop
+def simulation_digest(simulate) -> str:
+    """Digest of payoffs, rounds and the generator's next draw over the pinned configs."""
     parts = []
     for cfg in (PIN_CONFIGS[0], PIN_CONFIGS[2]):
         for i, (me, opp) in enumerate(itertools.product(ALL_STRATS, repeat=2)):
             for n_games in (0, 1, 7, 1000):
                 rng = np.random.default_rng([i, n_games])
-                parts += simulate_games(me, opp, cfg, GENERAL, n_games, rng)
+                parts += simulate(me, opp, cfg, GENERAL, n_games, rng)
                 parts.append(rng.random())
-    assert digest(parts) == "488652e12e85abe2eaf1da4b9609e469c6b7d172a8faa6e0263f75bb71c791ea"
+    return digest(parts)
+
+
+def test_simulate_games_outputs_are_pinned():
+    # recorded on the lockstep loop, before round one was played as the first
+    # pass of that loop; the loop is now the test-only oracle
+    assert simulation_digest(reference_simulate_games) == (
+        "488652e12e85abe2eaf1da4b9609e469c6b7d172a8faa6e0263f75bb71c791ea"
+    )
+
+
+def test_length_first_simulate_games_outputs_are_pinned():
+    # recorded when simulate_games began drawing every game's round count first
+    assert simulation_digest(simulate_games) == "8a408b0b67c0b5b8168fc5249219d62b219b6b82063d6236a971e91c4906e897"
