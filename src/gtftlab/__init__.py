@@ -19,7 +19,6 @@ from .games import (
     expected_payoff_series,
     gtft,
     initial_distribution,
-    resolvent_entries,
     simulate_games,
     transition_matrix,
 )
@@ -41,12 +40,10 @@ from .ehrenfest import (
     tv_distance_exact,
 )
 from .population import (
-    InteractionRecord,
     PopulationConfig,
     PopulationState,
     generosity_grid,
     init_population,
-    interact,
     run,
     stationary_of_population,
     to_ehrenfest,

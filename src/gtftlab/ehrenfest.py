@@ -93,10 +93,10 @@ class _LogFactorials(dict):
 class MultinomialDist:
     """Multinomial law with m trials and cell probabilities p.
 
-    The log terms of the pmf are built once per distribution, on first use:
-    a memo of lgamma(i + 1) filled only for the counts it meets, which
-    ``log_pmf`` reads too, log q for each cell with q > 0, and the cells
-    with q = 0.
+    The log terms of ``pmf`` are built once per distribution, on first use:
+    a memo of lgamma(i + 1) filled only for the counts it meets, log q for
+    each cell with q > 0, and the cells with q = 0. ``log_pmf`` builds its
+    own lgamma table over 0..m on each call and leaves the memo as it is.
     """
 
     m: int
@@ -147,14 +147,13 @@ class MultinomialDist:
             raise ValueError(f"rows are not compositions of {self.m} into {len(self.p)} parts")
         if states.dtype.kind == "f":
             states = states.astype(np.int64)
-        log_fact = self._log_terms[0]
-        table = np.array([log_fact[i] for i in range(self.m + 1)])
+        table = np.array([math.lgamma(i + 1) for i in range(self.m + 1)])
         # not the memo's math.log weights: numpy's log can differ from it in the last bit
         with np.errstate(divide="ignore"):
             log_p = np.log(self.p)
         # an empty cell contributes nothing even where its probability is 0
         log_prob = (states * np.where(states > 0, log_p, 0.0)).sum(axis=1)
-        return log_fact[self.m] - table[states].sum(axis=1) + log_prob
+        return table[self.m] - table[states].sum(axis=1) + log_prob
 
 
 @dataclass(frozen=True)

@@ -265,15 +265,6 @@ def expected_payoff_closed(
     return expected_payoff_series(me, opp, cfg, rv, tol=1e-12)
 
 
-def resolvent_entries(g: float, g_other: float, cfg: GameConfig) -> np.ndarray:
-    """(I - delta M)^(-1) for the GTFT(g) vs GTFT(g_other) round chain, by linear solve.
-
-    Nonsingular whenever delta < 1, since M is row stochastic.
-    """
-    m = transition_matrix(gtft(g), gtft(g_other))
-    return np.linalg.solve(np.eye(4) - cfg.delta * m, np.eye(4))
-
-
 def simulate_games(
     me: Strategy,
     opp: Strategy,

@@ -13,11 +13,12 @@ indices is exactly the weighted multi-urn walk in
 :mod:`gtftlab.ehrenfest`; ``to_ehrenfest`` produces the matching
 parameters.
 
-``interact`` applies one step at a time through ``_apply``, the per-step
-rule, and ``sample_one_step_counts`` applies it once per class of draws.
-``run`` draws its pairs in the same 2**16 blocks, yields its records as
-it goes, and visits only the GTFT steps of each block in one loop of its
-own, which the tests hold equal to stepping ``_apply``.
+``run`` draws its pairs in 2**16 blocks, yields its records as it goes,
+and visits only the GTFT steps of each block in one loop.
+``sample_one_step_counts`` draws in the same blocks, tallies the draws by
+class and reads each class's successor off the start. The per-step rule
+that both are held equal to, one interaction at a time, is a test oracle
+in ``tests/test_population.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import itertools
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,21 +90,13 @@ class PopulationConfig:
         return generosity_grid(self.k, self.g_hat)
 
 
-class InteractionRecord(NamedTuple):
-    initiator: int
-    partner: int
-    initiator_kind: str
-    partner_kind: str
-    index_before: int | None
-    index_after: int | None
-
-
 class PopulationState:
     """Mutable population snapshot: node layout is fixed, GTFT indices evolve.
 
     Nodes 0..n_allc-1 are AllC, the next n_alld are AllD, and the last m
     are GTFT. ``idx`` holds the 1-based grid index of each GTFT node and
-    ``z`` the per-index counts; both are kept consistent by interact().
+    ``z`` the per-index counts; ``run`` keeps both consistent as it steps,
+    and so does the per-step oracle in the tests.
     """
 
     __slots__ = ("n", "n_allc", "n_alld", "gtft_start", "m", "k", "idx", "z", "t")
@@ -123,13 +115,6 @@ class PopulationState:
         for j in self.idx:
             self.z[j - 1] += 1
         self.t = 0
-
-    def node_kind(self, node: int) -> str:
-        if node < self.n_allc:
-            return "allc"
-        if node < self.gtft_start:
-            return "alld"
-        return "gtft"
 
     def counts(self) -> tuple[int, ...]:
         return tuple(self.z)
@@ -158,38 +143,6 @@ def init_population(
     return PopulationState(cfg, idx)
 
 
-def _apply(state: PopulationState, initiator: int, partner: int):
-    """Advance the clock one interaction; return the initiator's (index before, after).
-
-    Both are None when the initiator is not GTFT. The partner matters only
-    as defector or not. Shared by interact() and sample_one_step_counts(),
-    and the reference that run()'s GTFT-only loop is tested against.
-    """
-    state.t += 1
-    slot = initiator - state.gtft_start
-    if slot < 0:
-        return None, None
-    j = state.idx[slot]
-    if state.n_allc <= partner < state.gtft_start:
-        j_new = j - 1 if j > 1 else j
-    else:
-        j_new = j + 1 if j < state.k else j
-    if j_new != j:
-        state.idx[slot] = j_new
-        state.z[j - 1] -= 1
-        state.z[j_new - 1] += 1
-    return j, j_new
-
-
-def _rollback(state: PopulationState, initiator: int, j: int | None, j_new: int | None) -> None:
-    """Undo one _apply() call, given its initiator and returned index change."""
-    state.t -= 1
-    if j is not None and j != j_new:
-        state.idx[initiator - state.gtft_start] = j
-        state.z[j_new - 1] -= 1
-        state.z[j - 1] += 1
-
-
 def _pair_blocks(n: int, distinct: bool, count: int, rng: np.random.Generator):
     """``count`` (initiators, partners) node draws, as array pairs of at most 2**16.
 
@@ -206,30 +159,6 @@ def _pair_blocks(n: int, distinct: bool, count: int, rng: np.random.Generator):
         yield initiators, partners
 
 
-def interact(
-    state: PopulationState, cfg: PopulationConfig, rng: np.random.Generator | int | None
-) -> InteractionRecord:
-    """Sample one interaction, mutate the state, and describe what happened.
-
-    The initiator is uniform over all nodes. Idealized pairing draws the
-    partner uniformly with replacement over all n nodes; distinct-pair
-    draws uniformly over the other n - 1. A non-GTFT initiator leaves the
-    population unchanged but still advances the clock.
-    """
-    rng = ensure_rng(rng)
-    initiators, partners = next(_pair_blocks(state.n, cfg.pairing == "distinct-pair", 1, rng))
-    initiator, partner = initiators.item(), partners.item()
-    j, j_new = _apply(state, initiator, partner)
-    return InteractionRecord(
-        initiator, partner, state.node_kind(initiator), state.node_kind(partner), j, j_new
-    )
-
-
-def undo_interaction(state: PopulationState, record: InteractionRecord) -> None:
-    """Roll back one interact() call."""
-    _rollback(state, record.initiator, record.index_before, record.index_after)
-
-
 def run(
     cfg: PopulationConfig,
     steps: int,
@@ -244,9 +173,9 @@ def run(
     arguments are checked and the starting population is drawn when run()
     is called; the records then stream as the pairs are drawn, in blocks
     of 2**16, so memory does not grow with the number of records. A block
-    visits only its GTFT initiators, in step order and with _apply()'s
-    clamp rule, so the trajectory equals stepping _apply() over the same
-    draws and is deterministic given the seed.
+    visits only its GTFT initiators, in step order, so the trajectory is
+    deterministic given the seed and equals stepping the per-step oracle
+    of the tests over the same draws.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -305,9 +234,12 @@ def sample_one_step_counts(
 
     From z0 a draw's successor depends only on its initiator's grid index
     (0 for AllC and AllD) and on whether its partner is a defector, so the
-    draws are tallied by that class, and _apply() steps one initiator of
-    each class and is rolled back. Returns how often each successor count
-    vector appeared; the self loop shows up under z0 itself.
+    draws are tallied by that class. Class (j, down) moves one ball from
+    grid index j to j - 1 after a defector and to j + 1 otherwise, unless
+    that leaves 1..k; class j = 0 leaves z0 as it is. The tests hold the result equal to stepping
+    and rolling back the per-step oracle over the same draws. Returns how
+    often each successor count vector appeared; the self loop shows up
+    under z0 itself.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
@@ -322,12 +254,13 @@ def sample_one_step_counts(
     counts: dict[tuple[int, ...], int] = {}
     for cls in np.flatnonzero(tally).tolist():
         j, down = divmod(cls, 2)
-        initiator = int(np.argmax(label == j))  # the first node of that grid index
-        # node n - 1 is GTFT (m >= 1), so it stands for every non-defector partner
-        before, after = _apply(state, initiator, state.n_allc if down else n - 1)
-        key = state.counts()
+        z = list(state.z)
+        j_new = j - 1 if down else j + 1
+        if j and 1 <= j_new <= k:
+            z[j - 1] -= 1
+            z[j_new - 1] += 1
+        key = tuple(z)
         counts[key] = counts.get(key, 0) + int(tally[cls])
-        _rollback(state, initiator, before, after)
     return counts
 
 

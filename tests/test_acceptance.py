@@ -42,7 +42,7 @@ from gtftlab.population import (
 )
 from gtftlab.rng import stream
 
-from test_games import paper_resolvent
+from test_games import paper_resolvent, resolvent_entries
 from test_meanfield import direct_avg_generosity, granular_mc_oracle
 
 SEED = 20260810
@@ -158,7 +158,7 @@ def test_criterion_4_payoff_formulas():
             for delta in (0.1, 0.5, 0.9):
                 cfg = GameConfig(delta=delta)
                 diff = np.abs(
-                    games.resolvent_entries(g, gp, cfg) - paper_resolvent(g, gp, delta)
+                    resolvent_entries(g, gp, cfg) - paper_resolvent(g, gp, delta)
                 ).max()
                 worst_entry = max(worst_entry, float(diff))
     entries_ok = worst_entry < 1e-10

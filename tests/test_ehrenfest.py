@@ -264,6 +264,14 @@ def test_pmf_at_a_trillion_balls_builds_no_table():
     assert len(dist._log_terms[0]) <= 3  # lgamma of m and of the two counts
 
 
+def test_log_pmf_leaves_the_pmf_memo_small():
+    # one log_pmf call at m = 10^5 must not fill the memo with m + 1 entries
+    dist = MultinomialDist(m=10**5, p=(0.3, 0.7))
+    dist.pmf((4 * 10**4, 6 * 10**4))
+    dist.log_pmf(np.array([[10**5, 0], [5 * 10**4, 5 * 10**4]]))
+    assert len(dist._log_terms[0]) <= len(dist.p) + 1
+
+
 def test_pmf_rejects_non_counts():
     dist = MultinomialDist(m=20, p=(0.2, 0.3, 0.5))
     for bad in ((-1, 1, 20), (2.5, 7.5, 10), (np.float64(0.5), 9.5, 10), (20, 0), (19, 0, 0),

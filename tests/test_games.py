@@ -18,7 +18,6 @@ from gtftlab.games import (
     expected_payoff_series,
     gtft,
     initial_distribution,
-    resolvent_entries,
     simulate_games,
     transition_matrix,
 )
@@ -27,6 +26,15 @@ from gtftlab.rng import ensure_rng
 DONATION = RewardVector.donation(3, 2)
 GENERAL = RewardVector(R=3, S=0, T=5, P=1)
 ALL_STRATS = [ALLC, ALLD, gtft(0.0), gtft(0.3), gtft(1.0)]
+
+
+def resolvent_entries(g: float, g_other: float, cfg: GameConfig) -> np.ndarray:
+    """(I - delta M)^(-1) for the GTFT(g) vs GTFT(g_other) round chain, by linear solve.
+
+    Nonsingular whenever delta < 1, since M is row stochastic.
+    """
+    m = transition_matrix(gtft(g), gtft(g_other))
+    return np.linalg.solve(np.eye(4) - cfg.delta * m, np.eye(4))
 
 
 def paper_resolvent(g: float, gp: float, delta: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,17 +15,14 @@ from gtftlab.ehrenfest import stationary_closed, transition_row
 from gtftlab.population import (
     PAIRING_MODES,
     PopulationConfig,
-    _apply,
+    PopulationState,
     _pair_blocks,
-    _rollback,
     generosity_grid,
     init_population,
-    interact,
     run,
     sample_one_step_counts,
     stationary_of_population,
     to_ehrenfest,
-    undo_interaction,
 )
 from gtftlab.rng import stream
 
@@ -86,6 +84,82 @@ def test_init_uniform_random_marginal():
             counts[j - 1] += 1
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 1e-4
+
+
+# ------------------------------------------------------------------ per-step oracle
+#
+# The agent rule one interaction at a time. run() and sample_one_step_counts()
+# are held equal to it over the same draws.
+
+
+class InteractionRecord(NamedTuple):
+    initiator: int
+    partner: int
+    initiator_kind: str
+    partner_kind: str
+    index_before: int | None
+    index_after: int | None
+
+
+def node_kind(state: PopulationState, node: int) -> str:
+    if node < state.n_allc:
+        return "allc"
+    if node < state.gtft_start:
+        return "alld"
+    return "gtft"
+
+
+def _apply(state: PopulationState, initiator: int, partner: int):
+    """Advance the clock one interaction; return the initiator's (index before, after).
+
+    Both are None when the initiator is not GTFT. The partner matters only
+    as defector or not.
+    """
+    state.t += 1
+    slot = initiator - state.gtft_start
+    if slot < 0:
+        return None, None
+    j = state.idx[slot]
+    if state.n_allc <= partner < state.gtft_start:
+        j_new = j - 1 if j > 1 else j
+    else:
+        j_new = j + 1 if j < state.k else j
+    if j_new != j:
+        state.idx[slot] = j_new
+        state.z[j - 1] -= 1
+        state.z[j_new - 1] += 1
+    return j, j_new
+
+
+def _rollback(state: PopulationState, initiator: int, j: int | None, j_new: int | None) -> None:
+    """Undo one _apply() call, given its initiator and returned index change."""
+    state.t -= 1
+    if j is not None and j != j_new:
+        state.idx[initiator - state.gtft_start] = j
+        state.z[j_new - 1] -= 1
+        state.z[j - 1] += 1
+
+
+def interact(state: PopulationState, cfg: PopulationConfig,
+             rng: np.random.Generator) -> InteractionRecord:
+    """Sample one interaction, mutate the state, and describe what happened.
+
+    The initiator is uniform over all nodes. Idealized pairing draws the
+    partner uniformly with replacement over all n nodes; distinct-pair
+    draws uniformly over the other n - 1. A non-GTFT initiator leaves the
+    population unchanged but still advances the clock.
+    """
+    initiators, partners = next(_pair_blocks(state.n, cfg.pairing == "distinct-pair", 1, rng))
+    initiator, partner = initiators.item(), partners.item()
+    j, j_new = _apply(state, initiator, partner)
+    return InteractionRecord(
+        initiator, partner, node_kind(state, initiator), node_kind(state, partner), j, j_new
+    )
+
+
+def undo_interaction(state: PopulationState, record: InteractionRecord) -> None:
+    """Roll back one interact() call."""
+    _rollback(state, record.initiator, record.index_before, record.index_after)
 
 
 # ------------------------------------------------------------------ interact
