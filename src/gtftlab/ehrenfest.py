@@ -9,12 +9,15 @@ The module holds the exact machinery that the samplers (the agent
 simulation and the coupling runs) are checked against: the closed-form
 stationary law (a multinomial whose urn weights form a geometric
 sequence in a/b), the enumerated state space as an integer array ranked
-by the combinatorial number system, the sparse kernel built from array
-shifts of that ranking, a stationary solver that reads pi off the kernel
-alone by detailed balance along a spanning tree and accepts it only if
-||pi P - pi||_1 <= tol, detailed-balance residuals, one exact scan of
-the total-variation distance to stationarity, coupling-based mixing
-estimates, and the explicit mixing-time bound.
+by the combinatorial number system, the kernel's moves read off array
+shifts of that ranking one urn pair at a time, a stationary solver that
+reads pi off those moves alone by detailed balance along a spanning tree
+and accepts it only if ||pi P - pi||_1 <= tol, detailed-balance
+residuals, one exact scan of the total-variation distance to
+stationarity, coupling-based mixing estimates, and the explicit
+mixing-time bound. The moves are packed into a sparse matrix only by
+``build_kernel``, which serves the distance scan; scipy is imported
+there, so no other path loads it.
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, mul
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rng import ensure_rng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_STATE_CAP = 10**6
 DEFAULT_STEP_LIMIT = 10**9
@@ -212,6 +218,11 @@ def state_array(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     i, one urn at a time, by the largest tail whose table entry fits in
     what is left of i. The dtype is the smallest signed integer holding m.
     """
+    return _states_and_table(k, m, cap)[0]
+
+
+def _states_and_table(k: int, m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """``state_array(k, m, cap)`` and the rank table it was unranked with."""
     n_states = state_count(k, m)
     if n_states > cap:
         raise CapExceededError(f"{n_states} states exceeds cap {cap} for k={k}, m={m}")
@@ -226,7 +237,7 @@ def state_array(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
         states[:, j] = left - tail
         left = tail
     states[:, -1] = left
-    return states
+    return states, table
 
 
 def _as_tuples(states: np.ndarray) -> list[tuple[int, ...]]:
@@ -304,37 +315,73 @@ def stationary_closed(params: EhrenfestParams) -> MultinomialDist:
     return MultinomialDist(m=params.m, p=tuple(geometric_weights(params.lam, params.k)))
 
 
-def build_kernel(
-    params: EhrenfestParams, cap: int = DEFAULT_STATE_CAP
-) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
-    """The (S, k) state array, its rank table, and the sparse transition matrix over its rows.
+_Moves = tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]], np.ndarray]
 
-    ``_rank(states, table, m)`` gives the row of each count vector. The
-    kernel is built one urn pair at a time: each up move x -> y across
+
+def _kernel_moves(params: EhrenfestParams, cap: int) -> tuple[np.ndarray, np.ndarray, _Moves]:
+    """The (S, k) state array, its rank table, and every entry of the kernel over its rows.
+
+    The entries come one urn pair at a time: each up move x -> y across
     urns (j, j + 1) pairs with the down move y -> x, so one rank shift
-    gives both entries.
+    gives both. For each j the moves hold ``(lower, upper, up, down)``:
+    the rows ``lower`` with a ball in urn j, the rows ``upper`` they reach,
+    P(lower, upper) = a x_j / m and P(upper, lower) = b y_{j+1} / m. The
+    diagonal, the self loops, follows the pairs.
     """
     k, a, b, m = params.k, params.a, params.b, params.m
-    states = state_array(k, m, cap)
-    table = _rank_table(k, m)
-    n = len(states)
+    states, table = _states_and_table(k, m, cap)
     tails = _tails(states, m)
-    rows, cols, vals = [], [], []
-    move = np.zeros(n)
+    pairs = []
+    move = np.zeros(len(states))
     for j in range(k - 1):
         up = a * states[:, j] / m
         down = b * states[:, j + 1] / m
         move += up
         move += down
         lower, upper = _up_moves(states, table, tails, j)
+        pairs.append((lower, upper, up[lower], down[upper]))
+    # a + b may sit a few ulps above 1; keep the self loop a probability
+    return states, table, (pairs, np.maximum(0.0, 1.0 - move))
+
+
+def _step(mu: np.ndarray, moves: _Moves) -> np.ndarray:
+    """mu @ P for one law or a stack of laws over the rows, P given by its moves.
+
+    Each column is summed over its source rows in increasing row order, as
+    the sparse product sums it: up moves for j = 0..k-2 come from earlier
+    rows, then the self loop, then down moves for j = k-2..0 from later
+    rows. So the result is bitwise that of ``mu @ build_kernel(...)[2]``.
+    """
+    pairs, diagonal = moves
+    out = np.zeros_like(mu)
+    for lower, upper, up, _ in pairs:
+        out[..., upper] += up * mu[..., lower]
+    out += diagonal * mu
+    for lower, upper, _, down in reversed(pairs):
+        out[..., lower] += down * mu[..., upper]
+    return out
+
+
+def build_kernel(
+    params: EhrenfestParams, cap: int = DEFAULT_STATE_CAP
+) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+    """The (S, k) state array, its rank table, and the sparse transition matrix over its rows.
+
+    ``_rank(states, table, m)`` gives the row of each count vector. The
+    matrix holds the entries of ``_kernel_moves``.
+    """
+    import scipy.sparse as sp  # about 0.2 s: paid only by callers that want the matrix
+
+    states, table, (pairs, diagonal) = _kernel_moves(params, cap)
+    n = len(states)
+    rows, cols, vals = [], [], []
+    for lower, upper, up, down in pairs:
         rows += [lower, upper]
         cols += [upper, lower]
-        vals += [up[lower], down[upper]]
-    # a + b may sit a few ulps above 1; keep the self loop a probability
-    diagonal = np.arange(n)
-    rows.append(diagonal)
-    cols.append(diagonal)
-    vals.append(np.maximum(0.0, 1.0 - move))
+        vals += [up, down]
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(diagonal)
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     return states, table, sp.csr_matrix(entries, shape=(n, n))
 
@@ -353,29 +400,31 @@ def solve_stationary_exact(
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Stationary distribution over enumerated states, independent of the closed form.
 
-    The chain is reversible, so pi follows from the kernel alone by
-    detailed balance along a spanning tree. The parent of a state moves
+    The chain is reversible, so pi follows from the kernel's moves alone
+    by detailed balance along a spanning tree. The parent of a state moves
     one ball from its first non-empty urn j >= 1 down to urn j - 1, which
     leads every state to (m, 0, ..., 0) in at most m(k - 1) moves, and
     log pi(x) - log pi(parent) = log P(parent, x) - log P(x, parent), both
-    entries read from the kernel. Pointer doubling sums these steps along
-    every path in about log2(m(k - 1)) vectorised rounds, in compensated
-    (two-sum) arithmetic: log pi near the mode can be of order m, and
-    plain rounding at that size would unbalance neighbouring states by
-    more than ``tol`` long before the state cap. The normalised
-    result is accepted only if ||pi P - pi||_1 <= ``tol``, checked with one
-    sparse product; otherwise ResidualError.
+    entries computed as ``_kernel_moves`` computes them. Pointer doubling
+    sums these steps along every path in about log2(m(k - 1)) vectorised
+    rounds, in compensated (two-sum) arithmetic: log pi near the mode can
+    be of order m, and plain rounding at that size would unbalance
+    neighbouring states by more than ``tol`` long before the state cap.
+    The normalised result is accepted only if ||pi P - pi||_1 <= ``tol``,
+    checked with one product over the moves (``_step``, bitwise the sparse
+    product); otherwise ResidualError.
     """
-    states, table, kernel = build_kernel(params, cap)
+    a, b, m = params.a, params.b, params.m
+    states, table, moves = _kernel_moves(params, cap)
     n = len(states)
     child = np.arange(1, n)
     # row 0 is the root; every other row has a ball above urn 0, and the
     # first such urn is j + 1 where the parent holds one ball more in urn j
     j = np.argmax(states[1:, 1:] > 0, axis=1)
-    t = _tails(states, params.m)[child, j] - 1  # the parent's tail above urn j
+    t = _tails(states, m)[child, j] - 1  # the parent's tail above urn j
     parent = child - (table[j, t + 1] - table[j, t])
-    forward = np.asarray(kernel[parent, child]).ravel()
-    backward = np.asarray(kernel[child, parent]).ravel()
+    forward = a * states[parent, j] / m  # P(parent, child)
+    backward = b * states[child, j + 1] / m  # P(child, parent)
     # log pi is held as the unevaluated sum hi + lo
     hi = np.zeros(n)
     hi[1:] = np.log(forward) - np.log(backward)
@@ -391,7 +440,7 @@ def solve_stationary_exact(
     shifted, err = _two_sum(hi, -hi[top])
     pi = np.exp(shifted + (err + lo - lo[top]))
     pi /= pi.sum()
-    residual = float(np.abs(pi @ kernel - pi).sum())
+    residual = float(np.abs(_step(pi, moves) - pi).sum())
     if not residual <= tol:
         raise ResidualError(f"stationary residual {residual:.3e} exceeds tol {tol:.3e}")
     return _as_tuples(states), pi
@@ -409,8 +458,7 @@ def detailed_balance_residual(
     """
     if dist is None:
         dist = stationary_closed(params)
-    states = state_array(params.k, params.m, cap)
-    table = _rank_table(params.k, params.m)
+    states, table = _states_and_table(params.k, params.m, cap)
     tails = _tails(states, params.m)
     px = np.exp(dist.log_pmf(states))
     a, b, m = params.a, params.b, params.m

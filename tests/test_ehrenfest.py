@@ -17,8 +17,10 @@ from gtftlab.ehrenfest import (
     MultinomialDist,
     ResidualError,
     StepLimitError,
+    _kernel_moves,
     _rank,
     _rank_table,
+    _step,
     absorption_times,
     build_kernel,
     corner_labels,
@@ -175,6 +177,18 @@ def test_kernel_matches_dict_oracle_entry_for_entry(params):
     np.testing.assert_array_equal(_rank(states, table, params.m), np.arange(len(states)))
     assert kernel.shape == oracle.shape
     assert (kernel != oracle).nnz == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=small_params(), seed=st.integers(0, 2**32 - 1))
+@example(params=EhrenfestParams(k=6, a=0.7, b=0.3, m=20), seed=0)
+@example(params=EhrenfestParams(k=3, a=0.5, b=0.5, m=4), seed=0)  # self loops of mass 0
+def test_step_over_the_moves_is_bitwise_the_sparse_product(params, seed):
+    states, _, kernel = build_kernel(params)
+    _, _, moves = _kernel_moves(params, cap=len(states))
+    mus = np.random.default_rng(seed).dirichlet(np.ones(len(states)), size=2)
+    assert _step(mus[0], moves).tobytes() == (mus[0] @ kernel).tobytes()
+    assert _step(mus, moves).tobytes() == (mus @ kernel).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,6 +429,20 @@ def test_exact_solver_matches_closed_form_grid():
                 dist = stationary_closed(params)
                 pmf = np.array([dist.pmf(x) for x in states])
                 np.testing.assert_allclose(pi, pmf, atol=1e-10)
+
+
+def test_exact_solver_is_pinned_on_the_benchmark_instances():
+    # sha256 of pi's bytes over the 72 tiny and four large instances of the
+    # exact benchmark, recorded while the solver read its entries and its
+    # residual off a scipy.sparse kernel
+    digest = hashlib.sha256()
+    for k in (2, 3, 4):
+        for m in range(1, 7):
+            for a, b in LAMBDA_PAIRS:
+                digest.update(solve_stationary_exact(EhrenfestParams(k=k, a=a, b=b, m=m))[1])
+    for k, m, a, b in ((4, 20, 0.7, 0.3), (5, 20, 0.7, 0.3), (4, 60, 0.7, 0.3), (6, 20, 0.7, 0.3)):
+        digest.update(solve_stationary_exact(EhrenfestParams(k=k, a=a, b=b, m=m))[1])
+    assert digest.hexdigest() == "21d214e6373642a95c4c841a8e8a60ad0313dc5288aad4afe729427cd5523d12"
 
 
 def test_exact_solver_agrees_to_1e12():

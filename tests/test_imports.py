@@ -19,6 +19,35 @@ def test_import_loads_no_scipy_solvers_or_special_functions():
     assert done.stdout.strip() == "[]"
 
 
+def test_only_the_sparse_kernel_loads_scipy_sparse(tmp_path):
+    # the stationary solve, the balance check and `stationary --exact` read the
+    # kernel's moves; only build_kernel's matrix, for the TV scan, needs scipy.sparse
+    probe = f"""
+import sys
+import gtftlab
+from gtftlab import cli
+from gtftlab.ehrenfest import EhrenfestParams, detailed_balance_residual, solve_stationary_exact
+
+def loaded(step):
+    print(step, 'scipy.sparse' in sys.modules)
+
+loaded('import')
+params = EhrenfestParams(k=3, a=0.4, b=0.2, m=4)
+solve_stationary_exact(params)
+loaded('solve')
+detailed_balance_residual(params)
+loaded('balance')
+argv = ['stationary', '--k', '3', '--a', '0.4', '--b', '0.2', '--m', '4', '--exact',
+        '--out', {str(tmp_path / "stationary.json")!r}]
+assert cli.main(argv) == cli.EXIT_OK
+loaded('cli')
+"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.split() == ["import", "False", "solve", "False", "balance", "False",
+                                   "cli", "False"]
+
+
 PUBLIC_NAMES = [
     "ALLC", "ALLD", "EhrenfestParams", "GameConfig", "GenerosityReport", "MixingEstimate",
     "MultinomialDist", "PayoffComparison", "PopulationConfig", "PopulationState",
