@@ -15,9 +15,11 @@ reads pi off those moves alone by detailed balance along a spanning tree
 and accepts it only if ||pi P - pi||_1 <= tol, detailed-balance
 residuals, one exact scan of the total-variation distance to
 stationarity, coupling-based mixing estimates, and the explicit
-mixing-time bound. The moves are packed into a sparse matrix only by
-``build_kernel``, which serves the distance scan; scipy is imported
-there, so no other path loads it.
+mixing-time bound. ``_kernel_moves`` is the one place the moves are
+derived: the solver's tree edges and the residual's balance pairs are
+both read off its urn-pair moves. The moves are packed into a
+sparse matrix only by ``build_kernel``, which serves the distance scan;
+scipy is imported there, so no other path loads it.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ class EhrenfestParams:
     m: int
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"need k >= 2 urns, got {self.k}")
-        if self.m < 1:
-            raise ValueError(f"need m >= 1 balls, got {self.m}")
+        if not (isinstance(self.k, (int, np.integer)) and self.k >= 2):
+            raise ValueError(f"need an integer k >= 2 urns, got {self.k!r}")
+        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+            raise ValueError(f"need an integer m >= 1 balls, got {self.m!r}")
         if not (self.a > 0 and self.b > 0):
             raise ValueError(f"need a, b > 0, got a={self.a}, b={self.b}")
         if self.a + self.b > 1 + 1e-12:
@@ -250,19 +252,6 @@ def enumerate_states(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> list[tuple
     return _as_tuples(state_array(k, m, cap))
 
 
-def _up_moves(
-    states: np.ndarray, table: np.ndarray, tails: np.ndarray, j: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows with a ball in urn j, and the rows they reach when it moves up to urn j + 1.
-
-    The move adds one ball above urn j and leaves every other tail alone,
-    so only the urn-j term of the rank changes.
-    """
-    rows = np.flatnonzero(states[:, j])
-    t = tails[rows, j]
-    return rows, rows + table[j, t + 1] - table[j, t]
-
-
 def _check_state(x: tuple[int, ...], params: EhrenfestParams) -> None:
     if len(x) != params.k or sum(x) != params.m or any(xi < 0 or xi % 1 for xi in x):
         raise ValueError(f"{x} is not a valid count vector for k={params.k}, m={params.m}")
@@ -338,7 +327,11 @@ def _kernel_moves(params: EhrenfestParams, cap: int) -> tuple[np.ndarray, np.nda
         down = b * states[:, j + 1] / m
         move += up
         move += down
-        lower, upper = _up_moves(states, table, tails, j)
+        # the up move adds one ball above urn j and leaves every other
+        # tail alone, so only the urn-j term of the rank changes
+        lower = np.flatnonzero(states[:, j])
+        t = tails[lower, j]
+        upper = lower + table[j, t + 1] - table[j, t]
         pairs.append((lower, upper, up[lower], down[upper]))
     # a + b may sit a few ulps above 1; keep the self loop a probability
     return states, table, (pairs, np.maximum(0.0, 1.0 - move))
@@ -402,35 +395,33 @@ def solve_stationary_exact(
 
     The chain is reversible, so pi follows from the kernel's moves alone
     by detailed balance along a spanning tree. The parent of a state moves
-    one ball from its first non-empty urn j >= 1 down to urn j - 1, which
+    one ball from its first non-empty urn j + 1 >= 1 down to urn j, which
     leads every state to (m, 0, ..., 0) in at most m(k - 1) moves, and
-    log pi(x) - log pi(parent) = log P(parent, x) - log P(x, parent), both
-    entries computed as ``_kernel_moves`` computes them. Pointer doubling
-    sums these steps along every path in about log2(m(k - 1)) vectorised
-    rounds, in compensated (two-sum) arithmetic: log pi near the mode can
-    be of order m, and plain rounding at that size would unbalance
-    neighbouring states by more than ``tol`` long before the state cap.
-    The normalised result is accepted only if ||pi P - pi||_1 <= ``tol``,
-    checked with one product over the moves (``_step``, bitwise the sparse
-    product); otherwise ResidualError.
+    log pi(x) - log pi(parent) = log P(parent, x) - log P(x, parent). So
+    the tree edges are the urn-pair moves of ``_kernel_moves`` across
+    pair j whose upper row has urns 1..j empty, and each edge's entries
+    are the ``up`` and ``down`` of that move. Pointer doubling sums these
+    steps along every path in about log2(m(k - 1)) vectorised rounds, in
+    compensated (two-sum) arithmetic: log pi near the mode can be of
+    order m, and plain rounding at that size would unbalance neighbouring
+    states by more than ``tol`` long before the state cap. The normalised
+    result is accepted only if ||pi P - pi||_1 <= ``tol``, checked with
+    one product over the moves (``_step``, bitwise the sparse product);
+    otherwise ResidualError.
     """
-    a, b, m = params.a, params.b, params.m
-    states, table, moves = _kernel_moves(params, cap)
+    states, _, moves = _kernel_moves(params, cap)
     n = len(states)
-    child = np.arange(1, n)
-    # row 0 is the root; every other row has a ball above urn 0, and the
-    # first such urn is j + 1 where the parent holds one ball more in urn j
-    j = np.argmax(states[1:, 1:] > 0, axis=1)
-    t = _tails(states, m)[child, j] - 1  # the parent's tail above urn j
-    parent = child - (table[j, t + 1] - table[j, t])
-    forward = a * states[parent, j] / m  # P(parent, child)
-    backward = b * states[child, j + 1] / m  # P(child, parent)
-    # log pi is held as the unevaluated sum hi + lo
+    # log pi is held as the unevaluated sum hi + lo; row 0, (m, 0, ..., 0),
+    # is the root and points at itself
     hi = np.zeros(n)
-    hi[1:] = np.log(forward) - np.log(backward)
-    lo = np.zeros(n)
     pointer = np.zeros(n, dtype=np.int64)
-    pointer[1:] = parent
+    empty = np.ones(n, dtype=bool)  # rows whose urns 1..j are all empty
+    for j, (lower, upper, up, down) in enumerate(moves[0]):
+        edge = empty[upper]
+        pointer[upper[edge]] = lower[edge]
+        hi[upper[edge]] = np.log(up[edge]) - np.log(down[edge])
+        empty &= states[:, j + 1] == 0
+    lo = np.zeros(n)
     # after r rounds log pi[x] holds the steps of the first 2**r edges above x
     while pointer.any():
         hi, err = _two_sum(hi, hi[pointer])
@@ -458,17 +449,10 @@ def detailed_balance_residual(
     """
     if dist is None:
         dist = stationary_closed(params)
-    states, table = _states_and_table(params.k, params.m, cap)
-    tails = _tails(states, params.m)
+    states, _, (pairs, _) = _kernel_moves(params, cap)
     px = np.exp(dist.log_pmf(states))
-    a, b, m = params.a, params.b, params.m
-    worst = 0.0
-    for j in range(params.k - 1):
-        lower, upper = _up_moves(states, table, tails, j)
-        forward = px[lower] * a * states[lower, j] / m
-        backward = px[upper] * b * states[upper, j + 1] / m
-        worst = max(worst, float(np.abs(forward - backward).max(initial=0.0)))
-    return worst
+    return max(float(np.abs(px[lower] * up - px[upper] * down).max())
+               for lower, upper, up, down in pairs)
 
 
 def corner_labels(params: EhrenfestParams) -> tuple[list[int], list[int]]:
@@ -605,8 +589,9 @@ def mixing_bound(params: EhrenfestParams) -> float:
 
 
 def _check_walk(k: int, a: float, b: float) -> None:
-    if k < 1:
-        raise ValueError("need k >= 1")
+    # a walk on the integers hits +-k only if k is an integer
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"need an integer k >= 1, got {k!r}")
     if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
         raise ValueError("need a, b > 0 with a + b <= 1")
 

@@ -39,13 +39,11 @@ def stationary_weights(beta: float, k: int, m: int) -> MultinomialDist:
 
 def avg_stationary_generosity(k: int, beta: float, g_hat: float) -> float:
     """Mean generosity sum_j g_j p_j under the stationary law of the k-point dynamics."""
-    if k < 2:
-        raise ValueError("need k >= 2")
+    grid = np.asarray(generosity_grid(k, g_hat))
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if beta == 0.5:
         return g_hat / 2.0
-    grid = np.asarray(generosity_grid(k, g_hat))
     return float(grid @ geometric_weights(weight_ratio(beta), k))
 
 

@@ -38,8 +38,8 @@ PAIRING_MODES = ("idealized", "distinct-pair")
 
 def generosity_grid(k: int, g_hat: float) -> tuple[float, ...]:
     """The k equidistant generosity values 0 = g_1 < ... < g_k = g_hat."""
-    if k < 2:
-        raise ValueError(f"need k >= 2 grid points, got {k}")
+    if not (isinstance(k, (int, np.integer)) and k >= 2):
+        raise ValueError(f"need an integer k >= 2 grid points, got {k!r}")
     if not 0.0 <= g_hat <= 1.0:
         raise ValueError(f"g_hat must be in [0, 1], got {g_hat}")
     return tuple(((j - 1) / (k - 1)) * g_hat for j in range(1, k + 1))
@@ -57,9 +57,10 @@ class PopulationConfig:
     pairing: str = "idealized"
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2 nodes, got {self.n}")
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta >= 1:
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise ValueError(f"need an integer n >= 2 nodes, got {self.n!r}")
+        # written so that a NaN fraction fails it
+        if not (self.alpha >= 0 and self.beta >= 0 and self.alpha + self.beta < 1):
             raise ValueError(
                 f"need alpha, beta >= 0 with alpha + beta < 1, got {self.alpha}, {self.beta}"
             )

@@ -138,7 +138,12 @@ def test_params_validation():
         EhrenfestParams(k=2, a=0.0, b=0.3, m=4)
     with pytest.raises(ValueError):
         EhrenfestParams(k=2, a=0.7, b=0.7, m=4)
+    # m = 4.5 once gave a finite mixing_bound; m = 4.0 a TypeError in the solver
+    for k, m in ((3, 4.5), (3, 4.0), (2.5, 4), (3.0, 4)):
+        with pytest.raises(ValueError, match="need an integer"):
+            EhrenfestParams(k=k, a=0.4, b=0.2, m=m)
     assert EhrenfestParams(k=3, a=0.4, b=0.2, m=5).lam == pytest.approx(2.0)
+    assert EhrenfestParams(k=np.int64(3), a=0.4, b=0.2, m=np.int8(4)).m == 4
 
 
 def test_enumerate_states_small_and_counts():
@@ -502,6 +507,21 @@ def test_detailed_balance_residual_flags_perturbation():
     assert detailed_balance_residual(params, dist=bad) > 1e-6
 
 
+@settings(max_examples=60, deadline=None)
+@given(params=small_params(), seed=st.integers(0, 2**32 - 1))
+@example(params=EhrenfestParams(k=3, a=0.5, b=0.5, m=4), seed=0)
+def test_detailed_balance_residual_is_bitwise_the_transition_row_oracle(params, seed):
+    # a law that is not stationary, so that every pair has a residual to get right
+    p = np.random.default_rng(seed).dirichlet(np.ones(params.k))
+    dist = MultinomialDist(m=params.m, p=tuple(p))
+    states = fill_states(params.k, params.m)
+    px = dict(zip(states, np.exp(dist.log_pmf(np.array(states))).tolist()))
+    rows = {x: transition_row(x, params) for x in states}
+    oracle = max(abs(px[x] * p_xy - px[y] * rows[y][x])
+                 for x in states for y, p_xy in rows[x].items() if y != x)
+    assert detailed_balance_residual(params, dist=dist) == oracle
+
+
 def test_detailed_balance_two_state_chain_exact():
     params = EhrenfestParams(k=2, a=0.4, b=0.1, m=1)
     assert detailed_balance_residual(params) < 1e-15
@@ -531,6 +551,15 @@ def test_absorption_closed_validates_weights():
     for a, b in ((0.5, 0.0), (0.0, 0.5)):
         with pytest.raises(ValueError, match="need a, b > 0"):
             expected_absorption_closed(3, a, b)
+
+
+def test_absorption_rejects_non_integer_k():
+    # +-2.5 is never hit: the walks ran to the step limit, the closed form gave 11.69
+    with pytest.raises(ValueError, match="need an integer k"):
+        absorption_times(2.5, 0.3, 0.3, 5, stream(5, "absorb-k2.5"))
+    with pytest.raises(ValueError, match="need an integer k"):
+        expected_absorption_closed(2.5, 0.3, 0.2)
+    assert expected_absorption_closed(np.int64(4), 0.5, 0.5) == 16.0
 
 
 def test_absorption_closed_respects_min_bound():

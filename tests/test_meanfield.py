@@ -95,6 +95,10 @@ def test_avg_generosity_balanced_is_half():
     for k in (2, 3, 8):
         assert avg_stationary_generosity(k, 0.5, 0.25) == 0.125
         assert avg_stationary_generosity(k, 0.5, 1.0) == 0.5
+    # the balanced shortcut once skipped the check on k: k = 3.5 returned 0.125
+    for k in (3.5, 1):
+        with pytest.raises(ValueError, match="need an integer k >= 2"):
+            avg_stationary_generosity(k, 0.5, 0.25)
 
 
 def test_avg_generosity_spot_values():

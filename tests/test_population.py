@@ -35,6 +35,11 @@ CFG = PopulationConfig(n=40, alpha=0.25, beta=0.25, k=3, g_hat=0.25)
 def test_generosity_grid_examples():
     assert generosity_grid(2, 0.25) == (0.0, 0.25)
     assert generosity_grid(6, 1.0) == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    assert generosity_grid(np.int64(2), 0.25) == (0.0, 0.25)
+    # k = 3.5 and 3.0 ended on a TypeError from range()
+    for k in (3.5, 3.0, 1):
+        with pytest.raises(ValueError, match="need an integer k >= 2"):
+            generosity_grid(k, 0.25)
 
 
 def test_generosity_grid_shape():
@@ -53,6 +58,11 @@ def test_config_counts():
 def test_config_rejects_fractional_counts():
     with pytest.raises(ValueError):
         PopulationConfig(n=10, alpha=0.25, beta=0.25, k=2, g_hat=0.25)
+    # n = 40.5 was accepted; k = 3.5 ended on a TypeError from range()
+    for n, k in ((40.5, 3), (40.0, 3), (40, 3.5), (40, 3.0)):
+        with pytest.raises(ValueError, match="need an integer"):
+            PopulationConfig(n=n, alpha=0.25, beta=0.25, k=k, g_hat=0.25)
+    assert PopulationConfig(n=np.int64(40), alpha=0.25, beta=0.25, k=np.int8(3), g_hat=0.25).m == 20
 
 
 def test_config_rejects_bad_fractions():
@@ -60,6 +70,10 @@ def test_config_rejects_bad_fractions():
         PopulationConfig(n=10, alpha=0.5, beta=0.5, k=2, g_hat=0.25)
     with pytest.raises(ValueError):
         PopulationConfig(n=10, alpha=0.2, beta=0.3, k=2, g_hat=0.25, pairing="nearest")
+    # a NaN fraction once passed this check and failed converting NaN to an integer
+    for alpha, beta in ((math.nan, 0.25), (0.25, math.nan)):
+        with pytest.raises(ValueError, match="need alpha, beta >= 0"):
+            PopulationConfig(n=40, alpha=alpha, beta=beta, k=3, g_hat=0.25)
 
 
 # ------------------------------------------------------------------ init
