@@ -20,6 +20,13 @@ derived: the solver's tree edges and the residual's balance pairs are
 both read off its urn-pair moves. The moves are packed into a
 sparse matrix only by ``build_kernel``, which serves the distance scan;
 scipy is imported there, so no other path loads it.
+
+The coupling time is sampled ball by ball, not step by step. Each step
+picks a ball uniformly and draws its move independently, so each ball
+needs its own i.i.d. number of moves before its two copies meet. That
+number is drawn from one hit table of the one-ball pair chain, and the
+steps are recovered from a Poisson embedding of the picks
+(``_coupling_times``); the law of the step rule is unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import add, mul
 from typing import TYPE_CHECKING
 
@@ -52,6 +59,13 @@ class StepLimitError(RuntimeError):
 
 class ResidualError(RuntimeError):
     """A solved stationary law failed its residual check ||pi P - pi||_1 <= tol."""
+
+
+def _check_count(name: str, value, least: int) -> None:
+    # bool is an int subclass: True must not pass for a count of 1
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -289,6 +303,7 @@ def geometric_weights(lam: float, k: int) -> np.ndarray:
     sum is finite. On overflow the exponents are shifted down by k - 1,
     which makes the largest weight 1 and leaves the ratios unchanged.
     """
+    _check_count("k", k, 1)
     exponents = np.arange(k, dtype=float)
     with np.errstate(over="ignore"):
         weights = np.power(lam, exponents)
@@ -470,9 +485,47 @@ def _labels(v, k: int, m: int) -> np.ndarray:
     return x.astype(np.int64)
 
 
-def _run_starts(x: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal values in a non-negative int array."""
-    return x != np.concatenate(([-1], x[:-1]))
+@lru_cache(maxsize=16)
+def _pair_moves(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ball's two copies as the pair (lo, hi), lo < hi: its column, and where each move takes it.
+
+    ``column[lo - 1, hi - 1]`` numbers the k(k - 1)/2 unmet pairs; number
+    k(k - 1)/2 stands for every met pair, and ``column`` holds it on and
+    below the diagonal. ``up[c]`` is the column of (lo + 1, min(hi + 1, k))
+    and ``down[c]`` that of (max(lo - 1, 1), hi - 1); both lead the met
+    column to itself. The arrays are cached per k, so they are read-only.
+    """
+    lo, hi = np.triu_indices(k, 1)
+    met = lo.size
+    column = np.full((k, k), met)
+    column[lo, hi] = np.arange(met)
+    up = np.append(column[lo + 1, np.minimum(hi + 1, k - 1)], met)
+    down = np.append(column[np.maximum(lo - 1, 0), hi - 1], met)
+    for table in (column, up, down):
+        table.flags.writeable = False
+    return column, up, down
+
+
+def _hit_table(params: EhrenfestParams, starts: np.ndarray, floor: np.ndarray,
+               limit: int) -> np.ndarray:
+    """table[n, j]: the chance that a ball whose copies start at pair ``starts[j]`` is unmet after n moves.
+
+    The survival S_n = p S_{n-1}(up) + q S_{n-1}(down), with p = a/(a+b) and
+    q = b/(a+b) the chances that a move goes up or down, is a sum of
+    non-negative terms, so the far tail keeps its relative precision. Rows
+    are added until every column is below its entry of ``floor``, or
+    through row ``limit``. Rounding can leave an entry a few ulps above the
+    row before it; the running minimum keeps each column non-increasing.
+    """
+    _, up, down = _pair_moves(params.k)
+    p, q = params.a / (params.a + params.b), params.b / (params.a + params.b)
+    survival = np.ones(up.size)
+    survival[-1] = 0.0
+    rows = [survival[starts]]
+    while len(rows) <= limit and not (rows[-1] < floor).all():
+        survival = p * survival[up] + q * survival[down]
+        rows.append(survival[starts])
+    return np.minimum.accumulate(rows, axis=0)
 
 
 def coupled_run(
@@ -482,69 +535,71 @@ def coupled_run(
     rng: np.random.Generator | int | None,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> int:
-    """Run two label walks under shared randomness; return the first step they agree.
+    """Sample the coupling time of two label walks under shared randomness.
 
-    Both walks hold m labels in 1..k. Each step samples one ball position
-    uniformly and applies the same up/down/stay draw to that coordinate of
-    both walks, truncating to the label range. The draws come in blocks
-    of 2^14 steps. Each block is resolved in numpy in consecutive chunks,
-    [0, 256), [256, 1024), [1024, 4096) and [4096, 2^14), up to the chunk
-    in which the last ball meets, and each draw is resolved once: after
-    every chunk the balls that moved carry their lo, hi and whether they
-    have met into the next. Shared draws never widen a ball's gap, so
-    before its copies meet the lower one, lo, is clamped only at 1 and the
-    upper one, hi, only at k. With L <= 0 <= H the running min and max of
-    the ball's own +-1 path in a chunk, they meet where
-    hi - lo - max(0, hi+H-k) - max(0, 1-lo-L) first reaches 0; it is
-    asserted to be exactly 0 there, so the copies never cross.
+    Both walks hold m labels in 1..k. Each step picks one ball uniformly
+    and applies the same up/down/stay draw to that coordinate of both
+    walks, truncating to the label range; the return is the first step at
+    which the walks agree. It is sampled ball by ball, not step by step:
+    the draws a ball gets are i.i.d. and independent of which ball is
+    picked, so each ball's move count until its copies meet, and then the
+    step at which the last ball meets, can be drawn directly
+    (``_coupling_times``) with the law of the step rule. Raises
+    StepLimitError when that step is later than ``step_limit``.
     """
+    _check_count("step_limit", step_limit, 0)
     rng = ensure_rng(rng)
     x, y = _labels(x0, params.k, params.m), _labels(y0, params.k, params.m)
-    return _coupling_time(params, x, y, rng, step_limit)
-
-
-def _coupling_time(params: EhrenfestParams, x: np.ndarray, y: np.ndarray,
-                   rng: np.random.Generator, step_limit: int) -> int:
-    """coupled_run() from starts already checked by _labels(); x and y are not modified."""
-    k, a, b, m = params.k, params.a, params.b, params.m
-    lo, hi, unmet = np.minimum(x, y), np.maximum(x, y), x != y
+    unmet = x != y
     if not unmet.any():
         return 0
-    t = 0
-    while t < step_limit:
-        size = min(1 << 14, step_limit - t)
-        coords = rng.integers(0, m, size=size)
-        moves = rng.random(size)
-        start = 0
-        while start < size:
-            stop = min(4 * start or 256, size)
-            steps = start + np.flatnonzero(
-                unmet[coords[start:stop]] & (moves[start:stop] < a + b))
-            key = np.sort(coords[steps] << 14 | steps)  # steps < 2^14: moves by ball, then step
-            balls, steps = key >> 14, key & (1 << 14) - 1
-            d = np.where(moves[steps] < a, 1, -1)
-            first = _run_starts(balls)
-            seg = np.cumsum(first) - 1
-            s = np.cumsum(d)
-            s -= (s - d)[first][seg]
-            off = seg * (2 * (stop - start) + 1)
-            top = np.maximum.accumulate(s + off) - off
-            bottom = np.minimum.accumulate(s - off) + off
-            l, h = lo[balls], hi[balls]
-            over, under = np.maximum(h + top - k, 0), np.maximum(1 - l - bottom, 0)
-            gap = h - l - over - under
-            met = np.flatnonzero(gap <= 0)
-            met = met[_run_starts(balls[met])]
-            assert (gap[met] == 0).all(), "coupling copies crossed"
-            if met.size == np.count_nonzero(unmet):
-                return t + 1 + int(steps[met].max())
-            ends = np.diff(balls, append=-1) != 0
-            lo[balls[ends]] = (l + s + under)[ends]
-            hi[balls[ends]] = (h + s - over)[ends]
-            unmet[balls[met]] = False
-            start = stop
-        t += size
-    raise StepLimitError(f"coupling did not coalesce within {step_limit} steps")
+    column = _pair_moves(params.k)[0]
+    starts = column[np.minimum(x, y)[unmet] - 1, np.maximum(x, y)[unmet] - 1]
+    return int(_coupling_times(params, starts, 1, rng, step_limit)[0])
+
+
+def _coupling_times(params: EhrenfestParams, starts: np.ndarray, trials: int,
+                    rng: np.random.Generator, step_limit: int) -> np.ndarray:
+    """Coupling times of ``trials`` independent couplings whose unmet balls start at pairs ``starts``.
+
+    The step rule picks a ball uniformly and draws its move independently,
+    so each ball sees an i.i.d. sequence of moves (up w.p. a/(a+b), else
+    down) of its own, and its copies meet after M_i of them, independently
+    of the other balls and of the picks. M_i is drawn by inverse CDF from
+    the pair chain's ``_hit_table``: the first n with S_n < v, for
+    v = 1 - U in (0, 1]. Embed the steps in a rate-1 Poisson process.
+    Ball i then moves at rate r/m, r = min(a + b, 1), so its copies meet at
+    T_i ~ Gamma(M_i, m/r), and the coupling ends at T* = max_i T_i. The
+    step at T* is the count of picks in [0, T*]: the sum of the M_i, plus
+    each unmet ball's moves after T_i and stays before T*, plus the picks
+    of each ball whose copies start equal. By the memoryless and thinning
+    properties these are independent Poisson counts, in all
+    Poisson(sum_i (T* - r T_i)/m) over the m balls, with T_i = 0 for a
+    ball whose copies start equal. A trial costs O(m) draws, however long
+    the coupling; StepLimitError is raised exactly when some trial's
+    step exceeds ``step_limit``.
+    """
+    a, b, m = params.a, params.b, params.m
+    v = 1.0 - rng.random((trials, starts.size))
+    pairs, ball_pair = np.unique(starts, return_inverse=True)
+    floor = np.full(pairs.size, np.inf)
+    np.minimum.at(floor, ball_pair, v.min(axis=0))
+    table = _hit_table(params, pairs, floor, step_limit)
+    moves = np.empty(v.shape, dtype=np.int64)
+    for j in range(pairs.size):
+        balls = ball_pair == j
+        moves[:, balls] = np.searchsorted(-table[:, j], -v[:, balls], side="right")
+    late = StepLimitError(f"coupling did not coalesce within {step_limit} steps")
+    if moves.max() > step_limit:  # a trial takes at least as many steps as moves
+        raise late
+    rate = min(a + b, 1.0)
+    meet = rng.gamma(moves, m / rate)
+    # clipped at 0: when r = 1 and every T_i rounds to T*, rounding can leave it below 0
+    mean = np.maximum(meet.max(axis=1) - rate * meet.sum(axis=1) / m, 0.0)
+    taus = moves.sum(axis=1) + rng.poisson(mean)
+    if taus.max() > step_limit:
+        raise late
+    return taus
 
 
 def estimate_mixing(
@@ -556,19 +611,21 @@ def estimate_mixing(
 ) -> MixingEstimate:
     """Coupling-tail mixing estimate from the two extreme starting states.
 
-    Runs ``trials`` independent couplings started at the all-urn-1 versus
-    all-urn-k label vectors and reports the empirical (1 - epsilon)
-    quantile of the coupling time. The coupling inequality makes this an
+    Samples ``trials`` independent coupling times with the law of
+    ``coupled_run``, started at the all-urn-1 versus all-urn-k label
+    vectors, in one batch of trials x m per-ball draws
+    (``_coupling_times``), and reports their empirical
+    (1 - epsilon) quantile. The coupling inequality makes this an
     upper-bound style estimator for the time at which the distance to
     stationarity falls below epsilon; it is not the mixing time itself.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_count("trials", trials, 1)
+    _check_count("step_limit", step_limit, 0)
     rng = ensure_rng(rng)
-    x0, y0 = (_labels(v, params.k, params.m) for v in corner_labels(params))
-    taus = [_coupling_time(params, x0, y0, rng, step_limit) for _ in range(trials)]
+    corner = _pair_moves(params.k)[0][0, params.k - 1]
+    taus = _coupling_times(params, np.full(params.m, corner), trials, rng, step_limit)
     t_hat = int(np.quantile(taus, 1.0 - epsilon, method="higher"))
     return MixingEstimate(t_hat=t_hat, method="coupling-tail", epsilon=epsilon, trials=trials)
 
@@ -576,15 +633,16 @@ def estimate_mixing(
 def mixing_bound(params: EhrenfestParams) -> float:
     """Explicit coupling bound 2 * Phi * log2(4m) on the mixing time.
 
-    Phi is min(k/|a-b|, k^2) * m for a != b and k^2 * m for a = b. The
-    log is base 2: the tail argument halves the miss probability once per
-    2*Phi steps, so log2(4m) rounds drive it below 1/4.
+    Phi is min(k/|a-b|, k^2/(a+b)) * m for a != b and k^2/(a+b) * m for
+    a = b: a ball moves w.p. a + b when picked, so a balanced walk needs
+    k^2/(a+b) picks where ``expected_absorption_closed`` counts k^2 moves.
+    The log is base 2: the tail argument halves the miss probability once
+    per 2*Phi steps, so log2(4m) rounds drive it below 1/4.
     """
     k, a, b, m = params.k, params.a, params.b, params.m
-    if a == b:
-        phi = k * k * m
-    else:
-        phi = min(k / abs(a - b), k * k) * m
+    phi = k * k / (a + b) * m
+    if a != b:
+        phi = min(k / abs(a - b) * m, phi)
     return 2.0 * phi * math.log2(4 * m)
 
 

@@ -221,6 +221,15 @@ def test_mixing_step_limit_exit_code(capsys):
     assert code == 3
 
 
+def test_mixing_rejects_a_negative_step_limit_or_no_trials(capsys):
+    base = ["mixing", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--seed", "5"]
+    # -1 once ended on StepLimitError "within -1 steps", exit 3
+    assert main(base + ["--step-limit", "-1"]) == 2
+    assert "step_limit" in capsys.readouterr().err
+    assert main(base + ["--trials", "0"]) == 2
+    assert "trials" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ payoff / optimality
 
 

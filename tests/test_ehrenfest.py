@@ -1,13 +1,16 @@
 """Tests for the urn walk: kernel, stationary law, absorption, coupling, mixing."""
 
 import hashlib
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from gtftlab.ehrenfest import (
     DEFAULT_STEP_LIMIT,
@@ -17,7 +20,10 @@ from gtftlab.ehrenfest import (
     MultinomialDist,
     ResidualError,
     StepLimitError,
+    _coupling_times,
+    _hit_table,
     _kernel_moves,
+    _pair_moves,
     _rank,
     _rank_table,
     _step,
@@ -395,6 +401,13 @@ def test_geometric_weights_match_exact_oracle(lam, k):
     assert_matches_exact_weights(geometric_weights(lam, k), lam, k)
 
 
+@pytest.mark.parametrize("k", [3.5, 3.0, 0, True, "3"])
+def test_geometric_weights_reject_non_integer_cell_counts(k):
+    # np.arange(3.5) has four entries: 3.5 once gave a 4-vector
+    with pytest.raises(ValueError, match="k"):
+        geometric_weights(2.0, k)
+
+
 def test_geometric_weights_are_plain_powers_when_finite():
     for lam in (0.1, 0.5, 1.0, 1.5, 3.0, 18.0):
         for k in (2, 3, 17, 200):
@@ -715,82 +728,162 @@ def reference_coupled_run(params, x0, y0, rng, step_limit=DEFAULT_STEP_LIMIT):
     raise StepLimitError(f"coupling did not coalesce within {step_limit} steps")
 
 
-def assert_same_coupling(params, x0, y0, seed, step_limit=DEFAULT_STEP_LIMIT):
-    """Same return or same StepLimitError, and the same generator state after; returns tau."""
-    got_rng, want_rng = stream(seed, "oracle"), stream(seed, "oracle")
-    try:
-        want = reference_coupled_run(params, x0, y0, want_rng, step_limit)
-    except StepLimitError:
-        want = None
-    try:
-        got = coupled_run(params, x0, y0, got_rng, step_limit)
-    except StepLimitError:
-        got = None
-    assert got == want
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    return got
+def exact_pick_law(k, a, b, lo, hi, n_max):
+    """Oracle: P(tau <= n), n = 0..n_max, of one ball (m = 1) whose copies start at labels lo, hi.
+
+    Every up/down/stay sequence of length n_max is enumerated in exact
+    rationals of the float weights.
+    """
+    a, b = Fraction(a), Fraction(b)
+    met = [Fraction(0)] * (n_max + 1)
+
+    def walk(lo, hi, t, weight):
+        if lo == hi:
+            met[t] += weight
+        elif t < n_max:
+            walk(lo + 1, min(hi + 1, k), t + 1, weight * a)
+            walk(max(lo - 1, 1), hi - 1, t + 1, weight * b)
+            walk(lo, hi, t + 1, weight * (1 - a - b))
+
+    walk(lo, hi, 0, Fraction(1))
+    return list(itertools.accumulate(met))
 
 
-@st.composite
-def coupling_cases(draw):
-    k, m = draw(st.integers(2, 8)), draw(st.integers(1, 40))
-    a = draw(st.floats(0.05, 0.95))
-    b = draw(st.floats(0.05, 1.0 - a))
-    labels = st.lists(st.integers(1, k), min_size=m, max_size=m)
-    x0 = draw(labels | st.just([1] * m) | st.just([k] * m))
-    y0 = draw(labels | st.just(x0) | st.just([1] * m) | st.just([k] * m))
-    return EhrenfestParams(k=k, a=a, b=b, m=m), x0, y0
+ONE_BALL = [  # (k, a, b, lo, hi): corners and inner starts, a = b, b > a, a + b < 1 and = 1
+    (2, 0.5, 0.5, 1, 2),
+    (5, 0.1, 0.6, 1, 4),
+    (3, 0.6, 0.3, 1, 3),
+    (3, 0.3, 0.3, 1, 2),
+    (4, 0.4, 0.4, 1, 4),
+    (4, 0.2, 0.1, 2, 3),
+    (5, 0.45, 0.45, 2, 5),
+    (6, 0.7, 0.2, 1, 6),
+]
+N_ENUMERATED = 8
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    case=coupling_cases(), seed=st.integers(0, 2**32 - 1),
-    step_limit=st.sampled_from([1, 3, 1 << 14, (1 << 14) + 1, DEFAULT_STEP_LIMIT]),
-)
-@example(case=(EhrenfestParams(k=2, a=0.5, b=0.5, m=1), [1], [2]), seed=0, step_limit=1)
-@example(case=(EhrenfestParams(k=8, a=0.05, b=0.05, m=40), [1] * 40, [8] * 40), seed=1,
-         step_limit=(1 << 14) + 1)
-# starts whose tau lands in each chunk coupled_run resolves, (0, 256] to (4096, 2^14],
-# and past the first block; balls meet in different chunks, e.g. at 50 and 1128
-@example(case=(EhrenfestParams(k=3, a=0.6, b=0.3, m=5), [1, 2, 3, 1, 2], [3, 3, 1, 2, 2]),
-         seed=0, step_limit=DEFAULT_STEP_LIMIT)  # tau 12
-@example(case=(EhrenfestParams(k=4, a=0.7, b=0.2, m=16), [1] * 16, [4] * 16), seed=0,
-         step_limit=DEFAULT_STEP_LIMIT)  # tau 145
-@example(case=(EhrenfestParams(k=4, a=0.7, b=0.2, m=64), [1] * 64, [4] * 64), seed=1,
-         step_limit=DEFAULT_STEP_LIMIT)  # tau 805
-@example(case=(EhrenfestParams(k=4, a=0.7, b=0.2, m=64), [1] * 64, [4] * 64), seed=0,
-         step_limit=DEFAULT_STEP_LIMIT)  # tau 1128, first ball meets at 50
-@example(case=(EhrenfestParams(k=8, a=0.3, b=0.3, m=40), [1] * 40, [8] * 40), seed=0,
-         step_limit=DEFAULT_STEP_LIMIT)  # tau 5712
-@example(case=(EhrenfestParams(k=8, a=0.1, b=0.1, m=40), [1] * 40, [8] * 40), seed=0,
-         step_limit=DEFAULT_STEP_LIMIT)  # tau 17472 = 2^14 + 1088
-def test_coupled_run_equals_the_step_loop(case, seed, step_limit):
-    assert_same_coupling(*case, seed, step_limit)
+@pytest.mark.parametrize("k, a, b, lo, hi", ONE_BALL)
+def test_hit_table_gives_the_enumerated_one_ball_law(k, a, b, lo, hi):
+    # a pick moves the ball w.p. r = a + b, so P(N > n) = sum_j C(n, j) r^j (1-r)^(n-j) S_j
+    want = exact_pick_law(k, a, b, lo, hi, N_ENUMERATED)
+    pair = _pair_moves(k)[0][lo - 1, hi - 1]
+    params = EhrenfestParams(k=k, a=a, b=b, m=1)
+    survival = _hit_table(params, np.array([pair]), np.array([0.0]), N_ENUMERATED)[:, 0]
+    r = a + b
+    for n in range(N_ENUMERATED + 1):
+        got = sum(math.comb(n, j) * r**j * (1 - r) ** (n - j) * survival[j] for j in range(n + 1))
+        assert 1 - got == pytest.approx(float(want[n]), rel=1e-12, abs=1e-15), n
 
 
-def test_coupled_run_equals_the_step_loop_across_blocks():
-    params = EhrenfestParams(k=8, a=0.1, b=0.1, m=64)
-    x0, y0 = corner_labels(params)
-    for seed in range(3):
-        assert assert_same_coupling(params, x0, y0, seed) > 1 << 14
-        assert assert_same_coupling(params, y0, x0, seed) > 1 << 14
+@pytest.mark.parametrize("k, a, b, lo, hi", ONE_BALL)
+def test_one_ball_coupling_time_has_the_enumerated_law(k, a, b, lo, hi):
+    # at m = 1, tau is the ball's own pick count N; 20,000 draws of the shared
+    # sampler against P(tau <= n) for n <= 8, each within 5 binomial sigma
+    want = exact_pick_law(k, a, b, lo, hi, N_ENUMERATED)
+    pair = _pair_moves(k)[0][lo - 1, hi - 1]
+    params = EhrenfestParams(k=k, a=a, b=b, m=1)
+    draws = 20_000
+    taus = _coupling_times(params, np.array([pair]), draws, stream(17, "one", k, lo, hi),
+                           DEFAULT_STEP_LIMIT)
+    for n in range(N_ENUMERATED + 1):
+        p = float(want[n])
+        sigma = math.sqrt(p * (1 - p) / draws)
+        assert abs(np.mean(taus <= n) - p) <= 5 * sigma + 1 / draws, (n, p)
+
+
+# the starts once pinned bitwise against the step loop, and a = b and b > a cases:
+# corners, inner and equal balls, a + b < 1 and a + b = 1, couplings from 1 to
+# about 35,000 steps
+KS_CASES = [
+    ((2, 0.5, 0.5, 1), [1], [2], 200),
+    ((3, 0.6, 0.3, 5), [1, 2, 3, 1, 2], [3, 3, 1, 2, 2], 1000),
+    ((6, 0.2, 0.5, 12), [1, 6, 2, 5, 3, 4, 1, 1, 6, 2, 3, 3],
+     [6, 1, 2, 4, 5, 4, 3, 1, 6, 1, 6, 2], 500),
+    ((4, 0.7, 0.2, 16), None, None, 1000),
+    ((4, 0.7, 0.2, 64), None, None, 500),
+    ((8, 0.3, 0.3, 40), None, None, 300),
+    ((8, 0.1, 0.1, 40), None, None, 300),
+    ((8, 0.05, 0.05, 40), None, None, 200),
+]
+
+
+@pytest.mark.parametrize("chain, x0, y0, trials", KS_CASES,
+                         ids=[",".join(map(str, case[0])) for case in KS_CASES])
+def test_coupled_run_has_the_law_of_the_step_loop(chain, x0, y0, trials):
+    # two-sample KS, step loop against 5x as many sampled couplings; p >= 1e-3
+    params = EhrenfestParams(*chain)
+    if x0 is None:
+        x0, y0 = corner_labels(params)
+    rng = stream(18, "loop", *chain)
+    want = [reference_coupled_run(params, x0, y0, rng) for _ in range(trials)]
+    rng = stream(18, "sampled", *chain)
+    got = [coupled_run(params, x0, y0, rng) for _ in range(5 * trials)]
+    assert ks_2samp(want, got).pvalue >= 1e-3
+
+
+@pytest.mark.parametrize("chain, x0, y0", [
+    ((3, 0.6, 0.3, 5), [1, 2, 3, 1, 2], [3, 3, 1, 2, 2]),
+    ((4, 0.3, 0.3, 8), None, None),
+    ((2, 0.3, 0.3, 1), [1], [2]),
+])
+def test_step_limit_raises_exactly_past_the_unlimited_coupling_time(chain, x0, y0):
+    params = EhrenfestParams(*chain)
+    if x0 is None:
+        x0, y0 = corner_labels(params)
+    for seed in range(5):
+        tau = coupled_run(params, x0, y0, stream(seed, "limit"))
+        for limit in sorted({0, 1, tau - 1, tau, tau + 1, 2 * tau}):
+            try:
+                got = coupled_run(params, x0, y0, stream(seed, "limit"), step_limit=limit)
+            except StepLimitError:
+                assert tau > limit, (seed, tau, limit)
+            else:
+                assert tau <= limit and got == tau, (seed, tau, limit)
+        # a batch of corner couplings raises iff its slowest one is past the limit
+        corner = _pair_moves(params.k)[0][0, params.k - 1]
+        taus = _coupling_times(params, np.full(params.m, corner), 50, stream(seed, "batch"),
+                               DEFAULT_STEP_LIMIT)
+        for limit in (taus.max() - 1, taus.max()):
+            try:
+                estimate_mixing(params, 0.25, 50, stream(seed, "batch"), step_limit=int(limit))
+            except StepLimitError:
+                assert taus.max() > limit
+            else:
+                assert taus.max() <= limit
 
 
 def test_estimate_mixing_criterion_6_values_are_pinned():
-    # t_hat of acceptance criterion 6, recorded from the per-step loop
+    # t_hat of acceptance criterion 6, recorded from the per-ball sampler;
+    # the exact corner law's 0.75-quantiles are 97, 225, 513, 1148 and 71, 225, 488, 875
     seed, trials = 20260810, 500
     for key, size, chain, t_hat in [
-        ("c6m", 8, (4, 0.7, 0.2, 8), 100),
+        ("c6m", 8, (4, 0.7, 0.2, 8), 96),
         ("c6m", 16, (4, 0.7, 0.2, 16), 227),
-        ("c6m", 32, (4, 0.7, 0.2, 32), 506),
-        ("c6m", 64, (4, 0.7, 0.2, 64), 1142),
-        ("c6k", 2, (2, 0.7, 0.2, 16), 69),
-        ("c6k", 4, (4, 0.7, 0.2, 16), 226),
-        ("c6k", 8, (8, 0.7, 0.2, 16), 486),
-        ("c6k", 16, (16, 0.7, 0.2, 16), 885),
+        ("c6m", 32, (4, 0.7, 0.2, 32), 518),
+        ("c6m", 64, (4, 0.7, 0.2, 64), 1175),
+        ("c6k", 2, (2, 0.7, 0.2, 16), 71),
+        ("c6k", 4, (4, 0.7, 0.2, 16), 230),
+        ("c6k", 8, (8, 0.7, 0.2, 16), 484),
+        ("c6k", 16, (16, 0.7, 0.2, 16), 878),
     ]:
         est = estimate_mixing(EhrenfestParams(*chain), 0.25, trials, stream(seed, key, size))
         assert est.t_hat == t_hat, (key, size)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, -1, "3", None])
+def test_coupling_rejects_non_integer_step_limits(bad):
+    params = EhrenfestParams(k=3, a=0.3, b=0.2, m=4)
+    x0, y0 = corner_labels(params)
+    with pytest.raises(ValueError, match="step_limit"):
+        coupled_run(params, x0, y0, stream(19, "bad"), step_limit=bad)
+    with pytest.raises(ValueError, match="step_limit"):
+        estimate_mixing(params, 0.25, 10, stream(19, "bad"), step_limit=bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0, -3, "10", np.float64(10.0)])
+def test_estimate_mixing_rejects_non_integer_trials(bad):
+    with pytest.raises(ValueError, match="trials"):
+        estimate_mixing(EhrenfestParams(k=3, a=0.3, b=0.2, m=4), 0.25, bad, stream(19, "bad"))
 
 
 def test_coupled_run_step_limit():
@@ -852,14 +945,26 @@ def test_estimate_roughly_doubles_with_m():
 
 def test_mixing_bound_formula_and_monotonicity():
     balanced = EhrenfestParams(k=3, a=0.3, b=0.3, m=8)
-    assert mixing_bound(balanced) == pytest.approx(2 * 9 * 8 * math.log2(32))
+    assert mixing_bound(balanced) == pytest.approx(2 * 9 / 0.6 * 8 * math.log2(32))
     biased = EhrenfestParams(k=3, a=0.6, b=0.2, m=8)
-    assert mixing_bound(biased) == pytest.approx(2 * min(3 / 0.4, 9) * 8 * math.log2(32))
+    assert mixing_bound(biased) == pytest.approx(2 * min(3 / 0.4, 9 / 0.8) * 8 * math.log2(32))
+    slow = EhrenfestParams(k=3, a=0.02, b=0.01, m=8)
+    assert mixing_bound(slow) == pytest.approx(2 * min(3 / 0.01, 9 / 0.03) * 8 * math.log2(32))
     for params, bigger in [
         (balanced, EhrenfestParams(k=3, a=0.3, b=0.3, m=16)),
         (balanced, EhrenfestParams(k=4, a=0.3, b=0.3, m=8)),
     ]:
         assert mixing_bound(bigger) > mixing_bound(params)
+
+
+def test_exact_tmix_is_within_the_bound_over_slow_walks():
+    # 400 instances; with k^2 in place of k^2/(a+b), 48 of them broke the
+    # bound, e.g. (2, .01, .01, 2) mixes at 88 against a bound of 48
+    for k, m, a, b in itertools.product((2, 3, 4, 6), (1, 2, 4, 6),
+                                        (0.01, 0.03, 0.1, 0.3, 0.45),
+                                        (0.01, 0.03, 0.1, 0.3, 0.45)):
+        params = EhrenfestParams(k=k, a=a, b=b, m=m)
+        assert tmix_exact(params).t_hat <= mixing_bound(params), params
 
 
 def test_bound_dominates_estimate():

@@ -21,15 +21,17 @@ def test_import_loads_no_scipy_solvers_or_special_functions():
 
 def test_only_the_sparse_kernel_loads_scipy_sparse(tmp_path):
     # the stationary solve, the balance check and `stationary --exact` read the
-    # kernel's moves; only build_kernel's matrix, for the TV scan, needs scipy.sparse
+    # kernel's moves, and the coupling samplers draw with numpy alone; only
+    # build_kernel's matrix, for the TV scan, needs scipy.sparse
     probe = f"""
 import sys
 import gtftlab
 from gtftlab import cli
-from gtftlab.ehrenfest import EhrenfestParams, detailed_balance_residual, solve_stationary_exact
+from gtftlab.ehrenfest import (EhrenfestParams, corner_labels, coupled_run,
+                               detailed_balance_residual, estimate_mixing, solve_stationary_exact)
 
 def loaded(step):
-    print(step, 'scipy.sparse' in sys.modules)
+    print(step, 'scipy.sparse' in sys.modules or 'scipy.stats' in sys.modules)
 
 loaded('import')
 params = EhrenfestParams(k=3, a=0.4, b=0.2, m=4)
@@ -41,11 +43,20 @@ argv = ['stationary', '--k', '3', '--a', '0.4', '--b', '0.2', '--m', '4', '--exa
         '--out', {str(tmp_path / "stationary.json")!r}]
 assert cli.main(argv) == cli.EXIT_OK
 loaded('cli')
+coupled_run(params, *corner_labels(params), 1)
+loaded('coupled')
+estimate_mixing(params, 0.25, 20, 1)
+loaded('estimate')
+argv = ['mixing', '--k', '3', '--a', '0.4', '--b', '0.2', '--m', '4', '--trials', '20',
+        '--seed', '1', '--sweep', 'm=4,8', '--out', {str(tmp_path / "mixing.json")!r}]
+assert cli.main(argv) == cli.EXIT_OK
+loaded('mixing')
 """
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout.split() == ["import", "False", "solve", "False", "balance", "False",
-                                   "cli", "False"]
+                                   "cli", "False", "coupled", "False", "estimate", "False",
+                                   "mixing", "False"]
 
 
 PUBLIC_NAMES = [

@@ -127,6 +127,13 @@ def test_avg_generosity_matches_exact_oracle(beta, k):
     assert avg_stationary_generosity(k, beta, 1.0) == pytest.approx(exact, rel=0, abs=1e-13)
 
 
+@pytest.mark.parametrize("k", [3.5, 4.0, True])
+def test_stationary_weights_reject_non_integer_cell_counts(k):
+    # 3.5 once gave a 4-cell law
+    with pytest.raises(ValueError, match="k"):
+        stationary_weights(0.3, k, 4)
+
+
 def test_avg_generosity_monotone_in_k_toward_ghat():
     values = [avg_stationary_generosity(k, 0.25, 1.0) for k in range(2, 65)]
     assert all(lo < hi for lo, hi in zip(values, values[1:]))
