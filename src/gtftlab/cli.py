@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_LIMIT = 3
 
+# most series terms `payoff` sums, about 5 s at 5.5 us per term
+SERIES_TERM_CAP = 10**6
+
 
 def _manifest(args, outputs: list[str], t0: float) -> dict:
     return {
@@ -232,9 +235,14 @@ def cmd_payoff(args) -> dict:
     result = {
         "me": str(me), "opp": str(opp),
         "closed_form": games.expected_payoff_closed(me, opp, cfg, rv),
-        "series": games.expected_payoff_series(me, opp, cfg, rv, tol=args.tol),
+        "series": None,
         "series_tol": args.tol,
     }
+    n_terms = games.series_truncation_index(cfg.delta, rv.max_abs, args.tol)
+    if n_terms > SERIES_TERM_CAP:
+        result["note"] = f"series skipped: {n_terms} terms exceed the cap of {SERIES_TERM_CAP}"
+    else:
+        result["series"] = games.expected_payoff_series(me, opp, cfg, rv, tol=args.tol)
     if args.mc_games:
         pay_me, pay_opp, rounds = games.simulate_games(
             me, opp, cfg, rv, args.mc_games, stream(args.seed, "payoff-mc")

@@ -14,8 +14,9 @@ first round and the simulation all read these three numbers.
 The module provides three independent routes to the expected total
 payoff of the row player:
 
-* closed forms (exact formulas for a GTFT row player),
-* a truncated Neumann series over the per-round state chain,
+* a solve of the round chain for its discounted visits, by state
+  reduction, for every pairing,
+* a truncated Neumann series over the same chain,
 * Monte Carlo simulation of whole games.
 
 Tests hold the three to agreement wherever they overlap.
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -136,44 +139,48 @@ def gtft(g: float) -> Strategy:
     return Strategy("gtft", g)
 
 
-def _coop(strategy: Strategy, s1: float) -> tuple[float, float, float]:
+def _coop(player, s1: float) -> tuple:
     """Cooperation probabilities in round one, after the opponent cooperated, after it defected.
 
-    ``s1`` is a GTFT player's round-one probability (``GameConfig.s1``).
+    ``player`` is a Strategy, or the generosity g of a GTFT player as a
+    float or an array. ``s1`` is a GTFT player's round-one probability
+    (``GameConfig.s1``).
     """
-    if strategy.kind == "allc":
-        return 1.0, 1.0, 1.0
-    if strategy.kind == "alld":
-        return 0.0, 0.0, 0.0
-    g = strategy.g
-    return s1, g + (1.0 - g), g
+    if isinstance(player, Strategy):
+        if player.kind == "allc":
+            return 1.0, 1.0, 1.0
+        if player.kind == "alld":
+            return 0.0, 0.0, 0.0
+        player = player.g
+    elif not np.all((0.0 <= player) & (player <= 1.0)):
+        raise ValueError(f"generosity must be in [0, 1], got {player}")
+    return s1, player + (1.0 - player), player
 
 
-def _joint(p_me, p_opp) -> np.ndarray:
-    """Probabilities of CC, CD, DC, DD for independent draws, along the last axis."""
-    return np.stack(
-        (p_me * p_opp, p_me * (1 - p_opp), (1 - p_me) * p_opp, (1 - p_me) * (1 - p_opp)),
-        axis=-1,
-    )
+def _joint(p_me, p_opp) -> tuple:
+    """Probabilities of CC, CD, DC, DD for independent draws; floats or broadcast arrays."""
+    return p_me * p_opp, p_me * (1 - p_opp), (1 - p_me) * p_opp, (1 - p_me) * (1 - p_opp)
 
 
-def _answers(me: Strategy, opp: Strategy) -> tuple[np.ndarray, np.ndarray]:
-    """Each side's cooperation probability after a round in state CC, CD, DC, DD."""
-    # after round one, so s1 plays no part
-    _, me_c, me_d = _coop(me, 0.0)
-    _, opp_c, opp_d = _coop(opp, 0.0)
-    # each side answers the other's previous action
-    return np.array([me_c, me_d, me_c, me_d]), np.array([opp_c, opp_c, opp_d, opp_d])
+def _answers(me: tuple, opp: tuple) -> tuple[tuple, tuple]:
+    """Each side's cooperation probability after a round in state CC, CD, DC, DD.
+
+    ``me`` and ``opp`` are `_coop` triples. Each side answers the other's
+    previous action, so the round-one entry plays no part.
+    """
+    _, me_c, me_d = me
+    _, opp_c, opp_d = opp
+    return (me_c, me_d, me_c, me_d), (opp_c, opp_c, opp_d, opp_d)
 
 
 def transition_matrix(me: Strategy, opp: Strategy) -> np.ndarray:
     """4x4 row-stochastic matrix over CC, CD, DC, DD, conditioned on another round."""
-    return _joint(*_answers(me, opp))
+    return np.array([_joint(a, b) for a, b in zip(*_answers(_coop(me, 0.0), _coop(opp, 0.0)))])
 
 
 def initial_distribution(me: Strategy, opp: Strategy, cfg: GameConfig) -> np.ndarray:
     """Round-one distribution over CC, CD, DC, DD."""
-    return _joint(_coop(me, cfg.s1)[0], _coop(opp, cfg.s1)[0])
+    return np.array(_joint(_coop(me, cfg.s1)[0], _coop(opp, cfg.s1)[0]))
 
 
 def series_truncation_index(delta: float, max_abs_payoff: float, tol: float) -> int:
@@ -207,62 +214,49 @@ def expected_payoff_series(
     return total
 
 
-def payoff_gtft_vs_allc(g, cfg: GameConfig, rv: RewardVector):
-    """Closed form for GTFT(g) against an always-cooperator. Independent of g."""
-    f = (1 - cfg.s1) * (rv.T - rv.R) + rv.R / (1 - cfg.delta)
-    if np.ndim(g):
-        return np.full(np.shape(g), f)
-    return float(f)
+def _discounted_visits(q, rows, delta) -> list:
+    """Discounted visits q (I - delta M)^-1 to CC, CD, DC, DD, by state reduction.
 
-
-def payoff_gtft_vs_alld(g, cfg: GameConfig, rv: RewardVector):
-    """Closed form for GTFT(g) against an always-defector."""
-    g = np.asarray(g, dtype=float)
-    out = (
-        cfg.s1 * rv.S
-        + (1 - cfg.s1) * rv.P
-        + (g * (rv.S - rv.P) + rv.P) * cfg.delta / (1 - cfg.delta)
-    )
-    return out if out.ndim else float(out)
-
-
-def payoff_gtft_vs_gtft(g, g_other, cfg: GameConfig, rv: RewardVector):
-    """Closed form for GTFT(g) against GTFT(g_other); broadcasts over arrays."""
-    g = np.asarray(g, dtype=float)
-    gp = np.asarray(g_other, dtype=float)
-    d, s1 = cfg.delta, cfg.s1
-    w = (1 - g) * (1 - gp)
-    denom2 = 1 - d * d * w
-    out = (
-        s1 * (rv.T + s1 * (rv.R - rv.T))
-        + (1 - s1) * (rv.P + s1 * (rv.S - rv.P))
-        - (1 - s1) * (rv.R - rv.T) * (d * d * w + d * (1 - g)) / denom2
-        - (1 - s1) * (rv.R - rv.S) * (d * d * w + d * (1 - gp)) / denom2
-        + (1 - s1) ** 2
-        * (rv.R - rv.S - rv.T + rv.P)
-        * (d * w * (1 + d * w))
-        / (1 - d * d * w * w)
-        + rv.R * d / (1 - d)
-    )
-    return out if out.ndim else float(out)
-
-
-def expected_payoff_closed(
-    me: Strategy, opp: Strategy, cfg: GameConfig, rv: RewardVector
-) -> float:
-    """Expected row payoff via closed form.
-
-    Closed forms exist for a GTFT row player against each opponent kind.
-    For an AllC or AllD row player the chain is evaluated through the
-    series route at tolerance 1e-12 instead of a bespoke formula.
+    ``q`` and the rows of M are floats or broadcast arrays. A state 0 goes
+    in front: each round moves to it with probability 1 - delta, and it
+    moves on by q. The visits are the stationary weights of that chain
+    over the weight of state 0, which the reduction of Grassmann, Taksar
+    & Heyman (Oper. Res. 33, 1985) finds by removing DD, DC, CD, CC in
+    turn. A state's escape, one minus its self-loop, is the sum of its
+    moves to the states left, so nothing is subtracted, and every visit
+    keeps its relative precision at any delta < 1 (O'Cinneide, Numer.
+    Math. 65, 1993).
     """
-    if me.is_gtft:
-        if opp.kind == "allc":
-            return payoff_gtft_vs_allc(me.g, cfg, rv)
-        if opp.kind == "alld":
-            return payoff_gtft_vs_alld(me.g, cfg, rv)
-        return payoff_gtft_vs_gtft(me.g, opp.g, cfg, rv)
-    return expected_payoff_series(me, opp, cfg, rv, tol=1e-12)
+    move = [[None, *q]] + [[1.0 - delta, *(delta * p for p in row)] for row in rows]
+    escape = [None] * len(move)
+    for k in reversed(range(1, len(move))):
+        escape[k] = reduce(add, move[k][:k])
+        for i in range(k):
+            share = move[i][k] / escape[k]
+            for j in range(k):
+                if j != i:
+                    move[i][j] = move[i][j] + share * move[k][j]
+    visits = [1.0]
+    for k in range(1, len(move)):
+        visits.append(reduce(add, [visits[i] * move[i][k] for i in range(k)]) / escape[k])
+    return visits[1:]
+
+
+def expected_payoff_closed(me, opp, cfg: GameConfig, rv: RewardVector):
+    """Expected row payoff R O_CC + S O_CD + T O_DC + P O_DD from the discounted visits O.
+
+    ``me`` and ``opp`` are strategies, or GTFT generosities that may be
+    arrays; the result broadcasts over them and is a float for scalars.
+    Sums use ``reduce(add, ...)``: from Python 3.12 the builtin ``sum``
+    compensates on floats but not on arrays, so a float and an array
+    input would round apart.
+    """
+    me_rule, opp_rule = _coop(me, cfg.s1), _coop(opp, cfg.s1)
+    q = _joint(me_rule[0], opp_rule[0])
+    rows = [_joint(a, b) for a, b in zip(*_answers(me_rule, opp_rule))]
+    visits = _discounted_visits(q, rows, cfg.delta)
+    out = reduce(add, [v * o for v, o in zip((rv.R, rv.S, rv.T, rv.P), visits)])
+    return out if np.ndim(out) else float(out)
 
 
 def simulate_games(
@@ -302,8 +296,9 @@ def simulate_games(
     key.sort()
     pay_me = np.zeros(n_games)
     pay_opp = np.zeros(n_games)
-    p_me, p_opp = _coop(me, cfg.s1)[0], _coop(opp, cfg.s1)[0]
-    me_next, opp_next = _answers(me, opp)
+    me_rule, opp_rule = _coop(me, cfg.s1), _coop(opp, cfg.s1)
+    p_me, p_opp = me_rule[0], opp_rule[0]
+    me_next, opp_next = map(np.array, _answers(me_rule, opp_rule))
     live, r = n_games, 1
     while live:
         state = 2 * (rng.random(live) >= p_me)

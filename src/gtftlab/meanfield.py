@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import games
 from .ehrenfest import MultinomialDist, geometric_weights, state_array
-from .games import GameConfig, RewardVector
+from .games import ALLC, ALLD, GameConfig, RewardVector, expected_payoff_closed
 from .population import generosity_grid
 
 
@@ -58,9 +57,9 @@ def mean_field_payoff(g, alpha: float, beta: float, cfg: GameConfig, rv: RewardV
         raise ValueError(f"invalid population fractions alpha={alpha}, beta={beta}")
     gtft_frac = max(1.0 - alpha - beta, 0.0)
     total = (
-        alpha * games.payoff_gtft_vs_allc(g, cfg, rv)
-        + beta * games.payoff_gtft_vs_alld(g, cfg, rv)
-        + gtft_frac * games.payoff_gtft_vs_gtft(g, g, cfg, rv)
+        alpha * expected_payoff_closed(g, ALLC, cfg, rv)
+        + beta * expected_payoff_closed(g, ALLD, cfg, rv)
+        + gtft_frac * expected_payoff_closed(g, g, cfg, rv)
     )
     return total if np.ndim(total) else float(total)
 
@@ -123,8 +122,8 @@ def optimal_generosity(
 
 def gap_bound(k: int, beta: float) -> float:
     """Bound beta / ((1 - 2 beta)(k - 1)) on |g* - avg stationary generosity| at low phi."""
-    if k < 2:
-        raise ValueError("need k >= 2")
+    if not (isinstance(k, (int, np.integer)) and k >= 2):
+        raise ValueError(f"need an integer k >= 2, got {k!r}")
     if not 0.0 < beta < 0.5:
         raise ValueError(f"bound requires beta in (0, 1/2), got {beta}")
     return beta / ((1.0 - 2.0 * beta) * (k - 1))
@@ -188,8 +187,8 @@ def check_local_optimality(
     when the reward vector and config satisfy the preconditions; else
     reports them and skips. Needs at least two grid points.
     """
-    if grid_size < 2:
-        raise ValueError(f"need grid_size >= 2, got {grid_size}")
+    if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 2):
+        raise ValueError(f"need an integer grid_size >= 2, got {grid_size!r}")
     failures = []
     if rv.R + rv.P > rv.T + rv.S + 1e-12:
         failures.append(f"requires R + P <= T + S, got {rv.R + rv.P} > {rv.T + rv.S}")
@@ -251,9 +250,9 @@ class PayoffComparison:
 
 
 def _payoff_tables(grid: np.ndarray, cfg: GameConfig, rv: RewardVector):
-    f_allc = games.payoff_gtft_vs_allc(grid, cfg, rv)
-    f_alld = games.payoff_gtft_vs_alld(grid, cfg, rv)
-    f_gg = games.payoff_gtft_vs_gtft(grid[:, None], grid[None, :], cfg, rv)
+    f_allc = expected_payoff_closed(grid, ALLC, cfg, rv)
+    f_alld = expected_payoff_closed(grid, ALLD, cfg, rv)
+    f_gg = expected_payoff_closed(grid[:, None], grid[None, :], cfg, rv)
     return f_allc, f_alld, f_gg
 
 

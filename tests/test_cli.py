@@ -2,14 +2,23 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gtftlab import ehrenfest
+from gtftlab import ehrenfest, games, meanfield
 from gtftlab.cli import main
+
+from test_games import (
+    DONATION,
+    assert_near_reference,
+    mp_payoff,
+    reference_gtft_payoff,
+    reference_payoff_closed,
+)
 
 SIM_FLAGS = [
     "simulate", "--n", "40", "--alpha", "0.25", "--beta", "0.25", "--k", "3",
@@ -240,8 +249,22 @@ def test_payoff_command_closed_series_mc(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["closed_form"] == pytest.approx(-4.6)
     assert payload["series"] == pytest.approx(-4.6, abs=1e-9)
+    assert "note" not in payload  # 251 terms
     mc = payload["monte_carlo"]
     assert abs(mc["mean"] - (-4.6)) < 4 * mc["std_error"]
+
+
+@pytest.mark.parametrize("me,row", [("gtft:0.2", games.gtft(0.2)), ("allc", games.ALLC)])
+def test_payoff_skips_a_series_past_its_term_cap(capsys, me, row):
+    # the series would need 4.7e11 terms here; it once ran past 300 s
+    delta = 0.9999999999
+    assert main(["payoff", "--me", me, "--opp", "gtft:0.1", "--b", "3", "--c", "2",
+                 "--delta", str(delta)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["series"] is None
+    assert payload["note"] == "series skipped: 471503101623 terms exceed the cap of 1000000"
+    exact = mp_payoff(row, games.gtft(0.1), games.GameConfig(delta), DONATION)
+    assert abs(payload["closed_form"] - float(exact)) <= 1e-15 * 3 / (1 - delta)
 
 
 def test_payoff_mc_games_needs_two_for_a_standard_error(capsys):
@@ -316,19 +339,21 @@ def test_compare_emits_fig_shaped_table(tmp_path):
 
 
 # sha256 of the README's payoff report (json.dumps, sorted keys, without the
-# manifest, which holds the time) and of its compare CSV, recorded before the
-# payoff layer read each strategy's round rule from one table; the payoff
-# digest leaves out the Monte Carlo block, pinned on its own below
+# manifest, which holds the time) and of its compare CSV: first from the
+# round-chain solve, then from the reference forms, as recorded before that
+# solve; the payoff digest leaves out the Monte Carlo block, pinned on its own below
 README_REPORTS = {
     "payoff": (
         ["payoff", "--me", "gtft:0.2", "--opp", "alld", "--b", "3", "--c", "2",
          "--delta", "0.9", "--mc-games", "1000000", "--seed", "1"],
+        "1a2ca81987de5b6137817e87fce62db70ad1948987d94c6e697b58d063b7c7f6",
         "82f6b833ceaee6a6dc1202fbacaf3b320525e722d00e776b700237927c2e1153",
     ),
     "compare": (
         ["compare", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25", "--k", "6",
          "--m", "20", "--populations", "0.4,0.1;0.3,0.2;0.25,0.25;0.2,0.3;0.1,0.4",
          "--out", "compare.csv"],
+        "b9362cfe039b991e15da86212b1b8c838ae6672149b591db29e96ee8f87c25de",
         "222de05c5124ac32170b788230754cae91c3adb0d3e8c47c4b51aed71bdc5e57",
     ),
 }
@@ -345,20 +370,43 @@ README_PAYOFF_MC = {
 }
 
 
-@pytest.mark.parametrize("argv,sha", README_REPORTS.values(), ids=README_REPORTS.keys())
-def test_readme_payoff_reports_are_pinned(tmp_path, monkeypatch, capsys, argv, sha):
-    monkeypatch.chdir(tmp_path)
+def readme_report(argv, tmp_path, capsys) -> bytes:
+    """What the README digests cover: the compare CSV, or the payoff report's JSON."""
     assert main(argv) == 0
     if argv[0] == "compare":
-        body = (tmp_path / "compare.csv").read_bytes()
-    else:
-        payload = json.loads(capsys.readouterr().out)
-        del payload["manifest"]
-        mc = payload.pop("monte_carlo")
-        assert mc == README_PAYOFF_MC
-        assert abs(mc["mean"] - payload["closed_form"]) <= 3 * mc["std_error"]
-        body = json.dumps(payload, sort_keys=True).encode()
-    assert hashlib.sha256(body).hexdigest() == sha
+        return (tmp_path / "compare.csv").read_bytes()
+    payload = json.loads(capsys.readouterr().out)
+    del payload["manifest"]
+    mc = payload.pop("monte_carlo")
+    assert mc == README_PAYOFF_MC
+    assert abs(mc["mean"] - payload["closed_form"]) <= 3 * mc["std_error"]
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("name", README_REPORTS)
+def test_readme_payoff_reports_are_pinned(tmp_path, monkeypatch, capsys, name):
+    argv, sha, _ = README_REPORTS[name]
+    monkeypatch.chdir(tmp_path)
+    assert hashlib.sha256(readme_report(argv, tmp_path, capsys)).hexdigest() == sha
+
+
+@pytest.mark.parametrize("name", README_REPORTS)
+def test_readme_payoff_reports_match_the_reference_forms(tmp_path, monkeypatch, capsys, name):
+    argv, _, reference_sha = README_REPORTS[name]
+    monkeypatch.chdir(tmp_path)
+    body = readme_report(argv, tmp_path, capsys)
+    monkeypatch.setattr(games, "expected_payoff_closed", reference_payoff_closed)
+    monkeypatch.setattr(meanfield, "expected_payoff_closed", reference_gtft_payoff)
+    reference = readme_report(argv, tmp_path, capsys)
+    assert hashlib.sha256(reference).hexdigest() == reference_sha
+    tokens = [re.split(r"[,:\s]+", text.decode()) for text in (body, reference)]
+    for token, ref_token in zip(*tokens, strict=True):
+        try:
+            value, ref_value = float(token), float(ref_token)
+        except ValueError:
+            assert token == ref_token
+        else:
+            assert_near_reference(value, ref_value)
 
 
 # ------------------------------------------------------------------ config file

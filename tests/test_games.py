@@ -5,8 +5,11 @@ import itertools
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtftlab import games
 from gtftlab.games import (
@@ -75,6 +78,111 @@ def paper_resolvent(g: float, gp: float, delta: float) -> np.ndarray:
             ],
         ]
     )
+
+
+# ------------------------------------------------------------------ reference payoffs
+# The closed forms and the series-backed dispatch that computed payoffs before
+# the round-chain solve by state reduction. Their terms cancel as delta -> 1.
+
+
+def reference_payoff_gtft_vs_allc(g, cfg: GameConfig, rv: RewardVector):
+    """Closed form for GTFT(g) against an always-cooperator. Independent of g."""
+    f = (1 - cfg.s1) * (rv.T - rv.R) + rv.R / (1 - cfg.delta)
+    if np.ndim(g):
+        return np.full(np.shape(g), f)
+    return float(f)
+
+
+def reference_payoff_gtft_vs_alld(g, cfg: GameConfig, rv: RewardVector):
+    """Closed form for GTFT(g) against an always-defector."""
+    g = np.asarray(g, dtype=float)
+    out = (
+        cfg.s1 * rv.S
+        + (1 - cfg.s1) * rv.P
+        + (g * (rv.S - rv.P) + rv.P) * cfg.delta / (1 - cfg.delta)
+    )
+    return out if out.ndim else float(out)
+
+
+def reference_payoff_gtft_vs_gtft(g, g_other, cfg: GameConfig, rv: RewardVector):
+    """Closed form for GTFT(g) against GTFT(g_other); broadcasts over arrays."""
+    g = np.asarray(g, dtype=float)
+    gp = np.asarray(g_other, dtype=float)
+    d, s1 = cfg.delta, cfg.s1
+    w = (1 - g) * (1 - gp)
+    denom2 = 1 - d * d * w
+    out = (
+        s1 * (rv.T + s1 * (rv.R - rv.T))
+        + (1 - s1) * (rv.P + s1 * (rv.S - rv.P))
+        - (1 - s1) * (rv.R - rv.T) * (d * d * w + d * (1 - g)) / denom2
+        - (1 - s1) * (rv.R - rv.S) * (d * d * w + d * (1 - gp)) / denom2
+        + (1 - s1) ** 2
+        * (rv.R - rv.S - rv.T + rv.P)
+        * (d * w * (1 + d * w))
+        / (1 - d * d * w * w)
+        + rv.R * d / (1 - d)
+    )
+    return out if out.ndim else float(out)
+
+
+def reference_payoff_closed(me, opp, cfg: GameConfig, rv: RewardVector) -> float:
+    """Expected row payoff via closed form.
+
+    Closed forms exist for a GTFT row player against each opponent kind.
+    For an AllC or AllD row player the chain is evaluated through the
+    series route at tolerance 1e-12 instead of a bespoke formula.
+    """
+    if me.is_gtft:
+        if opp.kind == "allc":
+            return reference_payoff_gtft_vs_allc(me.g, cfg, rv)
+        if opp.kind == "alld":
+            return reference_payoff_gtft_vs_alld(me.g, cfg, rv)
+        return reference_payoff_gtft_vs_gtft(me.g, opp.g, cfg, rv)
+    return expected_payoff_series(me, opp, cfg, rv, tol=1e-12)
+
+
+def reference_gtft_payoff(g, opp, cfg: GameConfig, rv: RewardVector):
+    """``expected_payoff_closed`` for a GTFT row of generosity g, by the reference forms."""
+    if opp is ALLC:
+        return reference_payoff_gtft_vs_allc(g, cfg, rv)
+    if opp is ALLD:
+        return reference_payoff_gtft_vs_alld(g, cfg, rv)
+    return reference_payoff_gtft_vs_gtft(g, opp, cfg, rv)
+
+
+# Each payoff re-recorded on the round-chain solve is held to its reference
+# form within this share of max(1, |value|), at delta <= 0.99.
+REFERENCE_REL_TOL = 1e-14
+
+
+def assert_near_reference(value, reference) -> None:
+    value, reference = np.asarray(value, dtype=float), np.asarray(reference, dtype=float)
+    bound = REFERENCE_REL_TOL * np.maximum(1.0, np.abs(reference))
+    assert np.all(np.abs(value - reference) <= bound), (value, reference)
+
+
+def mp_payoff(me, opp, cfg: GameConfig, rv: RewardVector):
+    """Oracle: q1 (I - delta M)^-1 v by a 50-digit solve.
+
+    q1 and M are built from the exact strategy numbers: 1 - g is taken
+    at 50 digits, and M's rows sum to exactly one.
+    """
+    def rule(s):
+        if s.kind == "allc":
+            return 1, 1, 1
+        if s.kind == "alld":
+            return 0, 0, 0
+        return mpmath.mpf(cfg.s1), 1, mpmath.mpf(s.g)
+
+    def joint(a, b):
+        return [a * b, a * (1 - b), (1 - a) * b, (1 - a) * (1 - b)]
+
+    with mpmath.workdps(50):
+        (me1, me_c, me_d), (opp1, opp_c, opp_d) = rule(me), rule(opp)
+        rows = [joint(a, b) for a, b in zip((me_c, me_d, me_c, me_d), (opp_c, opp_c, opp_d, opp_d))]
+        a = mpmath.eye(4) - mpmath.mpf(cfg.delta) * mpmath.matrix(rows)
+        visits = mpmath.lu_solve(a.T, mpmath.matrix(joint(me1, opp1)))
+        return mpmath.fsum(mpmath.mpf(v) * o for v, o in zip(rv.as_array(), visits))
 
 
 # ------------------------------------------------------------------ types
@@ -247,6 +355,7 @@ def test_closed_matches_series_on_large_grid():
 
 
 def test_non_gtft_row_player_payoffs_are_series_backed():
+    # the round-chain solve stands in for the series these rows once ran
     cfg = GameConfig(delta=0.8, s1=0.5)
     for me in (ALLC, ALLD):
         for opp in ALL_STRATS:
@@ -260,6 +369,71 @@ def test_series_rejects_bad_tol():
     for tol in (0.0, -1e-9, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
             expected_payoff_series(ALLC, ALLC, cfg, DONATION, tol=tol)
+
+
+# uniform on [0, 1 - 1e-12], or 1 - 10^-e for e uniform on [0, 12]
+DELTA = st.one_of(st.floats(0.0, 1.0 - 1e-12), st.floats(0.0, 12.0).map(lambda e: 1.0 - 10.0**-e))
+STRATEGY = st.one_of(st.sampled_from([ALLC, ALLD]), st.floats(0.0, 1.0).map(gtft))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    me=STRATEGY,
+    opp=STRATEGY,
+    delta=DELTA,
+    s1=st.floats(0.0, 1.0, exclude_max=True),
+    rv=st.sampled_from([DONATION, GENERAL]),
+)
+@example(me=gtft(0.0), opp=gtft(0.0), delta=1 - 1e-10, s1=0.0, rv=DONATION)
+@example(me=gtft(1e-9), opp=gtft(1e-9), delta=1 - 1e-10, s1=0.5, rv=DONATION)
+@example(me=ALLC, opp=gtft(0.1), delta=1 - 1e-12, s1=0.5, rv=GENERAL)
+@example(me=gtft(0.2), opp=gtft(0.1), delta=1 - 1e-12, s1=0.9, rv=GENERAL)
+def test_payoff_matches_a_50_digit_solve_over_the_whole_domain(me, opp, delta, s1, rv):
+    cfg = GameConfig(delta=delta, s1=s1)
+    got = expected_payoff_closed(me, opp, cfg, rv)
+    with mpmath.workdps(50):
+        err = abs(mpmath.mpf(got) - mp_payoff(me, opp, cfg, rv)) * (1 - mpmath.mpf(delta))
+        assert err <= 1e-15 * rv.max_abs, (float(err / rv.max_abs), got)
+
+
+@pytest.mark.parametrize("one_minus_delta", [1.0, 0.1, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_tft_against_tft_from_defection_earns_exactly_zero(one_minus_delta):
+    # both defect in round one and forever after; the old closed form gave 0.50 at 1e-10
+    cfg = GameConfig(delta=1.0 - one_minus_delta, s1=0.0)
+    assert expected_payoff_closed(gtft(0.0), gtft(0.0), cfg, DONATION) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    grid=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40),
+    delta=DELTA,
+    s1=st.floats(0.0, 1.0, exclude_max=True),
+    rv=st.sampled_from([DONATION, GENERAL]),
+)
+def test_payoff_against_allc_is_bitwise_constant_in_generosity(grid, delta, s1, rv):
+    # q1 and M do not depend on g against AllC, which check_local_optimality reads with !=
+    cfg = GameConfig(delta=delta, s1=s1)
+    values = expected_payoff_closed(np.array(grid), ALLC, cfg, rv)
+    scalars = [expected_payoff_closed(gtft(g), ALLC, cfg, rv) for g in grid]
+    assert values.tolist() == scalars == [scalars[0]] * len(grid)
+
+
+def test_payoff_rejects_a_generosity_outside_the_unit_interval():
+    cfg = GameConfig(delta=0.9)
+    for g in (1.5, -0.5, np.nan, np.array([0.2, 1.5])):
+        with pytest.raises(ValueError, match="generosity"):
+            expected_payoff_closed(g, ALLC, cfg, DONATION)
+        with pytest.raises(ValueError, match="generosity"):
+            expected_payoff_closed(ALLD, g, cfg, DONATION)
+
+
+def test_payoff_broadcasts_like_the_scalar_calls():
+    cfg = GameConfig(delta=0.99, s1=0.3)
+    g = np.linspace(0.0, 1.0, 7)
+    table = expected_payoff_closed(g[:, None], g[None, :], cfg, GENERAL)
+    assert table.shape == (7, 7)
+    assert table.tolist() == [[expected_payoff_closed(gtft(a), gtft(b), cfg, GENERAL)
+                               for b in g] for a in g]
 
 
 # ------------------------------------------------------------------ resolvent
@@ -506,7 +680,8 @@ PIN_CONFIGS = [
 
 
 def test_round_chain_outputs_are_pinned():
-    # recorded before the strategies' round rules were merged into one table
+    # recorded before the strategies' round rules were merged into one table,
+    # when the reference forms computed the closed parts
     parts = []
     for me, opp in itertools.product(ALL_STRATS + [gtft(0.1), gtft(0.65)], repeat=2):
         m = transition_matrix(me, opp)
@@ -516,8 +691,19 @@ def test_round_chain_outputs_are_pinned():
             parts.append(initial_distribution(me, opp, cfg))
             for rv in (DONATION, GENERAL):
                 parts.append(expected_payoff_series(me, opp, cfg, rv))
-                parts.append(expected_payoff_closed(me, opp, cfg, rv))
+                parts.append(reference_payoff_closed(me, opp, cfg, rv))
     assert digest(parts) == "4315dc93da7278c554d236a1a1f3b2206232742f7c26699bbe6cca47bf97670e"
+
+
+def test_round_chain_payoffs_are_pinned():
+    # recorded when every pairing's payoff came from the state-reduction solve
+    parts = [
+        expected_payoff_closed(me, opp, cfg, rv)
+        for me, opp in itertools.product(ALL_STRATS + [gtft(0.1), gtft(0.65)], repeat=2)
+        for cfg in PIN_CONFIGS
+        for rv in (DONATION, GENERAL)
+    ]
+    assert digest(parts) == "41d11b1568f452326d48109c947d6ff6ae5e3f020909cb5ae01655eeca500c1b"
 
 
 def simulation_digest(simulate) -> str:

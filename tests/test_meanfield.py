@@ -28,7 +28,14 @@ from gtftlab.population import generosity_grid
 from gtftlab.rng import stream
 
 from test_ehrenfest import BETAS, exact_geometric_weights
-from test_games import GENERAL
+from test_games import (
+    GENERAL,
+    assert_near_reference,
+    reference_gtft_payoff,
+    reference_payoff_gtft_vs_allc,
+    reference_payoff_gtft_vs_alld,
+    reference_payoff_gtft_vs_gtft,
+)
 
 DONATION = RewardVector.donation(3, 2)
 CFG = GameConfig(delta=0.9, s1=0.5, g_hat=0.25)
@@ -65,9 +72,9 @@ def granular_mc_oracle(alpha, beta, n, k, cfg, rv, draws, rng):
     dist = stationary_weights(beta, k, m)
     p = np.asarray(dist.p)
     grid = np.asarray(generosity_grid(k, cfg.g_hat))
-    f_allc = games.payoff_gtft_vs_allc(grid, cfg, rv)
-    f_alld = games.payoff_gtft_vs_alld(grid, cfg, rv)
-    f_gg = games.payoff_gtft_vs_gtft(grid[:, None], grid[None, :], cfg, rv)
+    f_allc = reference_payoff_gtft_vs_allc(grid, cfg, rv)
+    f_alld = reference_payoff_gtft_vs_alld(grid, cfg, rv)
+    f_gg = reference_payoff_gtft_vs_gtft(grid[:, None], grid[None, :], cfg, rv)
 
     z = rng.multinomial(m, p, size=draws)
     cum_focal = np.cumsum(z, axis=1) / m
@@ -147,7 +154,7 @@ def test_mean_field_degenerate_all_cooperators():
     cfg = GameConfig(delta=0.9, s1=0.5, g_hat=1.0)
     for g in (0.0, 0.3, 1.0):
         assert mean_field_payoff(g, 1.0, 0.0, cfg, DONATION) == pytest.approx(
-            games.payoff_gtft_vs_allc(g, cfg, DONATION)
+            reference_payoff_gtft_vs_allc(g, cfg, DONATION)
         )
 
 
@@ -190,9 +197,8 @@ def test_mean_field_rejects_nan_fractions():
             mean_field_payoff(0.1, alpha, beta, CFG, DONATION)
 
 
-def test_mean_field_and_granular_payoffs_are_pinned():
-    # sha256 of repr() of every value, recorded when mean_field_payoff took
-    # one g at a time and skipped its zero-weighted terms
+def pinned_payoffs() -> list:
+    """Mean-field values and granular comparisons over the pinned configs."""
     values = []
     for cfg in PAYOFF_CFGS:
         for rv in (DONATION, GENERAL):
@@ -204,7 +210,28 @@ def test_mean_field_and_granular_payoffs_are_pinned():
                     values.append(granular_expected_payoff(alpha, beta, n, k, cfg, rv))
                     values.append(granular_expected_payoff(alpha, beta, n, k, cfg, rv,
                                                            enumerate_counts=True))
-    assert hashlib.sha256(repr(values).encode()).hexdigest() == "17e74b92bba62e4b1335518c193cded76c1d4e8ae3feaec37018db1c600d3ce3"
+    return values
+
+
+def test_mean_field_and_granular_payoffs_are_pinned():
+    # sha256 of repr() of every value, recorded when the payoffs came from
+    # the round-chain solve by state reduction
+    assert hashlib.sha256(repr(pinned_payoffs()).encode()).hexdigest() == "70392c7c69016b410fe3c7a20ef919d6ca677cb06731cbfaf6a6e1692658ace6"
+
+
+def test_pinned_payoffs_match_the_reference_forms(monkeypatch):
+    # every config here has delta <= 0.99, where the reference forms hold
+    values = pinned_payoffs()
+    monkeypatch.setattr(meanfield, "expected_payoff_closed", reference_gtft_payoff)
+    references = pinned_payoffs()
+    # the digest pinned before the payoffs came from the round-chain solve
+    assert hashlib.sha256(repr(references).encode()).hexdigest() == "17e74b92bba62e4b1335518c193cded76c1d4e8ae3feaec37018db1c600d3ce3"
+    for value, reference in zip(values, references, strict=True):
+        if isinstance(value, float):
+            assert_near_reference(value, reference)
+        else:
+            for field in ("mean_field", "granular", "avg_generosity", "mean_field_at_avg"):
+                assert_near_reference(getattr(value, field), getattr(reference, field))
 
 
 # ------------------------------------------------------------------ optimality
@@ -273,6 +300,13 @@ def test_gap_bound_values_and_shape():
         gap_bound(6, 0.5)
     bounds = [gap_bound(k, 0.25) for k in range(2, 65)]
     assert all(lo > hi for lo, hi in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("k", [2.5, math.nan, 6.0, 1])
+def test_gap_bound_rejects_a_non_integer_or_small_k(k):
+    # 2.5 once returned 0.0833 and nan returned nan
+    with pytest.raises(ValueError, match="integer k"):
+        gap_bound(k, 0.1)
 
 
 def test_gap_bound_covers_measured_gap():
@@ -361,9 +395,16 @@ def test_local_optimality_needs_two_grid_points():
                 check_local_optimality(cfg, DONATION, grid_size)
 
 
+def test_local_optimality_rejects_a_non_integer_grid_size():
+    # 2.5 once ended on a TypeError inside np.linspace
+    for grid_size in (2.5, 20.0):
+        with pytest.raises(ValueError, match="integer grid_size"):
+            check_local_optimality(CFG, DONATION, grid_size)
+
+
 def test_local_optimality_allc_payoff_exactly_constant():
     grid = np.linspace(0, CFG.g_hat, 50)
-    values = games.payoff_gtft_vs_allc(grid, CFG, DONATION)
+    values = games.expected_payoff_closed(grid, games.ALLC, CFG, DONATION)
     assert np.ptp(values) == 0.0
 
 
