@@ -9,7 +9,7 @@ is the row player's action.
 Every strategy is a reactive rule: one probability of cooperating in
 round one, one after the opponent cooperated and one after it defected
 (AllC 1, 1, 1; AllD 0, 0, 0; GTFT(g) s1, 1, g). The round chain, its
-first round and the simulation all read these three numbers.
+first round and the Monte Carlo sampler all read these three numbers.
 
 The module provides three independent routes to the expected total
 payoff of the row player:
@@ -17,7 +17,10 @@ payoff of the row player:
 * a solve of the round chain for its discounted visits, by state
   reduction, for every pairing,
 * a truncated Neumann series over the same chain,
-* Monte Carlo simulation of whole games.
+* Monte Carlo: each game's visits to CC, CD, DC and DD, sampled from
+  their exact law given the game's length. Since each side answers only
+  the other's previous action, a game's actions split into two
+  independent alternating chains, and no round needs to be played.
 
 Tests hold the three to agreement wherever they overlap.
 """
@@ -259,6 +262,76 @@ def expected_payoff_closed(me, opp, cfg: GameConfig, rv: RewardVector):
     return out if np.ndim(out) else float(out)
 
 
+# games per block of simulate_games: its temporaries stay a few hundred kB
+_BLOCK = 8192
+
+
+def _coin(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` flips that land True with probability ``p``; a sure flip takes no draw."""
+    if p == 0.0 or p == 1.0:
+        return np.full(n, p == 1.0)
+    return rng.random(n) < p
+
+
+def _hit_rounds(first: float, d1: float, d2: float, rounds: np.ndarray, rng) -> np.ndarray:
+    """Round from which one alternating chain plays C for good, capped at R + 1.
+
+    The chain plays C in round one with probability ``first``. Its later
+    steps come in pairs, (2, 3), (4, 5), ...: after a D the first step of
+    a pair plays C with probability ``d1`` and the second with ``d2``, and
+    after a C every step plays C. The pairs that fail before the first C
+    number floor(E / -log((1 - d1)(1 - d2))) for a standard exponential
+    E, and one more flip says which step of the next pair plays C.
+    """
+    n = rounds.size
+    if first == 1.0:
+        return np.ones(n, dtype=np.int64)
+    at_once = _coin(first, n, rng)
+    if d1 == d2 == 0.0:
+        later = rounds + 1
+    else:
+        if d1 == 1.0 or d2 == 1.0:
+            failed = 0
+        else:
+            rate = -(math.log1p(-d1) + math.log1p(-d2))
+            # 2**61 pairs outlast R unless numpy's geometric draw passes 2**62
+            # rounds, which at delta < 1 has probability below e**-512
+            with np.errstate(over="ignore"):
+                failed = np.minimum(rng.standard_exponential(n) / rate, 2.0**61).astype(np.int64)
+        second = ~_coin(d1 / (d1 + (1.0 - d1) * d2), n, rng)
+        later = np.minimum(2 * failed + 2 + second, rounds + 1)
+    return np.where(at_once, 1, later)
+
+
+def _state_counts(me_rule: tuple, opp_rule: tuple, rounds: np.ndarray, rng) -> np.ndarray:
+    """Visits to CC, CD, DC, DD in games of ``rounds`` rounds, as a (4, n) int64 array.
+
+    Each side answers only the other's previous action, so the actions
+    split into two independent chains, A = (X1, Y2, X3, ...) and
+    B = (Y1, X2, Y3, ...), X the row player's and Y the column player's.
+    Every rule answers C with C for sure or never (`_coop`: AllD never).
+    Without AllD, C absorbs both chains: rounds before the first hit are
+    DD, rounds from the last on are CC, and the rounds between alternate,
+    CD in odd rounds when A hit first. With AllD, its side defects in
+    every round, and the other side answers D alone: its round-one flip
+    and one binomial count over rounds 2..R.
+    """
+    (me_first, me_c, me_d), (opp_first, opp_c, opp_d) = me_rule, opp_rule
+    if me_c == opp_c == 1.0:
+        # A steps: X1, then pairs (Y, X); B steps: Y1, then pairs (X, Y)
+        hit_a = _hit_rounds(me_first, opp_d, me_d, rounds, rng)
+        hit_b = _hit_rounds(opp_first, me_d, opp_d, rounds, rng)
+        lo, hi = np.minimum(hit_a, hit_b), np.maximum(hit_a, hit_b)
+        odd = hi // 2 - lo // 2
+        cd = np.where(hit_a < hit_b, odd, hi - lo - odd)
+        return np.stack([rounds + 1 - hi, cd, hi - lo - cd, lo - 1])
+    free_first, _, free_d = opp_rule if me_c == 0.0 else me_rule
+    free = _coin(free_first, rounds.size, rng) + rng.binomial(rounds - 1, free_d)
+    none = np.zeros_like(rounds)
+    cd, dc = (none, free) if me_c == 0.0 else (free, none)
+    return np.stack([none, cd, dc, rounds - free])
+
+
 def simulate_games(
     me: Strategy,
     opp: Strategy,
@@ -267,52 +340,27 @@ def simulate_games(
     n_games: int,
     rng: np.random.Generator | int | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play ``n_games`` independent full games; return (row payoffs, column payoffs, rounds).
+    """Sample ``n_games`` independent full games; return (row payoffs, column payoffs, rounds).
 
-    Length first. Every game's round count R ~ Geometric(1 - delta) is
-    drawn up front, in game order. The games are then ordered by R,
-    longest first and ties in game order, so the games still playing
-    round r are a prefix of that order. Each round draws the row player's
-    actions over the prefix, then the column player's, and adds both
-    payoffs into prefix slices; one scatter at the end puts the payoffs
-    back in game order. Memory is O(n_games), however long the longest game.
+    Every game's round count R ~ Geometric(1 - delta) is drawn first, in
+    game order. Then each block of games draws its visits to CC, CD, DC
+    and DD from their exact law given R (`_state_counts`), from the two
+    alternating chains the actions split into, so no round is played:
+    the work is O(1) per game however long the game, and the counts are
+    exact int64s summing to R. The payoffs are the counts times the
+    reward vector, with CD and DC swapped for the column player.
 
-    Raises ValueError for a negative or non-integral ``n_games``, and for a
-    game too long for R to share an int64 sort key with the game index
-    (about 2**63 / n_games rounds, more than any run could play).
+    Raises ValueError for a negative or non-integral ``n_games``.
     """
     if not (isinstance(n_games, (int, np.integer)) and n_games >= 0):
         raise ValueError(f"n_games must be a non-negative integer, got {n_games!r}")
     rng = ensure_rng(rng)
     v = rv.as_array()
-    v_col = v[_SWAP]
+    table = np.array([v, v[_SWAP]])
     rounds = rng.geometric(1.0 - cfg.delta, n_games)
-    # -R in the high bits and the game index in the low ones: the keys are
-    # unique, so the order does not depend on the sort algorithm numpy picks
-    bits = int(max(n_games - 1, 1)).bit_length()
-    if n_games and rounds.max() >= 1 << (63 - bits):
-        raise ValueError(f"a game of {rounds.max()} rounds is too long to simulate")
-    key = np.arange(n_games) - (rounds << bits)
-    key.sort()
-    pay_me = np.zeros(n_games)
-    pay_opp = np.zeros(n_games)
     me_rule, opp_rule = _coop(me, cfg.s1), _coop(opp, cfg.s1)
-    p_me, p_opp = me_rule[0], opp_rule[0]
-    me_next, opp_next = map(np.array, _answers(me_rule, opp_rule))
-    live, r = n_games, 1
-    while live:
-        state = 2 * (rng.random(live) >= p_me)
-        state += rng.random(live) >= p_opp
-        pay_me[:live] += v[state]
-        pay_opp[:live] += v_col[state]
-        r += 1
-        # the games with R >= r are the keys below (1 - r) << bits
-        live = int(np.searchsorted(key, (1 - r) << bits))
-        p_me = me_next[state[:live]]
-        p_opp = opp_next[state[:live]]
-    order = key & ((1 << bits) - 1)
-    out_me = np.empty(n_games)
-    out_opp = np.empty(n_games)
-    out_me[order] = pay_me
-    out_opp[order] = pay_opp
-    return out_me, out_opp, rounds
+    pay = np.empty((2, n_games))
+    for lo in range(0, n_games, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        pay[:, block] = table @ _state_counts(me_rule, opp_rule, rounds[block], rng)
+    return pay[0], pay[1], rounds

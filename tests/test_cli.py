@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import math
 import re
+import time
 import tracemalloc
+from datetime import timedelta
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -267,6 +270,16 @@ def test_payoff_skips_a_series_past_its_term_cap(capsys, me, row):
     assert abs(payload["closed_form"] - float(exact)) <= 1e-15 * 3 / (1 - delta)
 
 
+def test_payoff_mc_games_ends_near_delta_one(capsys):
+    # games of about 1e10 rounds each; playing them round by round never ended
+    t0 = time.perf_counter()
+    code = main(["payoff", "--me", "gtft:0.2", "--opp", "gtft:0.1", "--b", "3", "--c", "2",
+                 "--delta", "0.9999999999", "--mc-games", "2"])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["monte_carlo"]["mean_rounds"])
+
+
 def test_payoff_mc_games_needs_two_for_a_standard_error(capsys):
     argv = ["payoff", "--me", "gtft:0.2", "--opp", "alld", "--b", "3", "--c", "2",
             "--delta", "0.9", "--mc-games"]
@@ -360,13 +373,13 @@ README_REPORTS = {
 
 
 # the payoff report's Monte Carlo block, recorded when simulate_games began
-# drawing every game's round count first
+# sampling each game's state counts from its two alternating chains
 README_PAYOFF_MC = {
     "games": 1000000,
-    "mean": -4.599184,
+    "mean": -4.592944,
     "mean_rounds": 9.998444,
-    "opp_mean": 6.898776,
-    "std_error": 0.0046036593844271025,
+    "opp_mean": 6.889416,
+    "std_error": 0.004591886594667436,
 }
 
 
@@ -541,3 +554,61 @@ def test_exit_code_contract(argv, tmp_path, monkeypatch):
         code = exc.code
     assert code in (0, 2, 3)
 
+
+STRATEGY_SPECS = st.one_of(
+    st.sampled_from(["allc", "alld"]),
+    st.floats(0.0, 1.0).map("gtft:{!r}".format),
+    st.sampled_from(["gtft:", "gtft:x", "tft", "gtft:nan", "gtft:-0.5", "gtft:1.5"]),
+)
+# games and series both grow like 1 / (1 - delta); the log scale reaches 1 - 1e-12
+DELTAS = st.one_of(
+    st.floats(0.0, 1 - 1e-12),
+    st.floats(0.0, 12.0).map(lambda x: 1 - 10.0**-x),
+    st.sampled_from([-0.5, 1.0, math.nan]),
+)
+PAYOFFS = st.floats(-100.0, 100.0)
+
+
+@st.composite
+def reward_flags(draw):
+    """Donation or T > R > P > S flags, mostly valid; otherwise any floats."""
+    form = draw(st.sampled_from(["donation", "ordered", "any"]))
+    if form == "donation":
+        cost = draw(st.floats(1e-3, 100.0))
+        return [f"--b={cost + draw(st.floats(1e-3, 100.0))!r}", f"--c={cost!r}"]
+    flags = ["--T", "--R", "--P", "--S"]
+    if form == "ordered":
+        values = draw(st.lists(PAYOFFS, min_size=4, max_size=4, unique=True))
+        values.sort(reverse=True)
+    else:
+        if draw(st.booleans()):
+            flags = ["--b", "--c"]
+        values = draw(st.lists(PAYOFFS | st.floats(), min_size=len(flags), max_size=len(flags)))
+    # the = form, since argparse reads a word like -1e-05 as a flag
+    return [f"{flag}={value!r}" for flag, value in zip(flags, values)]
+
+
+@st.composite
+def payoff_argvs(draw):
+    return [
+        "payoff", "--me", draw(STRATEGY_SPECS), "--opp", draw(STRATEGY_SPECS),
+        *draw(reward_flags()),
+        "--delta", repr(draw(DELTAS)),
+        "--s1", repr(draw(st.floats(0.0, 1.0))),
+        "--mc-games", str(draw(st.integers(0, 1000))),
+        "--seed", str(draw(st.integers(0, 2**32))),
+    ]
+
+
+# a series at its term cap takes about 5 s, the slowest run a payoff may make
+@settings(max_examples=100, deadline=timedelta(seconds=10))
+@given(argv=payoff_argvs())
+@example(argv=["payoff", "--me", "gtft:0.2", "--opp", "gtft:0.1", "--b", "3", "--c", "2",
+               "--delta", repr(1 - 1e-12), "--mc-games", "1000"])
+def test_payoff_exit_code_contract_over_the_whole_delta_range(argv):
+    """Any payoff argv ends in exit code 0, 2 or 3 within the deadline; never a traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3)

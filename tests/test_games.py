@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from gtftlab import games
 from gtftlab.games import (
@@ -530,6 +531,56 @@ def reference_simulate_games(me, opp, cfg, rv, n_games, rng):
     return pay_me, pay_opp, rounds
 
 
+def reference_length_first_games(me, opp, cfg, rv, n_games, rng):
+    """Length-first oracle for ``simulate_games``: plays every round of every game.
+
+    Every game's round count R ~ Geometric(1 - delta) is drawn up front, in
+    game order. The games are then ordered by R, longest first and ties in
+    game order, so the games still playing round r are a prefix of that
+    order. Each round draws the row player's actions over the prefix, then
+    the column player's, and adds both payoffs into prefix slices; one
+    scatter at the end puts the payoffs back in game order.
+
+    Raises ValueError for a game too long for R to share an int64 sort key
+    with the game index (about 2**63 / n_games rounds).
+    """
+    if not (isinstance(n_games, (int, np.integer)) and n_games >= 0):
+        raise ValueError(f"n_games must be a non-negative integer, got {n_games!r}")
+    rng = ensure_rng(rng)
+    v = rv.as_array()
+    v_col = v[games._SWAP]
+    rounds = rng.geometric(1.0 - cfg.delta, n_games)
+    # -R in the high bits and the game index in the low ones: the keys are
+    # unique, so the order does not depend on the sort algorithm numpy picks
+    bits = int(max(n_games - 1, 1)).bit_length()
+    if n_games and rounds.max() >= 1 << (63 - bits):
+        raise ValueError(f"a game of {rounds.max()} rounds is too long to simulate")
+    key = np.arange(n_games) - (rounds << bits)
+    key.sort()
+    pay_me = np.zeros(n_games)
+    pay_opp = np.zeros(n_games)
+    me_rule, opp_rule = games._coop(me, cfg.s1), games._coop(opp, cfg.s1)
+    p_me, p_opp = me_rule[0], opp_rule[0]
+    me_next, opp_next = map(np.array, games._answers(me_rule, opp_rule))
+    live, r = n_games, 1
+    while live:
+        state = 2 * (rng.random(live) >= p_me)
+        state += rng.random(live) >= p_opp
+        pay_me[:live] += v[state]
+        pay_opp[:live] += v_col[state]
+        r += 1
+        # the games with R >= r are the keys below (1 - r) << bits
+        live = int(np.searchsorted(key, (1 - r) << bits))
+        p_me = me_next[state[:live]]
+        p_opp = opp_next[state[:live]]
+    order = key & ((1 << bits) - 1)
+    out_me = np.empty(n_games)
+    out_opp = np.empty(n_games)
+    out_me[order] = pay_me
+    out_opp[order] = pay_opp
+    return out_me, out_opp, rounds
+
+
 def pull(sample, expected) -> float:
     """|mean - expected| in standard errors of the mean; exact when the sample is constant."""
     se = sample.std(ddof=1) / np.sqrt(sample.size)
@@ -592,11 +643,26 @@ def test_long_games_need_no_array_sized_by_the_longest():
     assert elapsed < 1.0
 
 
-def test_simulate_games_refuses_rounds_past_its_sort_key():
+def test_games_too_long_to_play_are_sampled_exactly():
     # at delta = 1 - 2**-53 games last about 9e15 rounds, which could never be played
     cfg = GameConfig(delta=1 - 2**-53, s1=0.5)
-    with pytest.raises(ValueError, match="too long"):
-        simulate_games(ALLC, ALLD, cfg, DONATION, 4096, 1)
+    t0 = time.perf_counter()
+    pay_me, pay_opp, rounds = simulate_games(ALLC, ALLD, cfg, DONATION, 4096, 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert rounds.max() > 2**53
+    np.testing.assert_array_equal(pay_me, rounds * DONATION.S)
+    np.testing.assert_array_equal(pay_opp, rounds * DONATION.T)
+    # four counts and three sums, each rounded once, past 2**53
+    slack = 1 + 8 * np.finfo(float).eps
+    for rv in (DONATION, GENERAL):
+        v = rv.as_array()
+        for i, (me, opp) in enumerate(itertools.product(ALL_STRATS, repeat=2)):
+            pay_me, pay_opp, rounds = simulate_games(me, opp, cfg, rv, 4096, [i, 53])
+            low, high = v.min() * rounds, v.max() * rounds
+            for pay in (pay_me, pay_opp):
+                assert np.all(np.isfinite(pay))
+                assert np.all(pay >= np.where(low < 0, slack, 1 / slack) * low), (me, opp)
+                assert np.all(pay <= slack * high), (me, opp)
 
 
 def test_rounds_are_geometric_mean():
@@ -631,15 +697,18 @@ def test_simulation_law_matches_the_lockstep_oracle_and_closed_forms(delta):
     for i, opp in enumerate((ALLC, ALLD, gtft(0.15))):
         new = simulate_games(me, opp, cfg, GENERAL, 50_000, [i, 1])
         old = reference_simulate_games(me, opp, cfg, GENERAL, 50_000, [i, 2])
+        played = reference_length_first_games(me, opp, cfg, GENERAL, 50_000, [i, 3])
         expected = (
             expected_payoff_closed(me, opp, cfg, GENERAL),
             expected_payoff_closed(opp, me, cfg, GENERAL),
             1 / (1 - delta),
         )
-        for a, b, want in zip(new, old, expected):
+        for a, b, c, want in zip(new, old, played, expected):
             assert pull(a, want) < 4, (opp, want)
             assert pull(b, want) < 4, (opp, want)
+            assert pull(c, want) < 4, (opp, want)
             assert two_sample_pull(a, b) < 4, (opp, want)
+            assert two_sample_pull(a, c) < 4, (opp, want)
 
 
 @pytest.mark.parametrize("me,opp", [(gtft(0.3), gtft(0.6)), (gtft(0.3), ALLD), (ALLC, gtft(0.6))])
@@ -656,6 +725,99 @@ def test_each_game_keeps_its_own_round_count(me, opp):
         want += q @ v
         q = q @ m
         assert pull(pay_me[rounds == r], want) < 5, r
+
+
+def round_chain_count_law(me, opp, s1: float, max_rounds: int) -> list[dict]:
+    """Exact law of (N_CC, N_CD, N_DC, N_DD) given R = r, for r = 1..max_rounds.
+
+    A DP over the round chain's joint states: each round both sides act at
+    once, each answering the other's action in the round before. The
+    rules are written out here from the strategy kinds, so the law shares
+    no code with ``simulate_games``. Entry r - 1 maps count tuples to
+    their probability.
+    """
+    def rule(s):
+        if s.kind == "allc":
+            return 1.0, 1.0, 1.0
+        if s.kind == "alld":
+            return 0.0, 0.0, 0.0
+        return s1, 1.0, s.g
+
+    def joint(p_row, p_col):
+        law = {}
+        for x, px in (("C", p_row), ("D", 1 - p_row)):
+            for y, py in (("C", p_col), ("D", 1 - p_col)):
+                if px * py > 0:
+                    law[x + y] = px * py
+        return law
+
+    def grown(counts, state):
+        at = ("CC", "CD", "DC", "DD").index(state)
+        return counts[:at] + (counts[at] + 1,) + counts[at + 1:]
+
+    (row1, row_c, row_d), (col1, col_c, col_d) = rule(me), rule(opp)
+    paths = {(state, grown((0, 0, 0, 0), state)): p for state, p in joint(row1, col1).items()}
+    laws = []
+    for r in range(1, max_rounds + 1):
+        if r > 1:
+            step = {}
+            for (last, counts), p in paths.items():
+                law = joint(row_c if last[1] == "C" else row_d, col_c if last[0] == "C" else col_d)
+                for state, q in law.items():
+                    key = (state, grown(counts, state))
+                    step[key] = step.get(key, 0.0) + p * q
+            paths = step
+        given_r = {}
+        for (_, counts), p in paths.items():
+            given_r[counts] = given_r.get(counts, 0.0) + p
+        laws.append(given_r)
+    return laws
+
+
+# counts up to 9 are the digits of either side's payoff: DC, CC, DD for the
+# row player and CD, CC, DD for the column player
+DIGIT_REWARDS = RewardVector(R=10, S=0, T=100, P=1)
+# fixed before the first run: the three runs make 336 tests of two or more
+# cells, so under the exact law one of them fails with probability 0.3%
+CHI2_P_MIN = 1e-5
+
+
+def chi2_pvalue(observed: dict, law: dict) -> float:
+    """Pearson chi-square p-value; cells expected below 5 are pooled."""
+    n = sum(observed.values())
+    cells = sorted(law, key=law.get)
+    expected = np.array([n * law[c] for c in cells])
+    seen = np.array([observed.get(c, 0) for c in cells], dtype=float)
+    small = int(np.searchsorted(expected, 5.0))
+    if small:
+        # and as many more cells as the pool needs to expect 5 itself
+        small = min(max(small, int(np.searchsorted(np.cumsum(expected), 5.0)) + 1), len(cells))
+        expected = np.concatenate([[expected[:small].sum()], expected[small:]])
+        seen = np.concatenate([[seen[:small].sum()], seen[small:]])
+    if expected.size < 2:
+        return 1.0
+    return float(chi2.sf(((seen - expected) ** 2 / expected).sum(), expected.size - 1))
+
+
+@pytest.mark.parametrize("s1", [0.0, 0.5, 0.9])
+def test_state_counts_have_the_exact_law_of_the_round_chain(s1):
+    cfg = GameConfig(delta=0.5, s1=s1)
+    for i, (me, opp) in enumerate(itertools.product(ALL_STRATS, repeat=2)):
+        laws = round_chain_count_law(me, opp, s1, 7)
+        pay_me, pay_opp, rounds = simulate_games(me, opp, cfg, DIGIT_REWARDS, 40_000, [i, 7])
+        short = rounds <= 7
+        row, col, r = pay_me[short].astype(int), pay_opp[short].astype(int), rounds[short]
+        cc, dd = row // 10 % 10, row % 10
+        np.testing.assert_array_equal(col // 10 % 10, cc)
+        np.testing.assert_array_equal(col % 10, dd)
+        counts = np.stack([cc, col // 100, row // 100, dd])
+        np.testing.assert_array_equal(counts.sum(axis=0), r)
+        for length, law in enumerate(laws, start=1):
+            at = counts[:, r == length]
+            cells, seen = np.unique(at, axis=1, return_counts=True)
+            observed = dict(zip(map(tuple, cells.T.tolist()), seen.tolist()))
+            assert set(observed) <= set(law), (me, opp, length)
+            assert chi2_pvalue(observed, law) >= CHI2_P_MIN, (me, opp, length)
 
 
 # ------------------------------------------------------------------ pinned outputs
@@ -727,5 +889,16 @@ def test_simulate_games_outputs_are_pinned():
 
 
 def test_length_first_simulate_games_outputs_are_pinned():
-    # recorded when simulate_games began drawing every game's round count first
-    assert simulation_digest(simulate_games) == "8a408b0b67c0b5b8168fc5249219d62b219b6b82063d6236a971e91c4906e897"
+    # recorded when simulate_games began drawing every game's round count
+    # first; that loop is now the test-only oracle
+    assert simulation_digest(reference_length_first_games) == (
+        "8a408b0b67c0b5b8168fc5249219d62b219b6b82063d6236a971e91c4906e897"
+    )
+
+
+def test_two_chain_simulate_games_outputs_are_pinned():
+    # recorded when simulate_games began sampling each game's state counts
+    # from its two alternating chains
+    assert simulation_digest(simulate_games) == (
+        "a419ecc14e66e0f114619255672d74c09f677a89c406d71b2e371836717c0604"
+    )
