@@ -56,7 +56,10 @@ def _manifest(args, outputs: list[str], t0: float) -> dict:
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:  # strict JSON: a figure that overflowed to inf or nan fails the run
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError("a figure of the report overflowed to inf or nan") from None
     if path:
         Path(path).write_text(text + "\n")
     else:
@@ -226,8 +229,8 @@ def cmd_mixing(args) -> dict:
 def cmd_payoff(args) -> dict:
     if args.mc_games < 0 or args.mc_games == 1:
         raise ValueError("--mc-games must be 0 (no Monte Carlo) or at least 2 for a standard error")
-    if not args.tol > 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < float("inf"):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     rv = _reward_vector(args)
     cfg = GameConfig(delta=args.delta, s1=args.s1, g_hat=args.g_hat)
     me = _strategy(args.me)

@@ -62,10 +62,17 @@ class ResidualError(RuntimeError):
 
 
 def _check_count(name: str, value, least: int) -> None:
+    """The package's one integer rule: every count argument is checked here."""
     # bool is an int subclass: True must not pass for a count of 1
     if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
+
+
+def _check_rates(a: float, b: float) -> None:
+    # written so that a NaN weight fails it; a + b may sit a few ulps above 1
+    if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
+        raise ValueError(f"need a, b > 0 with a + b <= 1, got a={a}, b={b}")
 
 
 @dataclass(frozen=True)
@@ -78,14 +85,9 @@ class EhrenfestParams:
     m: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 2):
-            raise ValueError(f"need an integer k >= 2 urns, got {self.k!r}")
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ValueError(f"need an integer m >= 1 balls, got {self.m!r}")
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"need a, b > 0, got a={self.a}, b={self.b}")
-        if self.a + self.b > 1 + 1e-12:
-            raise ValueError(f"need a + b <= 1, got {self.a + self.b}")
+        _check_count("k", self.k, 2)
+        _check_count("m", self.m, 1)
+        _check_rates(self.a, self.b)
 
     @property
     def lam(self) -> float:
@@ -125,8 +127,7 @@ class MultinomialDist:
     p: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 0):
-            raise ValueError(f"m must be a non-negative integer, got {self.m!r}")
+        _check_count("m", self.m, 0)
         if not all(math.isfinite(q) for q in self.p):
             raise ValueError(f"cell probabilities must be finite, got {self.p}")
         if abs(sum(self.p) - 1.0) > 1e-12:
@@ -266,16 +267,17 @@ def enumerate_states(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> list[tuple
     return _as_tuples(state_array(k, m, cap))
 
 
-def _check_state(x: tuple[int, ...], params: EhrenfestParams) -> None:
-    if len(x) != params.k or sum(x) != params.m or any(xi < 0 or xi % 1 for xi in x):
-        raise ValueError(f"{x} is not a valid count vector for k={params.k}, m={params.m}")
+def _check_state(x: tuple[int, ...], k: int, m: int) -> None:
+    """x must be a composition of m into k parts: k integral counts >= 0 summing to m."""
+    if len(x) != k or sum(x) != m or any(xi < 0 or xi % 1 for xi in x):
+        raise ValueError(f"{x} is not a composition of {m} into {k} parts")
 
 
 def transition_row(
     x: tuple[int, ...], params: EhrenfestParams
 ) -> dict[tuple[int, ...], float]:
     """Exact one-step distribution out of state x, including the self loop."""
-    _check_state(x, params)
+    _check_state(x, params.k, params.m)
     x = tuple(map(int, x))
     k, a, b, m = params.k, params.a, params.b, params.m
     row: dict[tuple[int, ...], float] = {}
@@ -648,10 +650,8 @@ def mixing_bound(params: EhrenfestParams) -> float:
 
 def _check_walk(k: int, a: float, b: float) -> None:
     # a walk on the integers hits +-k only if k is an integer
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"need an integer k >= 1, got {k!r}")
-    if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
-        raise ValueError("need a, b > 0 with a + b <= 1")
+    _check_count("k", k, 1)
+    _check_rates(a, b)
 
 
 def absorption_times(
@@ -668,6 +668,8 @@ def absorption_times(
     stops on first hitting +-k.
     """
     _check_walk(k, a, b)
+    _check_count("n_runs", n_runs, 0)
+    _check_count("step_limit", step_limit, 0)
     rng = ensure_rng(rng)
     tau = np.zeros(n_runs, dtype=np.int64)
     alive = np.arange(n_runs)
@@ -729,9 +731,8 @@ def tv_distance_exact(
     cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """TV distance to stationarity after t exact steps from a point mass at x0."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    _check_state(tuple(x0), params)
+    _check_count("t", t, 0)
+    _check_state(tuple(x0), params.k, params.m)
     return next(itertools.islice(_tv_scan(params, [tuple(x0)], cap), t, None))
 
 

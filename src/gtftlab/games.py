@@ -34,6 +34,7 @@ from operator import add
 
 import numpy as np
 
+from .ehrenfest import _check_count
 from .rng import ensure_rng
 
 STATES = ("CC", "CD", "DC", "DD")
@@ -53,6 +54,9 @@ class RewardVector:
     P: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"reward {name} must be finite, got {value}")
         if not (self.T > self.R > self.P > self.S):
             raise ValueError(
                 f"reward vector must satisfy T > R > P > S, got "
@@ -352,8 +356,7 @@ def simulate_games(
 
     Raises ValueError for a negative or non-integral ``n_games``.
     """
-    if not (isinstance(n_games, (int, np.integer)) and n_games >= 0):
-        raise ValueError(f"n_games must be a non-negative integer, got {n_games!r}")
+    _check_count("n_games", n_games, 0)
     rng = ensure_rng(rng)
     v = rv.as_array()
     table = np.array([v, v[_SWAP]])

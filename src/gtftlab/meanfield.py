@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrenfest import MultinomialDist, geometric_weights, state_array
+from .ehrenfest import MultinomialDist, _check_count, geometric_weights, state_array
 from .games import ALLC, ALLD, GameConfig, RewardVector, expected_payoff_closed
 from .population import generosity_grid
 
@@ -122,8 +122,7 @@ def optimal_generosity(
 
 def gap_bound(k: int, beta: float) -> float:
     """Bound beta / ((1 - 2 beta)(k - 1)) on |g* - avg stationary generosity| at low phi."""
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
-        raise ValueError(f"need an integer k >= 2, got {k!r}")
+    _check_count("k", k, 2)
     if not 0.0 < beta < 0.5:
         raise ValueError(f"bound requires beta in (0, 1/2), got {beta}")
     return beta / ((1.0 - 2.0 * beta) * (k - 1))
@@ -187,8 +186,7 @@ def check_local_optimality(
     when the reward vector and config satisfy the preconditions; else
     reports them and skips. Needs at least two grid points.
     """
-    if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 2):
-        raise ValueError(f"need an integer grid_size >= 2, got {grid_size!r}")
+    _check_count("grid_size", grid_size, 2)
     failures = []
     if rv.R + rv.P > rv.T + rv.S + 1e-12:
         failures.append(f"requires R + P <= T + S, got {rv.R + rv.P} > {rv.T + rv.S}")

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrenfest import EhrenfestParams, MultinomialDist, stationary_closed
+from .ehrenfest import (EhrenfestParams, MultinomialDist, _check_count, _check_state,
+                        stationary_closed)
 from .rng import ensure_rng
 
 PAIRING_MODES = ("idealized", "distinct-pair")
@@ -38,8 +39,7 @@ PAIRING_MODES = ("idealized", "distinct-pair")
 
 def generosity_grid(k: int, g_hat: float) -> tuple[float, ...]:
     """The k equidistant generosity values 0 = g_1 < ... < g_k = g_hat."""
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
-        raise ValueError(f"need an integer k >= 2 grid points, got {k!r}")
+    _check_count("k", k, 2)
     if not 0.0 <= g_hat <= 1.0:
         raise ValueError(f"g_hat must be in [0, 1], got {g_hat}")
     return tuple(((j - 1) / (k - 1)) * g_hat for j in range(1, k + 1))
@@ -57,8 +57,7 @@ class PopulationConfig:
     pairing: str = "idealized"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise ValueError(f"need an integer n >= 2 nodes, got {self.n!r}")
+        _check_count("n", self.n, 2)
         # written so that a NaN fraction fails it
         if not (self.alpha >= 0 and self.beta >= 0 and self.alpha + self.beta < 1):
             raise ValueError(
@@ -131,12 +130,9 @@ def init_population(
 ) -> PopulationState:
     """Build a population with the requested (or uniformly random) GTFT indices."""
     if initial_counts is not None:
-        if len(initial_counts) != cfg.k or any(c < 0 for c in initial_counts):
-            raise ValueError(f"initial counts must be {cfg.k} nonnegative integers")
-        if sum(initial_counts) != cfg.m:
-            raise ValueError(f"initial counts must sum to m={cfg.m}")
+        _check_state(initial_counts, cfg.k, cfg.m)
         idx: list[int] = []
-        for j, count in enumerate(initial_counts, start=1):
+        for j, count in enumerate(map(int, initial_counts), start=1):
             idx.extend([j] * count)
     else:
         rng = ensure_rng(rng)
@@ -178,10 +174,8 @@ def run(
     deterministic given the seed and equals stepping the per-step oracle
     of the tests over the same draws.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    _check_count("steps", steps, 0)
+    _check_count("record_every", record_every, 1)
     rng = ensure_rng(rng)
     state = init_population(cfg, initial_counts, rng)
     return _trajectory(state, cfg, steps, record_every, rng)
@@ -242,8 +236,7 @@ def sample_one_step_counts(
     often each successor count vector appeared; the self loop shows up
     under z0 itself.
     """
-    if n_samples < 0:
-        raise ValueError("n_samples must be nonnegative")
+    _check_count("n_samples", n_samples, 0)
     rng = ensure_rng(rng)
     state = init_population(cfg, z0)
     n, k = state.n, state.k

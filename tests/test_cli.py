@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -600,15 +602,231 @@ def payoff_argvs(draw):
     ]
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+def strict_json(text):
+    """The JSON value of ``text``; NaN and Infinity, which JSON lacks, raise."""
+    return json.loads(text, parse_constant=_refuse)
+
+
+def exit_code_and_stdout(argv):
+    """main(argv)'s exit code, which must be 0, 2 or 3 and never a traceback, and its stdout."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3)
+    return code, out.getvalue()
+
+
+OVERFLOW = ["payoff", "--me", "allc", "--opp", "alld", "--T", "1e308", "--R", "1", "--P", "0",
+            "--S=-1e308", "--delta", "0.5", "--mc-games", "5"]
+INFINITE_T = OVERFLOW[:6] + ["inf"] + OVERFLOW[7:]
+
+
 # a series at its term cap takes about 5 s, the slowest run a payoff may make
 @settings(max_examples=100, deadline=timedelta(seconds=10))
 @given(argv=payoff_argvs())
 @example(argv=["payoff", "--me", "gtft:0.2", "--opp", "gtft:0.1", "--b", "3", "--c", "2",
                "--delta", repr(1 - 1e-12), "--mc-games", "1000"])
+@example(argv=OVERFLOW)
+@example(argv=INFINITE_T)
 def test_payoff_exit_code_contract_over_the_whole_delta_range(argv):
-    """Any payoff argv ends in exit code 0, 2 or 3 within the deadline; never a traceback."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code in (0, 2, 3)
+    """Any payoff argv ends in exit code 0, 2 or 3 within the deadline; never a traceback.
+
+    An exit-0 report is strict JSON: a payoff that overflowed is an error, not -Infinity.
+    """
+    code, out = exit_code_and_stdout(argv)
+    if code == 0:
+        strict_json(out)
+
+
+def test_payoff_overflow_and_infinite_rewards_are_config_errors(capsys):
+    # the first once printed "closed_form": -Infinity and exited 0; the second said only
+    # "math domain error"
+    assert main(OVERFLOW) == 2
+    assert "overflowed to inf or nan" in capsys.readouterr().err
+    assert main(INFINITE_T) == 2
+    assert capsys.readouterr().err == "error: reward T must be finite, got inf\n"
+
+
+# ------------------------------------------------------- exit-code properties
+#
+# One property per subcommand, each example held to the 10 s deadline of the
+# payoff property. Every numeric flag is drawn negative, zero, in range,
+# large, fractional-looking (for an integer flag) or not finite. Each draw is
+# kept cheap: --cap <= 2000, --trials <= 50, --steps <= 10**4, and --k <= 64
+# wherever the work is O(k**2) per move or per table (mixing, compare).
+
+SPECIAL_REALS = [-0.5, 0.0, 1.5, 1e308, math.nan, math.inf]
+ANY_REAL = st.one_of(st.floats(-1.0, 2.0), st.sampled_from(SPECIAL_REALS)).map(repr)
+
+
+def real(lo, hi, **bounds):
+    """A real flag's in-range words, and its any words: also negative, zero, large or not finite."""
+    return st.floats(lo, hi, **bounds).map(repr), ANY_REAL
+
+
+def count(lo, hi):
+    """An integer flag's in-range words, and its any words: also negative, zero or fractional."""
+    words = st.integers(lo, hi).map(str)
+    return words, st.one_of(st.integers(-2, hi).map(str), st.sampled_from(["2.5", "1e3", "-0.5"]))
+
+
+def drawn_flags(draw, required, optional=None):
+    """``--flag=word`` for every required flag and a drawn subset of the optional ones.
+
+    Each flag maps to its (in-range, any) words. No flag, one flag or every
+    flag draws from its any words, so that most runs get past the checks to
+    the work, and each check still meets every kind of bad value.
+    """
+    chosen = list(required.items())
+    chosen += [item for item in (optional or {}).items() if draw(st.booleans())]
+    wild = draw(st.sampled_from(["none", "all", *(flag for flag, _ in chosen)]))
+    # the = form, since argparse reads a word like -1 or -0.5 after a flag as a flag
+    return [f"{flag}={draw(words[wild in ('all', flag)])}" for flag, words in chosen]
+
+
+RATE = real(0.0, 0.5, exclude_min=True)
+SHARE = real(0.0, 0.45)
+DEFECTORS = real(0.01, 0.45)
+UNIT = real(0.0, 1.0)
+SEED = count(0, 2**32)
+GAME_DELTA = (DELTAS.filter(lambda d: 0 <= d < 1).map(repr), DELTAS.map(repr))
+
+
+@st.composite
+def stationary_argvs(draw):
+    balls = {"--m": count(1, 10**9)}
+    if draw(st.booleans()):  # --m only serves --exact here
+        mode, optional = {"--beta": real(0.0, 1.0, exclude_min=True, exclude_max=True)}, balls
+    else:
+        mode, optional = {"--a": RATE, "--b": RATE, **balls}, {}
+    argv = drawn_flags(draw, {"--k": count(2, 1000), "--cap": count(1, 2000), **mode}, optional)
+    return ["stationary", *argv] + ["--exact"] * draw(st.booleans())
+
+
+def sweeps(least):
+    """--sweep words: m= or k= with up to three values, or malformed."""
+    values = st.lists(st.integers(least, 64), min_size=1, max_size=3)
+    words = st.tuples(st.sampled_from("mk"), values).map(
+        lambda sweep: f"{sweep[0]}=" + ",".join(map(str, sweep[1])))
+    return words, st.one_of(words, st.sampled_from(["m=", "x=2", "k=2.5", "m=4,,8"]))
+
+
+@st.composite
+def mixing_argvs(draw):
+    # the exact scan costs about 50 us per step, and its step count grows like
+    # m log m / (a + b) and, for an epsilon below rounding, up to 4 * mixing_bound;
+    # so here --cap <= 200 and a, b, epsilon >= 0.01 (see CHANGES.md)
+    rate = real(0.01, 0.5)
+    argv = drawn_flags(
+        draw,
+        {"--k": count(2, 64), "--a": rate, "--b": rate, "--m": count(1, 10**4),
+         "--trials": count(1, 50), "--cap": count(1, 200), "--seed": SEED},
+        {"--epsilon": real(0.01, 0.99), "--sweep": sweeps(2), "--step-limit": count(0, 10**9)},
+    )
+    return ["mixing", *argv] + ["--exact-scan"] * draw(st.booleans())
+
+
+@st.composite
+def optimality_argvs(draw):
+    argv = drawn_flags(
+        draw,
+        {"--delta": GAME_DELTA, "--g-hat": UNIT, "--alpha": SHARE, "--beta": DEFECTORS,
+         "--n": count(1, 10**9)},
+        {"--s1": real(0.0, 1.0, exclude_max=True), "--k": count(2, 10**5)},
+    )
+    return ["optimality", *draw(reward_flags()), *argv]
+
+
+def populations():
+    """--populations words: up to three alpha,beta pairs, or malformed."""
+    pairs = st.lists(st.tuples(SHARE[0], DEFECTORS[0]), min_size=1, max_size=3)
+    words = pairs.map(lambda pairs: ";".join(f"{alpha},{beta}" for alpha, beta in pairs))
+    wild = st.lists(st.tuples(ANY_REAL, ANY_REAL), min_size=1, max_size=3).map(
+        lambda pairs: ";".join(f"{alpha},{beta}" for alpha, beta in pairs))
+    return words, st.one_of(wild, st.sampled_from(["", "0.25", "0.25,0.25,0.25", "a,b"]))
+
+
+@st.composite
+def compare_argvs(draw):
+    argv = drawn_flags(
+        draw,
+        {"--delta": GAME_DELTA, "--g-hat": UNIT, "--k": count(2, 64), "--m": count(1, 10**4),
+         "--populations": populations()},
+        {"--s1": real(0.0, 1.0, exclude_max=True)},
+    )
+    return ["compare", *draw(reward_flags()), *argv]
+
+
+# fractions whose product with any multiple of 20 nodes is an integer
+NODE_SHARE = (st.sampled_from([0.0, 0.05, 0.1, 0.25]).map(repr), ANY_REAL)
+
+
+@st.composite
+def simulate_argvs(draw):
+    nodes = st.integers(1, 5000).map(lambda blocks: str(20 * blocks))
+    argv = drawn_flags(
+        draw,
+        {"--n": (nodes, count(2, 10**5)[1]), "--alpha": NODE_SHARE, "--beta": NODE_SHARE,
+         "--k": count(2, 100), "--g-hat": UNIT, "--steps": count(0, 10**4), "--seed": SEED},
+        {"--record-every": count(0, 10**4),
+         "--pairing": (st.sampled_from(["idealized", "distinct-pair"]), st.just("x"))},
+    )
+    if draw(st.booleans()):
+        argv += ["--init-counts", *map(str, draw(st.lists(st.integers(-1, 40), min_size=1,
+                                                           max_size=4)))]
+    return ["simulate", *argv]
+
+
+def assert_report_contract(argv):
+    """The exit-code contract, and strict JSON on stdout after exit 0."""
+    code, out = exit_code_and_stdout(argv)
+    if code == 0:
+        strict_json(out)
+
+
+def assert_table_contract(argv, out):
+    """The exit-code contract for a CSV subcommand, and a strict-JSON manifest after exit 0."""
+    code, _ = exit_code_and_stdout(argv + ["--out", str(out)])
+    if code == 0:
+        strict_json(out.with_name(out.name + ".manifest.json").read_text())
+
+
+PROPERTY = settings(max_examples=100, deadline=timedelta(seconds=10),
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@PROPERTY
+@given(argv=stationary_argvs())
+def test_stationary_exit_code_contract(argv):
+    assert_report_contract(argv)
+
+
+@PROPERTY
+@given(argv=mixing_argvs())
+def test_mixing_exit_code_contract(argv):
+    assert_report_contract(argv)
+
+
+@PROPERTY
+@given(argv=optimality_argvs())
+def test_optimality_exit_code_contract(argv):
+    assert_report_contract(argv)
+
+
+@PROPERTY
+@given(argv=compare_argvs())
+def test_compare_exit_code_contract(argv, tmp_path):
+    assert_table_contract(argv, tmp_path / "compare.csv")
+
+
+@PROPERTY
+@given(argv=simulate_argvs())
+def test_simulate_exit_code_contract(argv, tmp_path):
+    assert_table_contract(argv, tmp_path / "simulate.csv")

@@ -316,7 +316,7 @@ def test_multinomial_rejects_non_finite_cells():
 
 def test_multinomial_rejects_bad_trial_counts():
     for m in (2.5, -2, 2.0, math.nan, "3"):
-        with pytest.raises(ValueError, match="m must be"):
+        with pytest.raises(ValueError, match="need an integer m"):
             MultinomialDist(m=m, p=(0.5, 0.5))
     dist = MultinomialDist(m=np.int64(2), p=(0.5, 0.5))
     assert dist.pmf((1, 1)) == pytest.approx(0.5)

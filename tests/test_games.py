@@ -196,6 +196,15 @@ def test_reward_vector_ordering_enforced():
         RewardVector(R=3, S=2, T=5, P=1)  # P < S
 
 
+@pytest.mark.parametrize("field", ["R", "S", "T", "P"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_reward_vector_names_a_non_finite_field(field, value):
+    # T = inf once passed the ordering and failed later as "math domain error"
+    rewards = dict(R=3.0, S=0.0, T=5.0, P=1.0) | {field: value}
+    with pytest.raises(ValueError, match=f"reward {field} must be finite"):
+        RewardVector(**rewards)
+
+
 def test_donation_constructor():
     rv = RewardVector.donation(3, 2)
     assert (rv.R, rv.S, rv.T, rv.P) == (1, -2, 3, 0)

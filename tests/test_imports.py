@@ -1,7 +1,9 @@
-"""Import-time cost and public names of the package."""
+"""Import-time cost, public names and the one integer rule of the package."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 from types import ModuleType
 
 import gtftlab
@@ -78,3 +80,20 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(gtftlab).items()
                    if not name.startswith("_") and not isinstance(value, ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def test_np_integer_is_tested_only_inside_check_count():
+    # one integer rule: an inline isinstance(x, (int, np.integer)) once let True pass as a count
+    found = []
+    for path in sorted(Path(gtftlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for top in ast.walk(tree)
+                   if isinstance(top, ast.FunctionDef) and top.name == "_check_count"
+                   for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and id(node) not in allowed
+                    and any(isinstance(sub, ast.Attribute) and sub.attr == "integer"
+                            for arg in node.args[1:] for sub in ast.walk(arg))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
