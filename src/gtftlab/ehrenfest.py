@@ -26,7 +26,9 @@ picks a ball uniformly and draws its move independently, so each ball
 needs its own i.i.d. number of moves before its two copies meet. That
 number is drawn from one hit table of the one-ball pair chain, and the
 steps are recovered from a Poisson embedding of the picks
-(``_coupling_times``); the law of the step rule is unchanged.
+(``_coupling_times``); the law of the step rule is unchanged. The
+absorption time of the +-k walk is the same sampler on a one-ball chain
+whose met state is both ends.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ if TYPE_CHECKING:
 
 DEFAULT_STATE_CAP = 10**6
 DEFAULT_STEP_LIMIT = 10**9
+# numpy's largest Poisson mean: a larger one gives a count past int64
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 class CapExceededError(RuntimeError):
@@ -73,6 +77,11 @@ def _check_rates(a: float, b: float) -> None:
     # written so that a NaN weight fails it; a + b may sit a few ulps above 1
     if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
         raise ValueError(f"need a, b > 0 with a + b <= 1, got a={a}, b={b}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:  # NaN fails too
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +200,7 @@ class MixingEstimate:
     def __post_init__(self) -> None:
         if self.t_hat < 0:
             raise ValueError("t_hat must be nonnegative")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        _check_epsilon(self.epsilon)
 
 
 def state_count(k: int, m: int) -> int:
@@ -426,6 +434,8 @@ def solve_stationary_exact(
     one product over the moves (``_step``, bitwise the sparse product);
     otherwise ResidualError.
     """
+    if not tol > 0:  # a NaN tol would pass no residual and blame the solve
+        raise ValueError(f"tol must be positive, got {tol}")
     states, _, moves = _kernel_moves(params, cap)
     n = len(states)
     # log pi is held as the unevaluated sum hi + lo; row 0, (m, 0, ..., 0),
@@ -508,19 +518,20 @@ def _pair_moves(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return column, up, down
 
 
-def _hit_table(params: EhrenfestParams, starts: np.ndarray, floor: np.ndarray,
-               limit: int) -> np.ndarray:
-    """table[n, j]: the chance that a ball whose copies start at pair ``starts[j]`` is unmet after n moves.
+def _hit_table(moves: tuple[np.ndarray, np.ndarray], p: float, q: float, starts: np.ndarray,
+               floor: np.ndarray, limit: int) -> np.ndarray:
+    """table[n, j]: the chance that a chain started at state ``starts[j]`` is unmet after n moves.
 
-    The survival S_n = p S_{n-1}(up) + q S_{n-1}(down), with p = a/(a+b) and
-    q = b/(a+b) the chances that a move goes up or down, is a sum of
-    non-negative terms, so the far tail keeps its relative precision. Rows
-    are added until every column is below its entry of ``floor``, or
-    through row ``limit``. Rounding can leave an entry a few ulps above the
-    row before it; the running minimum keeps each column non-increasing.
+    ``moves = (up, down)`` give the state each move leads to; the last
+    state is the met one, and both lead it to itself. The survival
+    S_n = p S_{n-1}(up) + q S_{n-1}(down), with p and q the chances that a
+    move goes up or down, is a sum of non-negative terms, so the far tail
+    keeps its relative precision. Rows are added until every column is
+    below its entry of ``floor``, or through row ``limit``. Rounding can
+    leave an entry a few ulps above the row before it; the running minimum
+    keeps each column non-increasing.
     """
-    _, up, down = _pair_moves(params.k)
-    p, q = params.a / (params.a + params.b), params.b / (params.a + params.b)
+    up, down = moves
     survival = np.ones(up.size)
     survival[-1] = 0.0
     rows = [survival[starts]]
@@ -549,57 +560,61 @@ def coupled_run(
     (``_coupling_times``) with the law of the step rule. Raises
     StepLimitError when that step is later than ``step_limit``.
     """
-    _check_count("step_limit", step_limit, 0)
-    rng = ensure_rng(rng)
     x, y = _labels(x0, params.k, params.m), _labels(y0, params.k, params.m)
     unmet = x != y
-    if not unmet.any():
-        return 0
-    column = _pair_moves(params.k)[0]
+    column, up, down = _pair_moves(params.k)
     starts = column[np.minimum(x, y)[unmet] - 1, np.maximum(x, y)[unmet] - 1]
-    return int(_coupling_times(params, starts, 1, rng, step_limit)[0])
+    return int(_coupling_times((up, down), params.a, params.b, params.m, starts, 1, rng,
+                               step_limit, "coupling did not coalesce")[0])
 
 
-def _coupling_times(params: EhrenfestParams, starts: np.ndarray, trials: int,
-                    rng: np.random.Generator, step_limit: int) -> np.ndarray:
-    """Coupling times of ``trials`` independent couplings whose unmet balls start at pairs ``starts``.
+def _coupling_times(moves: tuple[np.ndarray, np.ndarray], a: float, b: float, m: int,
+                    starts: np.ndarray, trials: int, rng: np.random.Generator | int | None,
+                    step_limit: int, event: str) -> np.ndarray:
+    """Coupling times of ``trials`` runs whose unmet balls start at states ``starts`` of ``moves``.
 
-    The step rule picks a ball uniformly and draws its move independently,
-    so each ball sees an i.i.d. sequence of moves (up w.p. a/(a+b), else
-    down) of its own, and its copies meet after M_i of them, independently
-    of the other balls and of the picks. M_i is drawn by inverse CDF from
-    the pair chain's ``_hit_table``: the first n with S_n < v, for
-    v = 1 - U in (0, 1]. Embed the steps in a rate-1 Poisson process.
-    Ball i then moves at rate r/m, r = min(a + b, 1), so its copies meet at
-    T_i ~ Gamma(M_i, m/r), and the coupling ends at T* = max_i T_i. The
-    step at T* is the count of picks in [0, T*]: the sum of the M_i, plus
-    each unmet ball's moves after T_i and stays before T*, plus the picks
-    of each ball whose copies start equal. By the memoryless and thinning
+    Each ball is a chain with the ``moves`` of ``_hit_table``; a ball not
+    in ``starts`` starts met. The step rule picks one of the m balls
+    uniformly and draws its move independently, so each ball sees an
+    i.i.d. sequence of moves (up w.p. a/(a+b), else down) of its own, and
+    meets after M_i of them, independently of the other balls and of the
+    picks. M_i is drawn by inverse CDF from ``_hit_table``: the first n
+    with S_n < v, for v = 1 - U in (0, 1]. Embed the steps in a rate-1
+    Poisson process. Ball i then moves at rate r/m, r = min(a + b, 1), so
+    it meets at T_i ~ Gamma(M_i, m/r), and the run ends at T* = max_i T_i.
+    The step at T* is the count of picks in [0, T*]: the sum of the M_i,
+    plus each unmet ball's moves after T_i and stays before T*, plus the
+    picks of each ball that starts met. By the memoryless and thinning
     properties these are independent Poisson counts, in all
     Poisson(sum_i (T* - r T_i)/m) over the m balls, with T_i = 0 for a
-    ball whose copies start equal. A trial costs O(m) draws, however long
-    the coupling; StepLimitError is raised exactly when some trial's
-    step exceeds ``step_limit``.
+    ball that starts met. That mean is at least (1 - r) T*, so past
+    numpy's Poisson limit, or lost to overflow, it puts the step past any
+    int64. A trial costs O(m) draws, however long the run; StepLimitError
+    ("{event} within {step_limit} steps") is raised exactly when some
+    trial's step exceeds ``step_limit``: the hit table stops there, and a
+    trial takes at least as many steps as moves.
     """
-    a, b, m = params.a, params.b, params.m
+    _check_count("step_limit", step_limit, 0)
+    rng = ensure_rng(rng)
     v = 1.0 - rng.random((trials, starts.size))
     pairs, ball_pair = np.unique(starts, return_inverse=True)
     floor = np.full(pairs.size, np.inf)
-    np.minimum.at(floor, ball_pair, v.min(axis=0))
-    table = _hit_table(params, pairs, floor, step_limit)
-    moves = np.empty(v.shape, dtype=np.int64)
+    np.minimum.at(floor, ball_pair, v.min(axis=0, initial=1.0))
+    table = _hit_table(moves, a / (a + b), b / (a + b), pairs, floor, step_limit)
+    counts = np.empty(v.shape, dtype=np.int64)
     for j in range(pairs.size):
         balls = ball_pair == j
-        moves[:, balls] = np.searchsorted(-table[:, j], -v[:, balls], side="right")
-    late = StepLimitError(f"coupling did not coalesce within {step_limit} steps")
-    if moves.max() > step_limit:  # a trial takes at least as many steps as moves
-        raise late
+        counts[:, balls] = np.searchsorted(-table[:, j], -v[:, balls], side="right")
     rate = min(a + b, 1.0)
-    meet = rng.gamma(moves, m / rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        meet = rng.gamma(counts, m / rate)
+        mean = meet.max(axis=1, initial=0.0) - rate * meet.sum(axis=1) / m
+    late = StepLimitError(f"{event} within {step_limit} steps")
+    if not np.abs(mean).max(initial=0.0) <= _POISSON_MEAN_MAX:  # NaN too
+        raise late
     # clipped at 0: when r = 1 and every T_i rounds to T*, rounding can leave it below 0
-    mean = np.maximum(meet.max(axis=1) - rate * meet.sum(axis=1) / m, 0.0)
-    taus = moves.sum(axis=1) + rng.poisson(mean)
-    if taus.max() > step_limit:
+    taus = counts.sum(axis=1) + rng.poisson(np.maximum(mean, 0.0))
+    if taus.max(initial=0) > step_limit:
         raise late
     return taus
 
@@ -621,13 +636,12 @@ def estimate_mixing(
     upper-bound style estimator for the time at which the distance to
     stationarity falls below epsilon; it is not the mixing time itself.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     _check_count("trials", trials, 1)
-    _check_count("step_limit", step_limit, 0)
-    rng = ensure_rng(rng)
-    corner = _pair_moves(params.k)[0][0, params.k - 1]
-    taus = _coupling_times(params, np.full(params.m, corner), trials, rng, step_limit)
+    column, up, down = _pair_moves(params.k)
+    taus = _coupling_times((up, down), params.a, params.b, params.m,
+                           np.full(params.m, column[0, params.k - 1]), trials, rng,
+                           step_limit, "coupling did not coalesce")
     t_hat = int(np.quantile(taus, 1.0 - epsilon, method="higher"))
     return MixingEstimate(t_hat=t_hat, method="coupling-tail", epsilon=epsilon, trials=trials)
 
@@ -648,12 +662,6 @@ def mixing_bound(params: EhrenfestParams) -> float:
     return 2.0 * phi * math.log2(4 * m)
 
 
-def _check_walk(k: int, a: float, b: float) -> None:
-    # a walk on the integers hits +-k only if k is an integer
-    _check_count("k", k, 1)
-    _check_rates(a, b)
-
-
 def absorption_times(
     k: int,
     a: float,
@@ -662,31 +670,21 @@ def absorption_times(
     rng: np.random.Generator | int | None,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> np.ndarray:
-    """Absorption times of n_runs independent walks, advanced in lockstep.
+    """Absorption times of n_runs independent walks, as an int64 array.
 
     Each walk starts at 0 on -k..k, steps +1 w.p. a and -1 w.p. b, and
-    stops on first hitting +-k.
+    stops on first hitting +-k. It is a one-ball chain for
+    ``_coupling_times``, with positions 1-k..k-1 as states 0..2k-2 and
+    both ends as the met state 2k-1, so a call costs the same whatever
+    a + b. StepLimitError means some walk is absorbed after ``step_limit``.
     """
-    _check_walk(k, a, b)
+    _check_count("k", k, 1)  # a walk on the integers hits +-k only if k is an integer
+    _check_rates(a, b)
     _check_count("n_runs", n_runs, 0)
-    _check_count("step_limit", step_limit, 0)
-    rng = ensure_rng(rng)
-    tau = np.zeros(n_runs, dtype=np.int64)
-    alive = np.arange(n_runs)
-    z = np.zeros(n_runs, dtype=np.int64)  # z[i]: the position of walk alive[i]
-    t = 0
-    while alive.size:
-        t += 1
-        if t > step_limit:
-            raise StepLimitError(f"no absorption within {step_limit} steps")
-        u = rng.random(alive.size)
-        z += u < a
-        z -= (u >= a) & (u < a + b)
-        hit = np.abs(z) == k
-        if hit.any():
-            tau[alive[hit]] = t
-            alive, z = alive[~hit], z[~hit]
-    return tau
+    met = 2 * k - 1
+    moves = np.array([*range(1, met + 1), met]), np.array([met, *range(met - 1), met])
+    return _coupling_times(moves, a, b, 1, np.array([k - 1]), n_runs, rng, step_limit,
+                           "no absorption")
 
 
 def expected_absorption_closed(k: int, a: float, b: float) -> float:
@@ -699,7 +697,8 @@ def expected_absorption_closed(k: int, a: float, b: float) -> float:
     moves w.p. a + b per step, hence k^2 / (a + b). Both are exact for any
     a + b <= 1.
     """
-    _check_walk(k, a, b)
+    _check_count("k", k, 1)
+    _check_rates(a, b)
     if a == b:
         return k * k / (a + b)
     return k / (a - b) * math.tanh(0.5 * k * math.log1p((a - b) / b))
@@ -749,8 +748,7 @@ def tmix_exact(
     gives up with StepLimitError after 4 * ceil(mixing_bound) + 1 steps;
     rounding holds the distance near 1e-15, so a smaller epsilon raises it.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     k, m = params.k, params.m
     corners = [(m,) + (0,) * (k - 1), (0,) * (k - 1) + (m,)]
     t_max = 4 * math.ceil(mixing_bound(params)) + 1

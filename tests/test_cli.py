@@ -235,6 +235,15 @@ def test_mixing_step_limit_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("rate", ["1e-300", "5e-324"])
+def test_mixing_at_rates_near_the_float_floor_is_a_step_limit_exit(rate, capsys):
+    # each coupling needs about m k^2 / (2 rate) steps, past int64; these
+    # once exited 2 with numpy's "lam value too large"
+    code = main(["mixing", "--k", "3", "--a", rate, "--b", rate, "--m", "4", "--seed", "5"])
+    assert code == 3
+    assert "coupling did not coalesce" in capsys.readouterr().err
+
+
 def test_mixing_rejects_a_negative_step_limit_or_no_trials(capsys):
     base = ["mixing", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--seed", "5"]
     # -1 once ended on StepLimitError "within -1 steps", exit 3

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -497,6 +498,13 @@ def test_exact_solver_raises_above_its_residual_bound():
         solve_stationary_exact(params, tol=1e-20)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+def test_exact_solver_rejects_a_tol_that_no_residual_can_meet(tol):
+    # these once ran the solve and blamed it: "residual 4.391e-17 exceeds tol nan"
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_stationary_exact(EhrenfestParams(k=3, a=0.4, b=0.2, m=4), tol=tol)
+
+
 def test_exact_solver_two_urn_midpoint():
     params = EhrenfestParams(k=2, a=0.3, b=0.3, m=2)
     states, pi = solve_stationary_exact(params)
@@ -629,28 +637,113 @@ def reference_absorption_times(k, a, b, n_runs, rng, step_limit=DEFAULT_STEP_LIM
     return tau
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    k=st.integers(1, 8), a=st.floats(0.05, 0.95), data=st.data(),
-    n_runs=st.sampled_from([0, 1, 2, 50, 2000]), seed=st.integers(0, 2**32 - 1),
-    step_limit=st.sampled_from([1, 4, 60, DEFAULT_STEP_LIMIT]),
-)
-def test_absorption_times_equals_the_indexed_loop(k, a, data, n_runs, seed, step_limit):
-    b = data.draw(st.floats(0.05, 1.0 - a))
-    got_rng, want_rng = stream(seed, "absorb-oracle"), stream(seed, "absorb-oracle")
-    try:
-        want = reference_absorption_times(k, a, b, n_runs, want_rng, step_limit)
-    except StepLimitError:
-        want = None
-    try:
-        got = absorption_times(k, a, b, n_runs, got_rng, step_limit)
-    except StepLimitError:
-        got = None
-    if want is None:
-        assert got is None
-    else:
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+def walk_moves(k):
+    """The +-k walk's moves, positions 1-k..k-1 as states 0..2k-2 and +-k as the met state 2k-1."""
+    state = {z: z + k - 1 for z in range(1 - k, k)} | {-k: 2 * k - 1, k: 2 * k - 1}
+    up = [state[z + 1] for z in range(1 - k, k)] + [2 * k - 1]
+    down = [state[z - 1] for z in range(1 - k, k)] + [2 * k - 1]
+    return np.array(up), np.array(down)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_walk_hit_table_is_the_dense_absorbing_chains_survival(k):
+    # in moves: the transient block Q of the non-lazy walk, S_n = (Q^n 1)[start]; both
+    # sides sum non-negative terms, so row n differs by at most about n ulps
+    n_max = 300
+    for a, b in [(0.05, 0.9), (0.3, 0.3), (0.45, 0.15), (0.6, 0.4), (0.01, 0.02), (1e-7, 1e-7)]:
+        p, q = a / (a + b), b / (a + b)
+        transient = np.diag(np.full(2 * k - 2, p), 1) + np.diag(np.full(2 * k - 2, q), -1)
+        survival, want = np.ones(2 * k - 1), [1.0]
+        for _ in range(n_max):
+            survival = transient @ survival
+            want.append(survival[k - 1])
+        got = _hit_table(walk_moves(k), p, q, np.array([k - 1]), np.array([0.0]), n_max)[:, 0]
+        assert (np.abs(got - want) <= np.arange(n_max + 1) * np.finfo(float).eps * want).all()
+
+
+def exact_step_cdf(k, a, b, n_max):
+    """P(tau <= n), n = 0..n_max, of the lazy +-k walk from 0, by iterating its law on -k..k."""
+    law = np.zeros(2 * k + 1)
+    law[k] = 1.0
+    cdf = [0.0]
+    for _ in range(n_max):
+        inner = law[1:-1]
+        law = np.concatenate(([law[0]], np.zeros(2 * k - 1), [law[-1]]))
+        law[2:] += a * inner
+        law[:-2] += b * inner
+        law[1:-1] += (1 - a - b) * inner
+        cdf.append(law[0] + law[-1])
+    return np.array(cdf)
+
+
+WALKS = [  # (k, a, b): k = 1, a = b, b > a, slow and lazy, and a + b = 1
+    (1, 0.3, 0.5),
+    (2, 0.5, 0.5),
+    (3, 0.5, 0.3),
+    (4, 0.2, 0.2),
+    (5, 0.01, 0.02),
+    (6, 0.7, 0.2),
+    (3, 0.6, 0.4),
+]
+
+
+@pytest.mark.parametrize("k, a, b", WALKS)
+def test_absorption_times_have_the_exact_step_law(k, a, b):
+    # 20,000 draws against P(tau <= n) at every n up to the 0.999 quantile,
+    # each within 5 binomial sigma
+    draws = 20_000
+    taus = np.sort(absorption_times(k, a, b, draws, stream(21, "walk-law", k, a, b)))
+    want = exact_step_cdf(k, a, b, 20 * math.ceil(expected_absorption_closed(k, a, b)))
+    n_max = int(np.searchsorted(want, 0.999))
+    assert n_max < want.size - 1
+    got = np.searchsorted(taus, np.arange(n_max + 1), side="right") / draws
+    sigma = np.sqrt(want[:n_max + 1] * (1 - want[:n_max + 1]) / draws)
+    assert (np.abs(got - want[:n_max + 1]) <= 5 * sigma + 1 / draws).all()
+
+
+@pytest.mark.parametrize("k, a, b", WALKS)
+def test_absorption_times_have_the_law_of_the_step_loop(k, a, b):
+    # two-sample KS, the step loop against 5x as many sampled times; p >= 1e-3
+    want = reference_absorption_times(k, a, b, 2000, stream(22, "loop", k, a, b))
+    got = absorption_times(k, a, b, 10_000, stream(22, "sampled", k, a, b))
+    assert got.dtype == np.int64
+    assert ks_2samp(want, got).pvalue >= 1e-3
+
+
+@pytest.mark.parametrize("k, a, b", [(3, 0.3, 0.3), (1, 0.2, 0.5), (4, 0.7, 0.2)])
+def test_absorption_step_limit_raises_exactly_past_the_unlimited_times(k, a, b):
+    for seed in range(5):
+        taus = absorption_times(k, a, b, 20, stream(seed, "walk-limit"))
+        top = int(taus.max())
+        for limit in sorted({0, 1, top - 1, top, top + 1, 2 * top}):
+            try:
+                got = absorption_times(k, a, b, 20, stream(seed, "walk-limit"), step_limit=limit)
+            except StepLimitError as exc:
+                assert top > limit and f"no absorption within {limit} steps" in str(exc)
+            else:
+                assert top <= limit and np.array_equal(got, taus), (seed, top, limit)
+
+
+def test_absorption_times_of_no_runs_is_an_empty_int64_array():
+    taus = absorption_times(3, 0.3, 0.3, 0, stream(23, "none"))
+    assert taus.dtype == np.int64 and taus.shape == (0,)
+
+
+def test_absorption_cost_does_not_grow_with_one_over_a_plus_b():
+    # the step loop took about 0.2 s per run here, and would take days for 1000
+    start = time.perf_counter()
+    taus = absorption_times(2, 1e-7, 1e-7, 1000, stream(24, "slow-walk"))
+    assert time.perf_counter() - start < 1.0
+    se = taus.std(ddof=1) / math.sqrt(taus.size)
+    assert abs(taus.mean() - expected_absorption_closed(2, 1e-7, 1e-7)) < 3 * se
+
+
+@pytest.mark.parametrize("rate", [1e-300, 5e-324])
+def test_absorption_at_rates_near_the_float_floor_is_past_any_step_limit(rate):
+    # the walk needs about 4 / (2 rate) steps, past int64; this once ended on
+    # numpy's "lam value too large"
+    with pytest.raises(StepLimitError, match="no absorption"):
+        absorption_times(2, rate, rate, 5, 1)
 
 
 # ------------------------------------------------------------------ coupling, mixing
@@ -766,9 +859,9 @@ N_ENUMERATED = 8
 def test_hit_table_gives_the_enumerated_one_ball_law(k, a, b, lo, hi):
     # a pick moves the ball w.p. r = a + b, so P(N > n) = sum_j C(n, j) r^j (1-r)^(n-j) S_j
     want = exact_pick_law(k, a, b, lo, hi, N_ENUMERATED)
-    pair = _pair_moves(k)[0][lo - 1, hi - 1]
-    params = EhrenfestParams(k=k, a=a, b=b, m=1)
-    survival = _hit_table(params, np.array([pair]), np.array([0.0]), N_ENUMERATED)[:, 0]
+    column, up, down = _pair_moves(k)
+    survival = _hit_table((up, down), a / (a + b), b / (a + b), np.array([column[lo - 1, hi - 1]]),
+                          np.array([0.0]), N_ENUMERATED)[:, 0]
     r = a + b
     for n in range(N_ENUMERATED + 1):
         got = sum(math.comb(n, j) * r**j * (1 - r) ** (n - j) * survival[j] for j in range(n + 1))
@@ -780,11 +873,10 @@ def test_one_ball_coupling_time_has_the_enumerated_law(k, a, b, lo, hi):
     # at m = 1, tau is the ball's own pick count N; 20,000 draws of the shared
     # sampler against P(tau <= n) for n <= 8, each within 5 binomial sigma
     want = exact_pick_law(k, a, b, lo, hi, N_ENUMERATED)
-    pair = _pair_moves(k)[0][lo - 1, hi - 1]
-    params = EhrenfestParams(k=k, a=a, b=b, m=1)
+    column, up, down = _pair_moves(k)
     draws = 20_000
-    taus = _coupling_times(params, np.array([pair]), draws, stream(17, "one", k, lo, hi),
-                           DEFAULT_STEP_LIMIT)
+    taus = _coupling_times((up, down), a, b, 1, np.array([column[lo - 1, hi - 1]]), draws,
+                           stream(17, "one", k, lo, hi), DEFAULT_STEP_LIMIT, "coupling")
     for n in range(N_ENUMERATED + 1):
         p = float(want[n])
         sigma = math.sqrt(p * (1 - p) / draws)
@@ -840,9 +932,10 @@ def test_step_limit_raises_exactly_past_the_unlimited_coupling_time(chain, x0, y
             else:
                 assert tau <= limit and got == tau, (seed, tau, limit)
         # a batch of corner couplings raises iff its slowest one is past the limit
-        corner = _pair_moves(params.k)[0][0, params.k - 1]
-        taus = _coupling_times(params, np.full(params.m, corner), 50, stream(seed, "batch"),
-                               DEFAULT_STEP_LIMIT)
+        column, up, down = _pair_moves(params.k)
+        taus = _coupling_times((up, down), params.a, params.b, params.m,
+                               np.full(params.m, column[0, params.k - 1]), 50,
+                               stream(seed, "batch"), DEFAULT_STEP_LIMIT, "coupling")
         for limit in (taus.max() - 1, taus.max()):
             try:
                 estimate_mixing(params, 0.25, 50, stream(seed, "batch"), step_limit=int(limit))

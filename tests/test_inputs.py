@@ -1,8 +1,8 @@
-"""Every count argument of the package follows one integer rule.
+"""Every count argument of the package follows one integer rule, and every epsilon one level rule.
 
 A count is an int or a numpy integer at or above its least value; a
 float, a bool or a string is refused with a ValueError that names the
-argument.
+argument. An epsilon lies strictly between 0 and 1; NaN does not.
 """
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 
 from gtftlab.ehrenfest import (
     EhrenfestParams,
+    MixingEstimate,
     MultinomialDist,
     absorption_times,
     coupled_run,
@@ -17,6 +18,7 @@ from gtftlab.ehrenfest import (
     estimate_mixing,
     expected_absorption_closed,
     geometric_weights,
+    tmix_exact,
     tv_distance_exact,
 )
 from gtftlab.games import ALLD, GameConfig, RewardVector, gtft, simulate_games
@@ -74,3 +76,21 @@ def test_every_count_argument_takes_only_integers(name, least, call, good):
         with pytest.raises(ValueError, match=f"need an integer {name} >= {least}, got"):
             call(bad)
     call(np.int64(good))
+
+
+# (callable, the call with epsilon set)
+EPSILON_ARGUMENTS = [
+    ("MixingEstimate",
+     lambda v: MixingEstimate(t_hat=3, method="coupling-tail", epsilon=v, trials=5)),
+    ("estimate_mixing", lambda v: estimate_mixing(PARAMS, v, 5, 1)),
+    ("tmix_exact", lambda v: tmix_exact(PARAMS, epsilon=v)),
+]
+
+
+@pytest.mark.parametrize("call", [row[1] for row in EPSILON_ARGUMENTS],
+                         ids=[row[0] for row in EPSILON_ARGUMENTS])
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, -0.1])
+def test_every_epsilon_lies_strictly_between_0_and_1(call, bad):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), got"):
+        call(bad)
+    call(0.25)
