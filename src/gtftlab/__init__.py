@@ -16,11 +16,8 @@ from .games import (
     RewardVector,
     Strategy,
     expected_payoff_closed,
-    expected_payoff_series,
     gtft,
-    initial_distribution,
     simulate_games,
-    transition_matrix,
 )
 from .ehrenfest import (
     EhrenfestParams,

@@ -38,9 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_LIMIT = 3
 
-# most series terms `payoff` sums, about 5 s at 5.5 us per term
-SERIES_TERM_CAP = 10**6
-
 
 def _manifest(args, outputs: list[str], t0: float) -> dict:
     return {
@@ -229,8 +226,6 @@ def cmd_mixing(args) -> dict:
 def cmd_payoff(args) -> dict:
     if args.mc_games < 0 or args.mc_games == 1:
         raise ValueError("--mc-games must be 0 (no Monte Carlo) or at least 2 for a standard error")
-    if not 0 < args.tol < float("inf"):
-        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     rv = _reward_vector(args)
     cfg = GameConfig(delta=args.delta, s1=args.s1, g_hat=args.g_hat)
     me = _strategy(args.me)
@@ -238,14 +233,7 @@ def cmd_payoff(args) -> dict:
     result = {
         "me": str(me), "opp": str(opp),
         "closed_form": games.expected_payoff_closed(me, opp, cfg, rv),
-        "series": None,
-        "series_tol": args.tol,
     }
-    n_terms = games.series_truncation_index(cfg.delta, rv.max_abs, args.tol)
-    if n_terms > SERIES_TERM_CAP:
-        result["note"] = f"series skipped: {n_terms} terms exceed the cap of {SERIES_TERM_CAP}"
-    else:
-        result["series"] = games.expected_payoff_series(me, opp, cfg, rv, tol=args.tol)
     if args.mc_games:
         pay_me, pay_opp, rounds = games.simulate_games(
             me, opp, cfg, rv, args.mc_games, stream(args.seed, "payoff-mc")
@@ -377,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opp", required=True)
     _add_reward_args(p)
     p.add_argument("--g-hat", dest="g_hat", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10, help="series truncation error")
     p.add_argument("--mc-games", dest="mc_games", type=int, default=0,
                    help="also Monte Carlo this many games")
     p.add_argument("--seed", type=int, default=0)

@@ -243,6 +243,8 @@ def state_array(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     i, one urn at a time, by the largest tail whose table entry fits in
     what is left of i. The dtype is the smallest signed integer holding m.
     """
+    _check_count("k", k, 1)
+    _check_count("m", m, 0)
     return _states_and_table(k, m, cap)[0]
 
 

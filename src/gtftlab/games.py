@@ -15,8 +15,9 @@ The module provides three independent routes to the expected total
 payoff of the row player:
 
 * a solve of the round chain for its discounted visits, by state
-  reduction, for every pairing,
-* a truncated Neumann series over the same chain,
+  reduction, for every pairing: the one route the package reports,
+* a truncated Neumann series over the same chain, kept as the oracle
+  of the tests and the benchmark,
 * Monte Carlo: each game's visits to CC, CD, DC and DD, sampled from
   their exact law given the game's length. Since each side answers only
   the other's previous action, a game's actions split into two

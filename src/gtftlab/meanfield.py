@@ -3,10 +3,14 @@
 The central object is the mean-field payoff F(g, alpha, beta): the
 expected game payoff of a GTFT node whose opponent is drawn from the
 population, under the simplification that every GTFT node plays the
-same generosity g. For donation games F is concave in g, its interior
-critical point has a closed form, and the ratio phi = beta*n/m of
-defectors to GTFT nodes decides whether the maximizer sits at g_hat, at
-zero, or in between.
+same generosity g. For donation games F is concave in g, with slope
+
+    F'(g) = delta (1 - alpha - beta) [(b - c)(1 - s1) / (1 - delta + delta g)^2
+                                      - phi c / (1 - delta)],
+
+so the round-one cooperation s1 enters only through the factor 1 - s1,
+and the ratio phi = beta*n/m of defectors to GTFT nodes decides whether
+the maximizer sits at g_hat, at zero, or at the one root in between.
 
 The module also evaluates the average stationary generosity of the
 dynamics, the optimality gap bound between it and the F-maximizer, the
@@ -75,30 +79,22 @@ def phi_ratio(alpha: float, beta: float) -> float:
     return beta / (1.0 - alpha - beta)
 
 
-def low_phi_threshold(cfg: GameConfig, rv: RewardVector) -> float:
-    """Largest phi at which dF/dg >= 0 over the whole grid range, so g* = g_hat."""
+def _critical_phi(g: float, cfg: GameConfig, rv: RewardVector) -> float:
+    """The phi at which dF/dg = 0 at g: (b - c)(1 - delta) / ((c/(1 - s1)) (1 - delta(1 - g))^2)."""
     benefit, cost = rv.donation_params()
     return (benefit - cost) * (1.0 - cfg.delta) / (
-        2.0 * cost * (1.0 - cfg.delta * (1.0 - cfg.g_hat)) ** 2
+        cost / (1.0 - cfg.s1) * (1.0 - cfg.delta * (1.0 - g)) ** 2
     )
+
+
+def low_phi_threshold(cfg: GameConfig, rv: RewardVector) -> float:
+    """Largest phi at which dF/dg >= 0 over the whole grid range, so g* = g_hat."""
+    return _critical_phi(cfg.g_hat, cfg, rv)
 
 
 def high_phi_threshold(cfg: GameConfig, rv: RewardVector) -> float:
     """Smallest phi at which dF/dg <= 0 everywhere, so g* = 0."""
-    benefit, cost = rv.donation_params()
-    return (benefit - cost) / (2.0 * cost * (1.0 - cfg.delta))
-
-
-def interior_optimum(alpha: float, beta: float, cfg: GameConfig, rv: RewardVector) -> float:
-    """Root of dF/dg: sqrt(m (1-delta)(b-c) / (2 beta n c delta^2)) - (1-delta)/delta."""
-    benefit, cost = rv.donation_params()
-    if cfg.delta == 0.0:
-        raise ValueError("interior optimum undefined at delta = 0")
-    phi = phi_ratio(alpha, beta)
-    return float(
-        np.sqrt((1.0 - cfg.delta) * (benefit - cost) / (2.0 * phi * cost * cfg.delta**2))
-        - (1.0 - cfg.delta) / cfg.delta
-    )
+    return _critical_phi(0.0, cfg, rv)
 
 
 def optimal_generosity(
@@ -106,18 +102,21 @@ def optimal_generosity(
 ) -> tuple[float, str]:
     """Maximizer of F over [0, g_hat] for a donation game, with its phi regime.
 
-    Low phi pins the maximizer to g_hat, high phi to 0, and in between it
-    is the interior root, clamped to the domain as a guard.
+    F is concave, so low phi pins the maximizer to g_hat, high phi to 0,
+    and in between it is the root (1 - delta)(sqrt(phi_high/phi) - 1)/delta
+    of dF/dg, clamped to the domain as a guard against rounding.
     """
-    rv.donation_params()  # reject non-donation vectors
     del n  # phi depends only on the fractions; kept for signature symmetry
+    phi_low = low_phi_threshold(cfg, rv)  # rejects non-donation vectors
     phi = phi_ratio(alpha, beta)
-    if phi <= low_phi_threshold(cfg, rv):
+    if phi <= phi_low:
         return cfg.g_hat, "low"
-    if phi >= high_phi_threshold(cfg, rv):
+    phi_high = high_phi_threshold(cfg, rv)
+    if phi >= phi_high:
         return 0.0, "high"
-    g_star = min(max(interior_optimum(alpha, beta, cfg, rv), 0.0), cfg.g_hat)
-    return g_star, "mid"
+    # delta > 0 here: at delta = 0 the two thresholds are one number
+    root = (1.0 - cfg.delta) * (np.sqrt(phi_high / phi) - 1.0) / cfg.delta
+    return min(max(float(root), 0.0), cfg.g_hat), "mid"
 
 
 def gap_bound(k: int, beta: float) -> float:

@@ -262,21 +262,19 @@ def test_payoff_command_closed_series_mc(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["closed_form"] == pytest.approx(-4.6)
-    assert payload["series"] == pytest.approx(-4.6, abs=1e-9)
-    assert "note" not in payload  # 251 terms
+    assert sorted(payload) == ["closed_form", "manifest", "me", "monte_carlo", "opp"]
     mc = payload["monte_carlo"]
     assert abs(mc["mean"] - (-4.6)) < 4 * mc["std_error"]
 
 
 @pytest.mark.parametrize("me,row", [("gtft:0.2", games.gtft(0.2)), ("allc", games.ALLC)])
-def test_payoff_skips_a_series_past_its_term_cap(capsys, me, row):
-    # the series would need 4.7e11 terms here; it once ran past 300 s
+def test_payoff_closed_form_near_delta_one(capsys, me, row):
+    # a series to 1e-10 would need 4.7e11 terms here; it once ran past 300 s
     delta = 0.9999999999
     assert main(["payoff", "--me", me, "--opp", "gtft:0.1", "--b", "3", "--c", "2",
                  "--delta", str(delta)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["series"] is None
-    assert payload["note"] == "series skipped: 471503101623 terms exceed the cap of 1000000"
+    assert sorted(payload) == ["closed_form", "manifest", "me", "opp"]
     exact = mp_payoff(row, games.gtft(0.1), games.GameConfig(delta), DONATION)
     assert abs(payload["closed_form"] - float(exact)) <= 1e-15 * 3 / (1 - delta)
 
@@ -300,12 +298,17 @@ def test_payoff_mc_games_needs_two_for_a_standard_error(capsys):
     assert "monte_carlo" not in json.loads(capsys.readouterr().out)
 
 
-def test_payoff_bad_tol_is_config_error_naming_the_flag(capsys):
+def test_payoff_has_no_tol_flag(tmp_path, capsys):
+    # the series' truncation error; a manifest recorded with it replays with exit 2
     argv = ["payoff", "--me", "gtft:0.2", "--opp", "alld", "--b", "3", "--c", "2",
-            "--delta", "0.9", "--tol"]
-    for tol in ("nan", "0", "-1"):
-        assert main(argv + [tol]) == 2
-        assert capsys.readouterr().err.startswith("error: --tol must be positive")
+            "--delta", "0.9"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tol": 1e-10}))
+    for extra in (["--tol", "1e-10"], ["--config", str(config)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
 
 
 def test_payoff_rejects_bad_strategy(capsys):
@@ -365,13 +368,14 @@ def test_compare_emits_fig_shaped_table(tmp_path):
 # sha256 of the README's payoff report (json.dumps, sorted keys, without the
 # manifest, which holds the time) and of its compare CSV: first from the
 # round-chain solve, then from the reference forms, as recorded before that
-# solve; the payoff digest leaves out the Monte Carlo block, pinned on its own below
+# solve; the payoff digest leaves out the Monte Carlo block, pinned on its own below,
+# and was re-recorded when the report dropped its series and series_tol fields
 README_REPORTS = {
     "payoff": (
         ["payoff", "--me", "gtft:0.2", "--opp", "alld", "--b", "3", "--c", "2",
          "--delta", "0.9", "--mc-games", "1000000", "--seed", "1"],
-        "1a2ca81987de5b6137817e87fce62db70ad1948987d94c6e697b58d063b7c7f6",
-        "82f6b833ceaee6a6dc1202fbacaf3b320525e722d00e776b700237927c2e1153",
+        "3861f4127984ccfd1562ea7625c2ad1af473452f6169fe3d53864d4c315a1b75",
+        "c9755a6f03763ee17516fefb26ed76b27c5262161e7125f9c62a6bf559f87000",
     ),
     "compare": (
         ["compare", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25", "--k", "6",
@@ -527,7 +531,7 @@ FUZZ_FLAGS = {
     "stationary": ["--k", "--a", "--b", "--m", "--beta", "--cap"],
     "mixing": ["--k", "--a", "--b", "--m", "--epsilon", "--trials", "--sweep", "--step-limit",
                "--cap", "--seed"],
-    "payoff": ["--b", "--c", "--R", "--S", "--T", "--P", "--delta", "--s1", "--g-hat", "--tol",
+    "payoff": ["--b", "--c", "--R", "--S", "--T", "--P", "--delta", "--s1", "--g-hat",
                "--mc-games", "--seed"],
     "optimality": ["--b", "--c", "--delta", "--s1", "--g-hat", "--alpha", "--beta", "--n", "--k"],
     "compare": ["--b", "--c", "--delta", "--s1", "--g-hat", "--k", "--m", "--populations"],
@@ -637,8 +641,8 @@ OVERFLOW = ["payoff", "--me", "allc", "--opp", "alld", "--T", "1e308", "--R", "1
 INFINITE_T = OVERFLOW[:6] + ["inf"] + OVERFLOW[7:]
 
 
-# a series at its term cap takes about 5 s, the slowest run a payoff may make
-@settings(max_examples=100, deadline=timedelta(seconds=10))
+# a payoff is one round-chain solve and at most 1000 games, whatever delta is
+@settings(max_examples=100, deadline=timedelta(seconds=2))
 @given(argv=payoff_argvs())
 @example(argv=["payoff", "--me", "gtft:0.2", "--opp", "gtft:0.1", "--b", "3", "--c", "2",
                "--delta", repr(1 - 1e-12), "--mc-games", "1000"])
@@ -665,10 +669,9 @@ def test_payoff_overflow_and_infinite_rewards_are_config_errors(capsys):
 
 # ------------------------------------------------------- exit-code properties
 #
-# One property per subcommand, each example held to the 10 s deadline of the
-# payoff property. Every numeric flag is drawn negative, zero, in range,
-# large, fractional-looking (for an integer flag) or not finite. Each draw is
-# kept cheap: --cap <= 2000, --trials <= 50, --steps <= 10**4, and --k <= 64
+# One property per subcommand, each example held to a 10 s deadline. Every
+# numeric flag is drawn negative, zero, in range, large, fractional-looking
+# (for an integer flag) or not finite. Each draw is kept cheap: --cap <= 2000, --trials <= 50, --steps <= 10**4, and --k <= 64
 # wherever the work is O(k**2) per move or per table (mixing, compare).
 
 SPECIAL_REALS = [-0.5, 0.0, 1.5, 1e308, math.nan, math.inf]
@@ -825,8 +828,25 @@ def test_mixing_exit_code_contract(argv):
 
 @PROPERTY
 @given(argv=optimality_argvs())
+@example(argv=["optimality", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0",
+               "--alpha", "0.1", "--beta", "0.3", "--n", "100"])
 def test_optimality_exit_code_contract(argv):
-    assert_report_contract(argv)
+    """The exit-code contract; an exit-0 report is strict JSON and its optimum is consistent.
+
+    Only a donation game gets past optimal_generosity, so every exit-0
+    report has both thresholds, and g* lies in [0, g_hat] in the regime
+    that phi picks against them.
+    """
+    code, out = exit_code_and_stdout(argv)
+    if code != 0:
+        return
+    report = strict_json(out)
+    low, high, phi = report["low_phi_threshold"], report["high_phi_threshold"], report["phi"]
+    # at g_hat = 0 the two once read 2.500000000000001 > 2.5000000000000004
+    assert low <= high
+    assert 0.0 <= report["g_star"] <= report["manifest"]["config"]["g_hat"]
+    expected = "low" if phi <= low else "high" if phi >= high else "mid"
+    assert report["regime"] == expected
 
 
 @PROPERTY

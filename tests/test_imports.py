@@ -66,12 +66,11 @@ PUBLIC_NAMES = [
     "MultinomialDist", "PayoffComparison", "PopulationConfig", "PopulationState",
     "RewardVector", "Strategy", "avg_stationary_generosity", "check_local_optimality",
     "coupled_run", "detailed_balance_residual", "enumerate_states", "estimate_mixing",
-    "expected_absorption_closed", "expected_payoff_closed", "expected_payoff_series",
-    "gap_bound", "generosity_grid", "granular_expected_payoff", "gtft", "init_population",
-    "initial_distribution", "mean_field_payoff", "mixing_bound", "optimal_generosity", "run",
-    "simulate_games", "solve_stationary_exact", "state_array", "stationary_closed",
-    "stationary_of_population", "tmix_exact", "to_ehrenfest", "transition_matrix",
-    "transition_row", "tv_distance_exact",
+    "expected_absorption_closed", "expected_payoff_closed", "gap_bound", "generosity_grid",
+    "granular_expected_payoff", "gtft", "init_population", "mean_field_payoff",
+    "mixing_bound", "optimal_generosity", "run", "simulate_games", "solve_stationary_exact",
+    "state_array", "stationary_closed", "stationary_of_population", "tmix_exact",
+    "to_ehrenfest", "transition_row", "tv_distance_exact",
 ]
 
 

@@ -18,6 +18,7 @@ from gtftlab.ehrenfest import (
     estimate_mixing,
     expected_absorption_closed,
     geometric_weights,
+    state_array,
     tmix_exact,
     tv_distance_exact,
 )
@@ -41,6 +42,8 @@ COUNT_ARGUMENTS = [
     ("EhrenfestParams", "m", 1, lambda v: EhrenfestParams(k=3, a=0.4, b=0.2, m=v), 3),
     ("MultinomialDist", "m", 0, lambda v: MultinomialDist(m=v, p=(0.5, 0.5)), 2),
     ("geometric_weights", "k", 1, lambda v: geometric_weights(2.0, v), 3),
+    ("state_array", "k", 1, lambda v: state_array(v, 2), 3),
+    ("state_array", "m", 0, lambda v: state_array(2, v), 3),
     ("coupled_run", "step_limit", 0,
      lambda v: coupled_run(PARAMS, *corner_labels(PARAMS), 1, step_limit=v), 10**6),
     ("estimate_mixing", "trials", 1, lambda v: estimate_mixing(PARAMS, 0.25, v, 1), 5),

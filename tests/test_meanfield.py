@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gtftlab import games, meanfield
@@ -17,7 +17,6 @@ from gtftlab.meanfield import (
     gap_bound,
     granular_expected_payoff,
     high_phi_threshold,
-    interior_optimum,
     low_phi_threshold,
     mean_field_payoff,
     optimal_generosity,
@@ -39,6 +38,7 @@ from test_games import (
 
 DONATION = RewardVector.donation(3, 2)
 CFG = GameConfig(delta=0.9, s1=0.5, g_hat=0.25)
+EPS = np.finfo(float).eps
 
 
 def direct_avg_generosity(k: int, beta: float, g_hat: float) -> float:
@@ -237,8 +237,85 @@ def test_pinned_payoffs_match_the_reference_forms(monkeypatch):
 # ------------------------------------------------------------------ optimality
 
 
+def reference_low_phi_threshold(cfg, rv):
+    """Oracle: the s1 = 1/2 form of the low threshold, (b - c)(1 - delta) / (2c (1 - delta(1 - g_hat))^2)."""
+    benefit, cost = rv.donation_params()
+    return (benefit - cost) * (1.0 - cfg.delta) / (
+        2.0 * cost * (1.0 - cfg.delta * (1.0 - cfg.g_hat)) ** 2
+    )
+
+
+def reference_high_phi_threshold(cfg, rv):
+    """Oracle: the s1 = 1/2 form of the high threshold, (b - c) / (2c (1 - delta))."""
+    benefit, cost = rv.donation_params()
+    return (benefit - cost) / (2.0 * cost * (1.0 - cfg.delta))
+
+
+def reference_interior_optimum(alpha, beta, cfg, rv):
+    """Oracle: the s1 = 1/2 root of dF/dg, sqrt(m (1-delta)(b-c) / (2 beta n c delta^2)) - (1-delta)/delta."""
+    benefit, cost = rv.donation_params()
+    phi = phi_ratio(alpha, beta)
+    return float(
+        np.sqrt((1.0 - cfg.delta) * (benefit - cost) / (2.0 * phi * cost * cfg.delta**2))
+        - (1.0 - cfg.delta) / cfg.delta
+    )
+
+
+def reference_optimal_generosity(alpha, beta, cfg, rv):
+    """Oracle: the maximizer of F and its regime from the three s1 = 1/2 forms."""
+    phi = phi_ratio(alpha, beta)
+    if phi <= reference_low_phi_threshold(cfg, rv):
+        return cfg.g_hat, "low"
+    if phi >= reference_high_phi_threshold(cfg, rv):
+        return 0.0, "high"
+    return min(max(reference_interior_optimum(alpha, beta, cfg, rv), 0.0), cfg.g_hat), "mid"
+
+
+def donation_slope_terms(g, alpha, beta, cfg, benefit, cost):
+    """Oracle: dF/dg of a donation game as the gain and the loss it is the difference of.
+
+    F is written out for any s1. Against AllC the payoff does not depend
+    on g; against AllD it is -c s1 - c g delta/(1 - delta), which gives the
+    loss; between two GTFT(g) nodes it is
+    (b - c)(1/(1 - delta) - (1 - s1)/(1 - delta + delta g)), which gives the gain.
+    """
+    delta = cfg.delta
+    gain = delta * (1 - alpha - beta) * (benefit - cost) * (1 - cfg.s1) / (1 - delta + delta * g) ** 2
+    return gain, delta * beta * cost / (1 - delta)
+
+
 def test_low_phi_threshold_exact_fraction():
     assert low_phi_threshold(CFG, DONATION) == pytest.approx(40 / 169, rel=5e-15)
+
+
+# perfbench's 16 (alpha, beta) pairs, and the mid and high pairs of the tests below
+HALF_FRACTIONS = [(alpha, beta) for alpha in (0.05, 0.1, 0.2, 0.3)
+                  for beta in (0.05, 0.1, 0.2, 0.3)] + [(0.25, 0.375), (0.25, 0.55)]
+
+
+def test_optimum_at_s1_one_half_matches_the_reference_forms():
+    for delta in (0.1, 0.5, 0.9, 0.99, 1 - 1e-6):
+        for g_hat in (0.0, 0.25, 1.0):
+            cfg = GameConfig(delta=delta, s1=0.5, g_hat=g_hat)
+            for rv in (DONATION, RewardVector.donation(3, 1), RewardVector.donation(10, 1)):
+                high = high_phi_threshold(cfg, rv)
+                assert low_phi_threshold(cfg, rv) == reference_low_phi_threshold(cfg, rv)
+                assert abs(high - reference_high_phi_threshold(cfg, rv)) <= 1e-15 * high
+                for alpha, beta in HALF_FRACTIONS:
+                    g_star, regime = optimal_generosity(alpha, beta, 100, cfg, rv)
+                    reference, reference_regime = reference_optimal_generosity(alpha, beta, cfg, rv)
+                    assert regime == reference_regime, (cfg, rv, alpha, beta)
+                    # both roots round sqrt(phi_high/phi) (1 - delta)/delta before a subtraction
+                    scale = (1 - delta) / delta * math.sqrt(high / phi_ratio(alpha, beta))
+                    assert abs(g_star - reference) <= 1e-15 * scale, (cfg, rv, alpha, beta)
+
+
+def test_optimum_at_the_paper_game_matches_the_reference_forms_in_relative_terms():
+    for alpha, beta in HALF_FRACTIONS:
+        g_star, regime = optimal_generosity(alpha, beta, 100, CFG, DONATION)
+        reference, reference_regime = reference_optimal_generosity(alpha, beta, CFG, DONATION)
+        assert regime == reference_regime
+        assert abs(g_star - reference) <= 1e-15 * reference
 
 
 def test_optimal_generosity_low_regime():
@@ -264,7 +341,7 @@ def test_optimal_generosity_mid_matches_grid_search():
     g_star, regime = optimal_generosity(alpha, beta, 80, CFG, DONATION)
     assert regime == "mid"
     assert abs(g_star - grid_search_argmax(alpha, beta, CFG, DONATION)) <= 2e-4
-    assert g_star == pytest.approx(interior_optimum(alpha, beta, CFG, DONATION))
+    assert g_star == pytest.approx(reference_interior_optimum(alpha, beta, CFG, DONATION))
 
 
 def test_optimal_generosity_grid_search_all_regimes():
@@ -276,6 +353,65 @@ def test_optimal_generosity_grid_search_all_regimes():
         g_star, regime = optimal_generosity(alpha, beta, 80, CFG, DONATION)
         assert regime == expect_regime
         assert abs(g_star - grid_search_argmax(alpha, beta, CFG, DONATION)) <= 2e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(s1=st.floats(0.0, 1.0, exclude_max=True), delta=st.floats(0.0, 0.99),
+       g=st.floats(0.0, 1.0), alpha=st.floats(0.0, 0.5), beta=st.floats(0.01, 0.49))
+def test_donation_slope_matches_central_differences(s1, delta, g, alpha, beta):
+    cfg = GameConfig(delta=delta, s1=s1)
+    step = 1e-6
+    lo, hi = max(g - step, 0.0), min(g + step, 1.0)
+    f_lo, f_hi = mean_field_payoff(np.array([lo, hi]), alpha, beta, cfg, DONATION)
+    gain, loss = donation_slope_terms(g, alpha, beta, cfg, 3, 2)
+    # |F''| <= 2 (b - c)/(1 - delta)^3 bounds a one-sided difference's error; each F
+    # rounds by up to 1e-15 max|v|/(1 - delta), which the quotient divides by the step
+    bound = step * 2 / (1 - delta) ** 3 + 2 * 1e-15 * 3 / (1 - delta) / step
+    assert abs((f_hi - f_lo) / (hi - lo) - (gain - loss)) <= bound
+
+
+# the cases of the CLI example with b = 3, c = 2, delta = 0.9, g_hat = 0.25,
+# alpha = 0.1 and beta = 0.3: at s1 = 0.9 the s1 = 1/2 forms said regime mid
+# with g* = 0.1373, where F(0) - F(g*) = 0.41; at s1 = 0 they lost 0.23
+OPTIMUM_EXAMPLES = [dict(s1=s1, delta=0.9, g_hat=0.25, ratio=1.5, cost=2.0, alpha=0.1, beta=0.3)
+                    for s1 in (0.9, 0.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(s1=st.floats(0.0, 1.0, exclude_max=True),
+       delta=st.one_of(st.floats(0.0, 1 - 1e-6), st.floats(0.0, 6.0).map(lambda x: 1 - 10.0**-x)),
+       g_hat=st.floats(0.0, 1.0), ratio=st.floats(1.0, 6.0, exclude_min=True),
+       cost=st.floats(1e-3, 100.0), alpha=st.floats(0.0, 1.0), beta=st.floats(0.0, 1.0))
+@example(**OPTIMUM_EXAMPLES[0])
+@example(**OPTIMUM_EXAMPLES[1])
+def test_optimal_generosity_maximizes_f_over_the_whole_donation_domain(
+    s1, delta, g_hat, ratio, cost, alpha, beta
+):
+    benefit = ratio * cost
+    assume(benefit > cost and beta > 0 and alpha + beta < 1)
+    cfg = GameConfig(delta=delta, s1=s1, g_hat=g_hat)
+    rv = RewardVector.donation(benefit, cost)
+    g_star, regime = optimal_generosity(alpha, beta, 100, cfg, rv)
+    assert 0.0 <= g_star <= g_hat
+
+    values = mean_field_payoff(np.linspace(0.0, g_hat, 20_001), alpha, beta, cfg, rv)
+    # a few ulps of the payoffs that F sums, max|v|/(1 - delta), which also bound |F|;
+    # F can cancel them: with b - c one ulp above c, F's rounding exceeded 4 ulps of max|F|
+    assert mean_field_payoff(g_star, alpha, beta, cfg, rv) >= (
+        values.max() - 8 * EPS * rv.max_abs / (1 - delta))
+
+    def sign(g):
+        """Sign of dF/dg at g, read as 0 within rounding of its two terms."""
+        gain, loss = donation_slope_terms(g, alpha, beta, cfg, benefit, cost)
+        return 0 if abs(gain - loss) <= 1e-13 * (gain + loss) else math.copysign(1, gain - loss)
+
+    at_zero, at_top = sign(0.0), sign(g_hat)
+    if regime == "low":
+        assert at_top >= 0
+    elif regime == "high":
+        assert at_zero <= 0 and at_top <= 0
+    else:
+        assert regime == "mid" and at_zero >= 0 >= at_top
 
 
 def test_optimal_generosity_rejects_non_donation():
@@ -290,8 +426,6 @@ def test_impossible_fractions_raise():
             phi_ratio(alpha, beta)
         with pytest.raises(ValueError):
             optimal_generosity(alpha, beta, 100, CFG, DONATION)
-        with pytest.raises(ValueError):
-            interior_optimum(alpha, beta, CFG, DONATION)
 
 
 def test_gap_bound_values_and_shape():
@@ -317,14 +451,16 @@ def test_gap_bound_covers_measured_gap():
 
 
 def test_gap_vanishes_while_generosity_approaches_ghat():
-    cfg = GameConfig(delta=0.5, s1=0.5, g_hat=0.25)
+    # the gap does not read s1 once g* = g_hat, so the claim holds at any s1 of the low regime
     rv = RewardVector.donation(3, 1)
-    for beta in (0.05, 0.1, 0.2, 0.25):
-        g_star, regime = optimal_generosity(0.05, beta, 100, cfg, rv)
-        assert regime == "low"
-        for k in range(2, 65):
-            gap = abs(g_star - avg_stationary_generosity(k, beta, cfg.g_hat))
-            assert gap <= gap_bound(k, beta), (k, beta)
+    for s1 in (0.0, 0.25, 0.5):
+        cfg = GameConfig(delta=0.5, s1=s1, g_hat=0.25)
+        for beta in (0.05, 0.1, 0.2, 0.25):
+            g_star, regime = optimal_generosity(0.05, beta, 100, cfg, rv)
+            assert regime == "low"
+            for k in range(2, 65):
+                gap = abs(g_star - avg_stationary_generosity(k, beta, cfg.g_hat))
+                assert gap <= gap_bound(k, beta), (k, s1, beta)
 
 
 # ------------------------------------------------------------------ local optimality
