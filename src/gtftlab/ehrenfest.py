@@ -51,6 +51,7 @@ DEFAULT_STATE_CAP = 10**6
 DEFAULT_STEP_LIMIT = 10**9
 # numpy's largest Poisson mean: a larger one gives a count past int64
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+_NOT_A_COMPOSITION = "{} is not a composition of {} into {} parts"  # x, m, k
 
 
 class CapExceededError(RuntimeError):
@@ -82,6 +83,37 @@ def _check_rates(a: float, b: float) -> None:
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:  # NaN fails too
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
+def _check_mix(alpha: float, beta: float) -> None:
+    if not (alpha >= 0 and beta >= 0 and alpha + beta < 1):  # NaN fails too
+        raise ValueError(f"need alpha, beta >= 0 with alpha + beta < 1, got {alpha}, {beta}")
+
+
+def _check_share(beta: float) -> None:
+    if not 0.0 < beta < 1.0:  # NaN fails too
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+
+
+def _check_generosity(name: str, g) -> None:
+    if not np.all((0.0 <= g) & (g <= 1.0)):  # g may be an array; NaN fails too
+        raise ValueError(f"{name} must be in [0, 1], got {g}")
+
+
+def _whole_numbers(x) -> np.ndarray | None:
+    """x as an integer array if each entry is a whole number (not a bool or a string), else None."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        return None
+    # numpy reads a bool among numbers as 0 or 1; only an array keeps its own dtype
+    if arr.dtype.kind not in "iuf" or not isinstance(x, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
+        return None
+    if arr.dtype.kind == "f":  # NaN, inf and whole numbers past int64 fail
+        whole = (arr == np.round(arr)) & (np.abs(arr) < 2.0**63)
+        return arr.astype(np.int64) if whole.all() else None
+    return arr
 
 
 @dataclass(frozen=True)
@@ -151,15 +183,15 @@ class MultinomialDist:
         return _LogFactorials(self.m), log_q, tuple(j for j, q in enumerate(self.p) if q == 0)
 
     def pmf(self, x: tuple[int, ...]) -> float:
+        # the memo checks x as _check_state would, but lets a bool pass: a type scan costs a fifth
         log_fact, log_q, empty = self._log_terms
         try:
             if len(x) != len(log_q) or sum(x) != self.m:
                 raise ValueError
             # a count the memo has not met is checked on the miss
             log_coef = log_fact[self.m] - sum(map(log_fact.__getitem__, x))
-        except ValueError:
-            raise ValueError(
-                f"{x} is not a composition of {self.m} into {len(self.p)} parts") from None
+        except (TypeError, ValueError):  # TypeError: a string, or an x with no length
+            raise ValueError(_NOT_A_COMPOSITION.format(x, self.m, len(log_q))) from None
         if empty and any(x[j] for j in empty):
             return 0.0
         # plain left-to-right addition: builtin sum() compensates from Python 3.12 on
@@ -167,18 +199,7 @@ class MultinomialDist:
 
     def log_pmf(self, states: np.ndarray) -> np.ndarray:
         """Log-probability of each row of an (S, k) array of count vectors."""
-        states = np.asarray(states)
-        if (
-            states.ndim != 2
-            or states.shape[1] != len(self.p)
-            or states.dtype.kind not in "iuf"
-            or np.any(states < 0)
-            or (states.dtype.kind == "f" and np.any(states != np.round(states)))
-            or np.any(states.sum(axis=1) != self.m)
-        ):
-            raise ValueError(f"rows are not compositions of {self.m} into {len(self.p)} parts")
-        if states.dtype.kind == "f":
-            states = states.astype(np.int64)
+        states = _check_state(states, len(self.p), self.m, ndim=2)
         table = np.array([math.lgamma(i + 1) for i in range(self.m + 1)])
         # not the memo's math.log weights: numpy's log can differ from it in the last bit
         with np.errstate(divide="ignore"):
@@ -198,8 +219,7 @@ class MixingEstimate:
     trials: int
 
     def __post_init__(self) -> None:
-        if self.t_hat < 0:
-            raise ValueError("t_hat must be nonnegative")
+        _check_count("t_hat", self.t_hat, 0)
         _check_epsilon(self.epsilon)
 
 
@@ -277,18 +297,20 @@ def enumerate_states(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> list[tuple
     return _as_tuples(state_array(k, m, cap))
 
 
-def _check_state(x: tuple[int, ...], k: int, m: int) -> None:
-    """x must be a composition of m into k parts: k integral counts >= 0 summing to m."""
-    if len(x) != k or sum(x) != m or any(xi < 0 or xi % 1 for xi in x):
-        raise ValueError(f"{x} is not a composition of {m} into {k} parts")
+def _check_state(x, k: int, m: int, ndim: int = 1) -> np.ndarray:
+    """x as an integer array of k whole counts >= 0 summing to m, or with ndim=2 of such rows."""
+    arr = _whole_numbers(x)
+    if (arr is None or arr.ndim != ndim or arr.shape[-1] != k or (arr < 0).any()
+            or (arr.sum(axis=-1) != m).any()):
+        raise ValueError(_NOT_A_COMPOSITION.format(x, m, k))
+    return arr
 
 
 def transition_row(
     x: tuple[int, ...], params: EhrenfestParams
 ) -> dict[tuple[int, ...], float]:
     """Exact one-step distribution out of state x, including the self loop."""
-    _check_state(x, params.k, params.m)
-    x = tuple(map(int, x))
+    x = tuple(_check_state(x, params.k, params.m).tolist())
     k, a, b, m = params.k, params.a, params.b, params.m
     row: dict[tuple[int, ...], float] = {}
     move_mass = 0.0
@@ -490,12 +512,10 @@ def corner_labels(params: EhrenfestParams) -> tuple[list[int], list[int]]:
 
 
 def _labels(v, k: int, m: int) -> np.ndarray:
-    """A start of ``coupled_run`` as an int array: m integral labels in 1..k."""
-    x = np.asarray(v)
-    if x.shape != (m,):
-        raise ValueError(f"label vectors must have length m={m}")
-    if x.dtype.kind not in "iuf" or not ((x >= 1) & (x <= k) & (x == np.round(x))).all():
-        raise ValueError("labels must be integers in 1..k")
+    """v as an int64 array of m whole labels in 1..k: balls' urns, or nodes' grid indices."""
+    x = _whole_numbers(v)
+    if x is None or x.shape != (m,) or not ((x >= 1) & (x <= k)).all():
+        raise ValueError(f"labels must be a vector of m={m} whole numbers in 1..k={k}")
     return x.astype(np.int64)
 
 
@@ -733,8 +753,8 @@ def tv_distance_exact(
 ) -> float:
     """TV distance to stationarity after t exact steps from a point mass at x0."""
     _check_count("t", t, 0)
-    _check_state(tuple(x0), params.k, params.m)
-    return next(itertools.islice(_tv_scan(params, [tuple(x0)], cap), t, None))
+    x0 = _check_state(x0, params.k, params.m)
+    return next(itertools.islice(_tv_scan(params, [x0], cap), t, None))
 
 
 def tmix_exact(

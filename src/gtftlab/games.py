@@ -35,7 +35,7 @@ from operator import add
 
 import numpy as np
 
-from .ehrenfest import _check_count
+from .ehrenfest import _check_count, _check_generosity
 from .rng import ensure_rng
 
 STATES = ("CC", "CD", "DC", "DD")
@@ -81,11 +81,8 @@ class RewardVector:
     def donation_params(self) -> tuple[float, float]:
         """Recover (benefit, cost), or raise if this is not a donation vector."""
         benefit, cost = self.T, -self.S
-        ok = (
-            abs(self.P) <= 1e-12
-            and abs(self.R - (self.T + self.S)) <= 1e-12
-            and benefit > cost > 0
-        )
+        tol = 1e-12 * self.max_abs  # rounding at the scale of the payoffs
+        ok = abs(self.P) <= tol and abs(self.R - (self.T + self.S)) <= tol and benefit > cost > 0
         if not ok:
             raise ValueError(f"not a donation-game reward vector: {self}")
         return benefit, cost
@@ -109,8 +106,7 @@ class GameConfig:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
         if not 0.0 <= self.s1 < 1.0:
             raise ValueError(f"s1 must be in [0, 1), got {self.s1}")
-        if not 0.0 <= self.g_hat <= 1.0:
-            raise ValueError(f"g_hat must be in [0, 1], got {self.g_hat}")
+        _check_generosity("g_hat", self.g_hat)
 
 
 @dataclass(frozen=True)
@@ -128,8 +124,7 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.kind not in ("allc", "alld", "gtft"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if not 0.0 <= self.g <= 1.0:
-            raise ValueError(f"generosity must be in [0, 1], got {self.g}")
+        _check_generosity("generosity", self.g)
 
     @property
     def is_gtft(self) -> bool:
@@ -160,8 +155,8 @@ def _coop(player, s1: float) -> tuple:
         if player.kind == "alld":
             return 0.0, 0.0, 0.0
         player = player.g
-    elif not np.all((0.0 <= player) & (player <= 1.0)):
-        raise ValueError(f"generosity must be in [0, 1], got {player}")
+    else:
+        _check_generosity("generosity", player)
     return s1, player + (1.0 - player), player
 
 

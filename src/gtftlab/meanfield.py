@@ -25,13 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrenfest import MultinomialDist, _check_count, geometric_weights, state_array
+from .ehrenfest import (MultinomialDist, _check_count, _check_mix, _check_share,
+                        geometric_weights, state_array)
 from .games import ALLC, ALLD, GameConfig, RewardVector, expected_payoff_closed
 from .population import generosity_grid
 
 
 def weight_ratio(beta: float) -> float:
     """Ratio lam = (1 - beta)/beta of the up to the down weight of the dynamics."""
+    _check_share(beta)
     return (1.0 - beta) / beta
 
 
@@ -43,11 +45,10 @@ def stationary_weights(beta: float, k: int, m: int) -> MultinomialDist:
 def avg_stationary_generosity(k: int, beta: float, g_hat: float) -> float:
     """Mean generosity sum_j g_j p_j under the stationary law of the k-point dynamics."""
     grid = np.asarray(generosity_grid(k, g_hat))
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    lam = weight_ratio(beta)
     if beta == 0.5:
         return g_hat / 2.0
-    return float(grid @ geometric_weights(weight_ratio(beta), k))
+    return float(grid @ geometric_weights(lam, k))
 
 
 def mean_field_payoff(g, alpha: float, beta: float, cfg: GameConfig, rv: RewardVector):
@@ -74,8 +75,8 @@ def phi_ratio(alpha: float, beta: float) -> float:
     Defined for alpha >= 0, beta > 0 and alpha + beta < 1; anything else,
     NaN included, raises ValueError.
     """
-    if not (alpha >= 0 and beta > 0 and alpha + beta < 1):
-        raise ValueError(f"need alpha >= 0, beta > 0 and alpha + beta < 1, got {alpha}, {beta}")
+    _check_mix(alpha, beta)
+    _check_share(beta)
     return beta / (1.0 - alpha - beta)
 
 
@@ -187,7 +188,7 @@ def check_local_optimality(
     """
     _check_count("grid_size", grid_size, 2)
     failures = []
-    if rv.R + rv.P > rv.T + rv.S + 1e-12:
+    if rv.R + rv.P > rv.T + rv.S + 1e-12 * rv.max_abs:
         failures.append(f"requires R + P <= T + S, got {rv.R + rv.P} > {rv.T + rv.S}")
     threshold = (rv.T - rv.R) / (rv.R - rv.S)
     if cfg.delta <= threshold:
@@ -261,7 +262,6 @@ def granular_expected_payoff(
     cfg: GameConfig,
     rv: RewardVector,
     enumerate_counts: bool = False,
-    cap: int = 10**6,
 ) -> PayoffComparison:
     """Expected GTFT payoff with the stationary spread of generosities kept intact.
 
@@ -276,8 +276,7 @@ def granular_expected_payoff(
     space with multinomial weights and distinct-partner frequencies,
     which agrees exactly and cross-checks the identity on small m.
     """
-    if not 0.0 < beta < 1.0 - alpha:
-        raise ValueError(f"beta must lie in (0, 1 - alpha), got {beta}")
+    _check_mix(alpha, beta)  # and stationary_weights checks beta > 0 before the tables
     m_exact = (1.0 - alpha - beta) * n
     m = round(m_exact)
     if abs(m_exact - m) > 1e-9 or m < 1:
@@ -291,7 +290,7 @@ def granular_expected_payoff(
     if enumerate_counts:
         if m < 2:
             raise ValueError("count enumeration needs at least two GTFT nodes")
-        states = state_array(k, m, cap)
+        states = state_array(k, m)
         weight = np.exp(dist.log_pmf(states))
         counts = states.astype(float)
         # row s, column i: a focal node at index i meets one of the other

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrenfest import (EhrenfestParams, MultinomialDist, _check_count, _check_state,
-                        stationary_closed)
+from .ehrenfest import (EhrenfestParams, MultinomialDist, _check_count, _check_generosity,
+                        _check_mix, _check_share, _check_state, _labels, stationary_closed)
 from .rng import ensure_rng
 
 PAIRING_MODES = ("idealized", "distinct-pair")
@@ -40,8 +40,7 @@ PAIRING_MODES = ("idealized", "distinct-pair")
 def generosity_grid(k: int, g_hat: float) -> tuple[float, ...]:
     """The k equidistant generosity values 0 = g_1 < ... < g_k = g_hat."""
     _check_count("k", k, 2)
-    if not 0.0 <= g_hat <= 1.0:
-        raise ValueError(f"g_hat must be in [0, 1], got {g_hat}")
+    _check_generosity("g_hat", g_hat)
     return tuple(((j - 1) / (k - 1)) * g_hat for j in range(1, k + 1))
 
 
@@ -58,11 +57,7 @@ class PopulationConfig:
 
     def __post_init__(self) -> None:
         _check_count("n", self.n, 2)
-        # written so that a NaN fraction fails it
-        if not (self.alpha >= 0 and self.beta >= 0 and self.alpha + self.beta < 1):
-            raise ValueError(
-                f"need alpha, beta >= 0 with alpha + beta < 1, got {self.alpha}, {self.beta}"
-            )
+        _check_mix(self.alpha, self.beta)
         if self.pairing not in PAIRING_MODES:
             raise ValueError(f"pairing must be one of {PAIRING_MODES}, got {self.pairing!r}")
         for name, frac in (("alpha", self.alpha), ("beta", self.beta)):
@@ -101,19 +96,15 @@ class PopulationState:
 
     __slots__ = ("n", "n_allc", "n_alld", "gtft_start", "m", "k", "idx", "z", "t")
 
-    def __init__(self, cfg: PopulationConfig, idx: list[int]):
+    def __init__(self, cfg: PopulationConfig, idx: list[int] | np.ndarray):
         self.n = cfg.n
         self.n_allc = cfg.n_allc
         self.n_alld = cfg.n_alld
         self.gtft_start = cfg.n_allc + cfg.n_alld
         self.m = cfg.m
         self.k = cfg.k
-        if len(idx) != self.m or any(not 1 <= j <= self.k for j in idx):
-            raise ValueError("idx must hold m grid indices in 1..k")
-        self.idx = list(idx)
-        self.z = [0] * self.k
-        for j in self.idx:
-            self.z[j - 1] += 1
+        self.idx = _labels(idx, self.k, self.m).tolist()
+        self.z = np.bincount(self.idx, minlength=self.k + 1)[1:].tolist()
         self.t = 0
 
     def counts(self) -> tuple[int, ...]:
@@ -130,13 +121,9 @@ def init_population(
 ) -> PopulationState:
     """Build a population with the requested (or uniformly random) GTFT indices."""
     if initial_counts is not None:
-        _check_state(initial_counts, cfg.k, cfg.m)
-        idx: list[int] = []
-        for j, count in enumerate(map(int, initial_counts), start=1):
-            idx.extend([j] * count)
+        idx = np.repeat(np.arange(1, cfg.k + 1), _check_state(initial_counts, cfg.k, cfg.m))
     else:
-        rng = ensure_rng(rng)
-        idx = (rng.integers(1, cfg.k + 1, size=cfg.m)).tolist()
+        idx = ensure_rng(rng).integers(1, cfg.k + 1, size=cfg.m)
     return PopulationState(cfg, idx)
 
 
@@ -267,8 +254,7 @@ def to_ehrenfest(cfg: PopulationConfig) -> EhrenfestParams:
     with the m GTFT nodes as balls. Requires 0 < beta, else the down
     weight vanishes and the walk is degenerate (simulation still works).
     """
-    if cfg.beta <= 0:
-        raise ValueError("beta = 0 gives a degenerate chain with no down moves")
+    _check_share(cfg.beta)
     pool = cfg.n - 1 if cfg.pairing == "distinct-pair" else cfg.n
     share = cfg.m / cfg.n
     return EhrenfestParams(

@@ -336,6 +336,14 @@ def test_optimality_with_k_reports_gap(capsys):
     assert 0 <= payload["avg_stationary_generosity"] <= 0.25
 
 
+def test_optimality_refuses_a_small_game_that_is_not_a_donation_game(capsys):
+    # P is half of R here; an absolute 1e-12 tolerance once read it as a donation game
+    argv = ["optimality", "--T", "3e-12", "--R", "1e-12", "--P", "5e-13", "--S=-2e-12",
+            "--delta", "0.9", "--g-hat", "0.25", "--alpha", "0.1", "--beta", "0.1", "--n", "100"]
+    assert main(argv) == 2
+    assert "not a donation-game reward vector" in capsys.readouterr().err
+
+
 def test_optimality_impossible_fractions_are_config_errors(tmp_path, capsys):
     base = ["optimality", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25",
             "--beta", "0.1", "--n", "100"]
@@ -642,6 +650,7 @@ INFINITE_T = OVERFLOW[:6] + ["inf"] + OVERFLOW[7:]
 
 
 # a payoff is one round-chain solve and at most 1000 games, whatever delta is
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=timedelta(seconds=2))
 @given(argv=payoff_argvs())
 @example(argv=["payoff", "--me", "gtft:0.2", "--opp", "gtft:0.1", "--b", "3", "--c", "2",
@@ -658,6 +667,7 @@ def test_payoff_exit_code_contract_over_the_whole_delta_range(argv):
         strict_json(out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_payoff_overflow_and_infinite_rewards_are_config_errors(capsys):
     # the first once printed "closed_form": -Infinity and exited 0; the second said only
     # "math domain error"

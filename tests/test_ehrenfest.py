@@ -218,7 +218,7 @@ def test_log_pmf_rejects_non_compositions():
     dist = MultinomialDist(m=3, p=(0.5, 0.5))
     for bad in ([[3, 0, 0]], [[2, 0]], [[4, -1]], [3, 0], [[2.5, 0.5]], [[np.nan, 3.0]],
                 [[np.inf, -np.inf]]):
-        with pytest.raises(ValueError, match="not compositions"):
+        with pytest.raises(ValueError, match="is not a composition of 3 into 2 parts"):
             dist.log_pmf(np.array(bad))
     # integral floats are counts, as they are for pmf
     rows = np.array([[3, 0], [1, 2]])

@@ -216,6 +216,18 @@ def test_donation_constructor():
         GENERAL.donation_params()
 
 
+@settings(max_examples=200, deadline=None)
+@given(cost=st.floats(1e-12, 1e12), ratio=st.floats(1.0, 6.0, exclude_min=True))
+def test_donation_tolerances_scale_with_the_payoffs(cost, ratio):
+    # the tolerances were an absolute 1e-12, so at c = 1e-12 a P of half of R passed
+    rv = RewardVector.donation(ratio * cost, cost)
+    assert rv.donation_params() == (rv.T, -rv.S)
+    off = 1e-3 * rv.max_abs
+    if off < rv.R:  # else the vector breaks T > R > P > S
+        with pytest.raises(ValueError, match="not a donation-game reward vector"):
+            RewardVector(R=rv.R, S=rv.S, T=rv.T, P=off).donation_params()
+
+
 def test_donation_rejects_zero_cost():
     # with no cost T equals R, so the generic ordering check would fire instead
     with pytest.raises(ValueError, match="donation game needs benefit > cost > 0"):

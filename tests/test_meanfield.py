@@ -280,8 +280,9 @@ def donation_slope_terms(g, alpha, beta, cfg, benefit, cost):
     (b - c)(1/(1 - delta) - (1 - s1)/(1 - delta + delta g)), which gives the gain.
     """
     delta = cfg.delta
-    gain = delta * (1 - alpha - beta) * (benefit - cost) * (1 - cfg.s1) / (1 - delta + delta * g) ** 2
-    return gain, delta * beta * cost / (1 - delta)
+    # delta multiplies last: a subnormal delta first would round the two terms apart
+    gain = (1 - alpha - beta) * (benefit - cost) * (1 - cfg.s1) / (1 - delta + delta * g) ** 2 * delta
+    return gain, beta * cost / (1 - delta) * delta
 
 
 def test_low_phi_threshold_exact_fraction():
