@@ -184,7 +184,8 @@ def _mixing_once(params: EhrenfestParams, args, seed: int) -> dict:
     }
     if args.exact_scan:
         try:
-            exact = ehrenfest.tmix_exact(params, epsilon=args.epsilon, cap=args.cap)
+            exact = ehrenfest.tmix_exact(params, epsilon=args.epsilon, cap=args.cap,
+                                         step_limit=args.step_limit)
             row["exact_tmix"] = exact.t_hat
         except CapExceededError as exc:
             row["exact_tmix"] = None

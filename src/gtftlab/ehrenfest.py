@@ -740,9 +740,10 @@ def _tv_scan(params: EhrenfestParams, inits: list[tuple[int, ...]], cap: int):
     pi = np.exp(stationary_closed(params).log_pmf(states))
     mus = np.zeros((len(inits), len(states)))
     mus[np.arange(len(inits)), _rank(np.asarray(inits), table, params.m)] = 1.0
+    back = kernel.T  # mus @ kernel is this product, but rebuilds the transpose on every call
     while True:
         yield 0.5 * float(np.abs(mus - pi).sum(axis=1).max())
-        mus = mus @ kernel
+        mus = (back @ mus.T).T
 
 
 def tv_distance_exact(
@@ -761,19 +762,22 @@ def tmix_exact(
     params: EhrenfestParams,
     epsilon: float = 0.25,
     cap: int = DEFAULT_STATE_CAP,
+    step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> MixingEstimate:
     """First t at which the exact distance to stationarity is <= epsilon.
 
     The distance is maximized over the two corner point masses (all balls
     in urn 1 or urn k), the extreme states under the coupling order; the
     tests check on small instances that no other start is slower. The scan
-    gives up with StepLimitError after 4 * ceil(mixing_bound) + 1 steps;
-    rounding holds the distance near 1e-15, so a smaller epsilon raises it.
+    gives up with StepLimitError after min(4 * ceil(mixing_bound) + 1,
+    step_limit) steps; rounding holds the distance near 1e-15, so a smaller
+    epsilon raises it.
     """
     _check_epsilon(epsilon)
+    _check_count("step_limit", step_limit, 0)
     k, m = params.k, params.m
     corners = [(m,) + (0,) * (k - 1), (0,) * (k - 1) + (m,)]
-    t_max = 4 * math.ceil(mixing_bound(params)) + 1
+    t_max = min(4 * math.ceil(mixing_bound(params)) + 1, step_limit)
     for t, d in enumerate(itertools.islice(_tv_scan(params, corners, cap), t_max + 1)):
         if d <= epsilon:
             return MixingEstimate(t_hat=t, method="exact-tv", epsilon=epsilon, trials=0)

@@ -278,7 +278,7 @@ def granular_expected_payoff(
     """
     _check_mix(alpha, beta)  # and stationary_weights checks beta > 0 before the tables
     m_exact = (1.0 - alpha - beta) * n
-    m = round(m_exact)
+    m = round(m_exact) if np.isfinite(m_exact) else 0  # round(inf) overflows
     if abs(m_exact - m) > 1e-9 or m < 1:
         raise ValueError(f"(1 - alpha - beta) * n = {m_exact} is not a positive integer")
     dist = stationary_weights(beta, k, m)

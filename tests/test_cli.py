@@ -235,6 +235,14 @@ def test_mixing_step_limit_exit_code(capsys):
     assert code == 3
 
 
+def test_mixing_step_limit_reaches_the_exact_scan(capsys):
+    # the coupling meets within 1000 steps here; the scan once ran to its own 1921
+    argv = ["mixing", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--trials", "5",
+            "--seed", "5", "--epsilon", "1e-18", "--exact-scan", "--step-limit", "1000"]
+    assert main(argv) == 3
+    assert "distance stayed above 1e-18 through t=1000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rate", ["1e-300", "5e-324"])
 def test_mixing_at_rates_near_the_float_floor_is_a_step_limit_exit(rate, capsys):
     # each coupling needs about m k^2 / (2 rate) steps, past int64; these
@@ -742,16 +750,19 @@ def sweeps(least):
 
 @st.composite
 def mixing_argvs(draw):
-    # the exact scan costs about 50 us per step, and its step count grows like
-    # m log m / (a + b) and, for an epsilon below rounding, up to 4 * mixing_bound;
-    # so here --cap <= 200 and a, b, epsilon >= 0.01 (see CHANGES.md)
+    # the exact scan costs about 10-20 us per step at up to 200 states, and its
+    # step count grows like m log m / (a + b) and, for an epsilon below rounding,
+    # up to 4 * mixing_bound; so here --cap <= 200 and a, b >= 0.01, and epsilon
+    # >= 0.01 unless a --step-limit <= 10^4 also ends the scan (see CHANGES.md)
     rate = real(0.01, 0.5)
-    argv = drawn_flags(
-        draw,
-        {"--k": count(2, 64), "--a": rate, "--b": rate, "--m": count(1, 10**4),
-         "--trials": count(1, 50), "--cap": count(1, 200), "--seed": SEED},
-        {"--epsilon": real(0.01, 0.99), "--sweep": sweeps(2), "--step-limit": count(0, 10**9)},
-    )
+    required = {"--k": count(2, 64), "--a": rate, "--b": rate, "--m": count(1, 10**4),
+                "--trials": count(1, 50), "--cap": count(1, 200), "--seed": SEED}
+    optional = {"--epsilon": real(0.01, 0.99), "--sweep": sweeps(2),
+                "--step-limit": count(0, 10**9)}
+    if draw(st.booleans()):
+        required["--step-limit"] = count(0, 10**4)
+        optional = {"--epsilon": real(0.0, 0.99, exclude_min=True), "--sweep": sweeps(2)}
+    argv = drawn_flags(draw, required, optional)
     return ["mixing", *argv] + ["--exact-scan"] * draw(st.booleans())
 
 

@@ -28,6 +28,7 @@ from gtftlab.ehrenfest import (
     _rank,
     _rank_table,
     _step,
+    _tv_scan,
     absorption_times,
     build_kernel,
     corner_labels,
@@ -1124,3 +1125,67 @@ def test_tmix_exact_corners_equal_all_starts():
             assert corners.method == "exact-tv"
             assert d(corners.t_hat) <= epsilon
             assert corners.t_hat == 0 or d(corners.t_hat - 1) > epsilon
+
+
+SCAN_INSTANCES = [(2, 0.25, 0.25, 16), (3, 0.4, 0.2, 10), (4, 0.7, 0.2, 8), (5, 0.3, 0.3, 4),
+                  (4, 0.7, 0.3, 20)]
+
+
+def scan_starts(k: int, m: int) -> list[tuple[int, ...]]:
+    """Both corners and the most even composition of m into k parts."""
+    return [(m,) + (0,) * (k - 1), (0,) * (k - 1) + (m,),
+            tuple(m // k + (i < m % k) for i in range(k))]
+
+
+def reference_tv_scan(params: EhrenfestParams, inits, steps: int) -> list[float]:
+    """Oracle: d(0..steps) stepping the point masses by ``mus @ kernel``."""
+    states, table, kernel = build_kernel(params)
+    pi = np.exp(stationary_closed(params).log_pmf(states))
+    mus = np.zeros((len(inits), len(states)))
+    mus[np.arange(len(inits)), _rank(np.asarray(inits), table, params.m)] = 1.0
+    values = []
+    for _ in range(steps + 1):
+        values.append(0.5 * float(np.abs(mus - pi).sum(axis=1).max()))
+        mus = mus @ kernel
+    return values
+
+
+@pytest.mark.parametrize("k, a, b, m, steps",
+                         [(*instance, 200) for instance in SCAN_INSTANCES]
+                         + [(3, 0.02, 0.45, 1, 50), (6, 0.3, 0.2, 20, 20)])
+def test_tv_scan_equals_stepping_by_the_kernel(k, a, b, m, steps):
+    # the scan holds the kernel's transpose; the same product, so the same bits
+    params = EhrenfestParams(k=k, a=a, b=b, m=m)
+    starts = scan_starts(k, m)
+    for inits in (starts, starts[:2], starts[2:]):
+        scanned = list(itertools.islice(_tv_scan(params, inits, 10**6), steps + 1))
+        assert scanned == reference_tv_scan(params, inits, steps)
+
+
+def test_tv_scan_digest_is_pinned():
+    # sha256 of d(0..200) over the three starts together, then each alone, on
+    # each instance; recorded from the scan that stepped by ``mus @ kernel``
+    digest = hashlib.sha256()
+    for k, a, b, m in SCAN_INSTANCES:
+        params = EhrenfestParams(k=k, a=a, b=b, m=m)
+        starts = scan_starts(k, m)
+        for inits in [starts] + [[x0] for x0 in starts]:
+            digest.update(np.array(list(itertools.islice(_tv_scan(params, inits, 10**6), 201))))
+    assert digest.hexdigest() == "d934223cb718d78d7d240b99cafb21bf788c21b51c665ac9edb9fc15fadc356c"
+    for epsilon, t_hats in ((0.25, [59, 73, 65, 52, 174]), (0.01, [160, 174, 135, 162, 359])):
+        assert [tmix_exact(EhrenfestParams(k=k, a=a, b=b, m=m), epsilon).t_hat
+                for k, a, b, m in SCAN_INSTANCES] == t_hats
+
+
+def test_tmix_exact_stops_at_its_step_limit():
+    # the bound's 4 * ceil(mixing_bound) + 1 is 163,841 steps here, seconds of scan
+    params = EhrenfestParams(k=32, a=0.05, b=0.05, m=1)
+    start = time.perf_counter()
+    with pytest.raises(StepLimitError, match="through t=1000"):
+        tmix_exact(params, 1e-20, step_limit=1000)
+    assert time.perf_counter() - start < 1.0
+    # a limit at or past the crossing changes nothing
+    t_hat = tmix_exact(params).t_hat
+    assert tmix_exact(params, step_limit=t_hat).t_hat == t_hat
+    with pytest.raises(StepLimitError, match=f"through t={t_hat - 1}"):
+        tmix_exact(params, step_limit=t_hat - 1)

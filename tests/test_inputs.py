@@ -76,6 +76,7 @@ COUNT_ARGUMENTS = [
      lambda v: absorption_times(2, 0.4, 0.2, 5, 1, step_limit=v), 10**6),
     ("expected_absorption_closed", "k", 1, lambda v: expected_absorption_closed(v, 0.4, 0.2), 4),
     ("tv_distance_exact", "t", 0, lambda v: tv_distance_exact(PARAMS, v, (2, 0, 0)), 3),
+    ("tmix_exact", "step_limit", 0, lambda v: tmix_exact(PARAMS, step_limit=v), 10**6),
     ("simulate_games", "n_games", 0,
      lambda v: simulate_games(gtft(0.2), ALLD, GAME, DONATION, v, 1), 3),
     ("gap_bound", "k", 2, lambda v: gap_bound(v, 0.1), 3),
@@ -206,6 +207,18 @@ def test_every_population_mix_leaves_a_gtft_share(call, tmp_path, monkeypatch):
         with pytest.raises(ValueError, match=r"need alpha, beta >= 0 with alpha \+ beta < 1, got"):
             call(alpha, beta)
     call(0.25, 0.25)
+
+
+# (case, n): (1 - alpha - beta) * n must be a whole GTFT count; at alpha = beta = 0.25
+GTFT_COUNTS = [("infinite", math.inf), ("nan", math.nan), ("fractional", 41), ("zero", 0)]
+
+
+@pytest.mark.parametrize("n", [row[1] for row in GTFT_COUNTS], ids=[row[0] for row in GTFT_COUNTS])
+def test_granular_payoff_needs_a_whole_gtft_count(n):
+    # n = inf ended on an OverflowError from round, and n = nan on round's own ValueError
+    with pytest.raises(ValueError, match=r"\(1 - alpha - beta\) \* n = .* is not a positive integer"):
+        granular_expected_payoff(0.25, 0.25, n, 3, GAME, DONATION)
+    granular_expected_payoff(0.25, 0.25, 40, 3, GAME, DONATION)
 
 
 def stationary_argv(beta):
