@@ -16,10 +16,10 @@ and accepts it only if ||pi P - pi||_1 <= tol, detailed-balance
 residuals, one exact scan of the total-variation distance to
 stationarity, coupling-based mixing estimates, and the explicit
 mixing-time bound. ``_kernel_moves`` is the one place the moves are
-derived: the solver's tree edges and the residual's balance pairs are
-both read off its urn-pair moves. The moves are packed into a
-sparse matrix only by ``build_kernel``, which serves the distance scan;
-scipy is imported there, so no other path loads it.
+derived: the solver's tree edges and both residuals' balance flows are
+read off its urn-pair moves. They are packed into a sparse matrix only by
+``build_kernel``, whose product, the one product with the kernel, serves
+the distance scan; scipy is imported there, so no other path loads it.
 
 The coupling time is sampled ball by ball, not step by step. Each step
 picks a ball uniformly and draws its move independently, so each ball
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import add, mul
@@ -74,29 +75,38 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
 
 
+def _real(x):
+    """x if it is a real number or an array of them, else NaN, which every float rule refuses."""
+    if isinstance(x, (float, int)):  # first: the rules run on every call of some hot paths
+        return x
+    if isinstance(x, np.ndarray):
+        return x if x.dtype.kind in "biuf" else math.nan
+    return x if isinstance(x, numbers.Real) else math.nan
+
+
 def _check_rates(a: float, b: float) -> None:
     # written so that a NaN weight fails it; a + b may sit a few ulps above 1
-    if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
+    if not (_real(a) > 0 and _real(b) > 0 and a + b <= 1 + 1e-12):
         raise ValueError(f"need a, b > 0 with a + b <= 1, got a={a}, b={b}")
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 1.0:  # NaN fails too
+    if not 0.0 < _real(epsilon) < 1.0:  # NaN fails too
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 def _check_mix(alpha: float, beta: float) -> None:
-    if not (alpha >= 0 and beta >= 0 and alpha + beta < 1):  # NaN fails too
+    if not (_real(alpha) >= 0 and _real(beta) >= 0 and alpha + beta < 1):  # NaN fails too
         raise ValueError(f"need alpha, beta >= 0 with alpha + beta < 1, got {alpha}, {beta}")
 
 
 def _check_share(beta: float) -> None:
-    if not 0.0 < beta < 1.0:  # NaN fails too
+    if not 0.0 < _real(beta) < 1.0:  # NaN fails too
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
 def _check_generosity(name: str, g) -> None:
-    if not np.all((0.0 <= g) & (g <= 1.0)):  # g may be an array; NaN fails too
+    if not np.all((0.0 <= (r := _real(g))) & (r <= 1.0)):  # g may be an array; NaN fails too
         raise ValueError(f"{name} must be in [0, 1], got {g}")
 
 
@@ -353,10 +363,7 @@ def stationary_closed(params: EhrenfestParams) -> MultinomialDist:
     return MultinomialDist(m=params.m, p=tuple(geometric_weights(params.lam, params.k)))
 
 
-_Moves = tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]], np.ndarray]
-
-
-def _kernel_moves(params: EhrenfestParams, cap: int) -> tuple[np.ndarray, np.ndarray, _Moves]:
+def _kernel_moves(params: EhrenfestParams, cap: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The (S, k) state array, its rank table, and every entry of the kernel over its rows.
 
     The entries come one urn pair at a time: each up move x -> y across
@@ -386,22 +393,18 @@ def _kernel_moves(params: EhrenfestParams, cap: int) -> tuple[np.ndarray, np.nda
     return states, table, (pairs, np.maximum(0.0, 1.0 - move))
 
 
-def _step(mu: np.ndarray, moves: _Moves) -> np.ndarray:
-    """mu @ P for one law or a stack of laws over the rows, P given by its moves.
+def _net_flows(px: np.ndarray, pairs) -> list[np.ndarray]:
+    """px(x) P(x, y) - px(y) P(y, x) for each up move x -> y of each urn pair's ``pairs``."""
+    return [px[lower] * up - px[upper] * down for lower, upper, up, down in pairs]
 
-    Each column is summed over its source rows in increasing row order, as
-    the sparse product sums it: up moves for j = 0..k-2 come from earlier
-    rows, then the self loop, then down moves for j = k-2..0 from later
-    rows. So the result is bitwise that of ``mu @ build_kernel(...)[2]``.
-    """
-    pairs, diagonal = moves
-    out = np.zeros_like(mu)
-    for lower, upper, up, _ in pairs:
-        out[..., upper] += up * mu[..., lower]
-    out += diagonal * mu
-    for lower, upper, _, down in reversed(pairs):
-        out[..., lower] += down * mu[..., upper]
-    return out
+
+def _flow_residual(px: np.ndarray, pairs) -> float:
+    """||px P - px||_1, read as the net flow into each state: P's rows sum to 1, so no product."""
+    net = np.zeros(len(px))
+    for (lower, upper, _, _), flow in zip(pairs, _net_flows(px, pairs)):
+        net[upper] += flow
+        net[lower] -= flow
+    return float(np.abs(net).sum())
 
 
 def build_kernel(
@@ -454,23 +457,28 @@ def solve_stationary_exact(
     compensated (two-sum) arithmetic: log pi near the mode can be of
     order m, and plain rounding at that size would unbalance neighbouring
     states by more than ``tol`` long before the state cap. The normalised
-    result is accepted only if ||pi P - pi||_1 <= ``tol``, checked with
-    one product over the moves (``_step``, bitwise the sparse product);
-    otherwise ResidualError.
+    result is accepted only if ||pi P - pi||_1, read off the net balance
+    flow into each state (``_flow_residual``), is at most ``tol``, else
+    ResidualError. Where an entry is 0 or subnormal, which rates near the
+    float floor give, every edge takes log a/b + log(x_j / y_{j+1}), whose
+    count ratio is a float (np.log of int8 counts would be float16).
     """
     if not tol > 0:  # a NaN tol would pass no residual and blame the solve
         raise ValueError(f"tol must be positive, got {tol}")
-    states, _, moves = _kernel_moves(params, cap)
+    states, _, (pairs, _) = _kernel_moves(params, cap)
     n = len(states)
+    lossy = min(params.a, params.b) / params.m < np.finfo(float).tiny  # an entry may underflow
+    log_ab = math.log(params.a) - math.log(params.b)
     # log pi is held as the unevaluated sum hi + lo; row 0, (m, 0, ..., 0),
     # is the root and points at itself
     hi = np.zeros(n)
     pointer = np.zeros(n, dtype=np.int64)
     empty = np.ones(n, dtype=bool)  # rows whose urns 1..j are all empty
-    for j, (lower, upper, up, down) in enumerate(moves[0]):
+    for j, (lower, upper, up, down) in enumerate(pairs):
         edge = empty[upper]
         pointer[upper[edge]] = lower[edge]
-        hi[upper[edge]] = np.log(up[edge]) - np.log(down[edge])
+        hi[upper[edge]] = (log_ab + np.log(states[lower[edge], j] / states[upper[edge], j + 1])
+                           if lossy else np.log(up[edge]) - np.log(down[edge]))
         empty &= states[:, j + 1] == 0
     lo = np.zeros(n)
     # after r rounds log pi[x] holds the steps of the first 2**r edges above x
@@ -482,7 +490,7 @@ def solve_stationary_exact(
     shifted, err = _two_sum(hi, -hi[top])
     pi = np.exp(shifted + (err + lo - lo[top]))
     pi /= pi.sum()
-    residual = float(np.abs(_step(pi, moves) - pi).sum())
+    residual = _flow_residual(pi, pairs)
     if not residual <= tol:
         raise ResidualError(f"stationary residual {residual:.3e} exceeds tol {tol:.3e}")
     return _as_tuples(states), pi
@@ -501,9 +509,8 @@ def detailed_balance_residual(
     if dist is None:
         dist = stationary_closed(params)
     states, _, (pairs, _) = _kernel_moves(params, cap)
-    px = np.exp(dist.log_pmf(states))
-    return max(float(np.abs(px[lower] * up - px[upper] * down).max())
-               for lower, upper, up, down in pairs)
+    return max(float(np.abs(flow).max())
+               for flow in _net_flows(np.exp(dist.log_pmf(states)), pairs))
 
 
 def corner_labels(params: EhrenfestParams) -> tuple[list[int], list[int]]:
@@ -777,7 +784,7 @@ def tmix_exact(
     _check_count("step_limit", step_limit, 0)
     k, m = params.k, params.m
     corners = [(m,) + (0,) * (k - 1), (0,) * (k - 1) + (m,)]
-    t_max = min(4 * math.ceil(mixing_bound(params)) + 1, step_limit)
+    t_max = min(4 * math.ceil(min(mixing_bound(params), step_limit)) + 1, step_limit)
     for t, d in enumerate(itertools.islice(_tv_scan(params, corners, cap), t_max + 1)):
         if d <= epsilon:
             return MixingEstimate(t_hat=t, method="exact-tv", epsilon=epsilon, trials=0)

@@ -35,7 +35,7 @@ from operator import add
 
 import numpy as np
 
-from .ehrenfest import _check_count, _check_generosity
+from .ehrenfest import _check_count, _check_generosity, _real
 from .rng import ensure_rng
 
 STATES = ("CC", "CD", "DC", "DD")
@@ -56,7 +56,7 @@ class RewardVector:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not math.isfinite(value):
+            if not math.isfinite(_real(value)):
                 raise ValueError(f"reward {name} must be finite, got {value}")
         if not (self.T > self.R > self.P > self.S):
             raise ValueError(
@@ -102,9 +102,9 @@ class GameConfig:
     g_hat: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta < 1.0:
+        if not 0.0 <= _real(self.delta) < 1.0:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
-        if not 0.0 <= self.s1 < 1.0:
+        if not 0.0 <= _real(self.s1) < 1.0:
             raise ValueError(f"s1 must be in [0, 1), got {self.s1}")
         _check_generosity("g_hat", self.g_hat)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrenfest import (MultinomialDist, _check_count, _check_mix, _check_share,
+from .ehrenfest import (MultinomialDist, _check_count, _check_mix, _check_share, _real,
                         geometric_weights, state_array)
 from .games import ALLC, ALLD, GameConfig, RewardVector, expected_payoff_closed
 from .population import generosity_grid
@@ -58,7 +58,7 @@ def mean_field_payoff(g, alpha: float, beta: float, cfg: GameConfig, rv: RewardV
     zero-weighted term adds an exact zero; the GTFT share is held at 0
     where 1 - alpha - beta rounds below it.
     """
-    if not (alpha >= 0 and beta >= 0 and alpha + beta <= 1):
+    if not (_real(alpha) >= 0 and _real(beta) >= 0 and alpha + beta <= 1):
         raise ValueError(f"invalid population fractions alpha={alpha}, beta={beta}")
     gtft_frac = max(1.0 - alpha - beta, 0.0)
     total = (
@@ -123,7 +123,7 @@ def optimal_generosity(
 def gap_bound(k: int, beta: float) -> float:
     """Bound beta / ((1 - 2 beta)(k - 1)) on |g* - avg stationary generosity| at low phi."""
     _check_count("k", k, 2)
-    if not 0.0 < beta < 0.5:
+    if not 0.0 < _real(beta) < 0.5:
         raise ValueError(f"bound requires beta in (0, 1/2), got {beta}")
     return beta / ((1.0 - 2.0 * beta) * (k - 1))
 

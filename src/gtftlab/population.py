@@ -224,6 +224,8 @@ def sample_one_step_counts(
     under z0 itself.
     """
     _check_count("n_samples", n_samples, 0)
+    if z0 is None:  # init_population would draw a random start for it
+        _check_state(z0, cfg.k, cfg.m)
     rng = ensure_rng(rng)
     state = init_population(cfg, z0)
     n, k = state.n, state.k

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from gtftlab import ehrenfest
 from gtftlab.ehrenfest import (
     DEFAULT_STEP_LIMIT,
     CapExceededError,
@@ -22,12 +23,12 @@ from gtftlab.ehrenfest import (
     ResidualError,
     StepLimitError,
     _coupling_times,
+    _flow_residual,
     _hit_table,
     _kernel_moves,
     _pair_moves,
     _rank,
     _rank_table,
-    _step,
     _tv_scan,
     absorption_times,
     build_kernel,
@@ -196,12 +197,14 @@ def test_kernel_matches_dict_oracle_entry_for_entry(params):
 @given(params=small_params(), seed=st.integers(0, 2**32 - 1))
 @example(params=EhrenfestParams(k=6, a=0.7, b=0.3, m=20), seed=0)
 @example(params=EhrenfestParams(k=3, a=0.5, b=0.5, m=4), seed=0)  # self loops of mass 0
-def test_step_over_the_moves_is_bitwise_the_sparse_product(params, seed):
+def test_flow_residual_is_the_l1_distance_of_one_sparse_step(params, seed):
+    # each side sums at most 2k - 1 terms per state, whose masses add to at most 2 over the
+    # states; 4 k eps leaves room over the worst seen, 0.67 k eps in 3000 random draws
     states, _, kernel = build_kernel(params)
-    _, _, moves = _kernel_moves(params, cap=len(states))
-    mus = np.random.default_rng(seed).dirichlet(np.ones(len(states)), size=2)
-    assert _step(mus[0], moves).tobytes() == (mus[0] @ kernel).tobytes()
-    assert _step(mus, moves).tobytes() == (mus @ kernel).tobytes()
+    _, _, (pairs, _) = _kernel_moves(params, cap=len(states))
+    mu = np.random.default_rng(seed).dirichlet(np.ones(len(states)))
+    product = np.abs(mu @ kernel - mu).sum()
+    assert abs(_flow_residual(mu, pairs) - product) <= 4 * params.k * np.finfo(float).eps
 
 
 @settings(max_examples=60, deadline=None)
@@ -492,6 +495,21 @@ def test_exact_solver_far_from_its_root():
     assert np.abs(pi - closed).max() <= 1e-10
 
 
+def test_exact_solver_rejects_a_law_off_by_1e9_at_any_one_state(monkeypatch):
+    # the flow residual moves by about 2e-9 times the chance of leaving the state: 1e-10 or more
+    flow_residual = ehrenfest._flow_residual
+    for row in range(state_count(3, 4)):
+
+        def perturbed(px, pairs, row=row):
+            px = px.copy()
+            px[row] += 1e-9
+            return flow_residual(px, pairs)
+
+        monkeypatch.setattr(ehrenfest, "_flow_residual", perturbed)
+        with pytest.raises(ResidualError, match="residual"):
+            solve_stationary_exact(EhrenfestParams(k=3, a=0.4, b=0.2, m=4))
+
+
 def test_exact_solver_raises_above_its_residual_bound():
     # the residual here is about 3e-17, not zero
     params = EhrenfestParams(k=3, a=0.4, b=0.2, m=4)
@@ -504,6 +522,19 @@ def test_exact_solver_rejects_a_tol_that_no_residual_can_meet(tol):
     # these once ran the solve and blamed it: "residual 4.391e-17 exceeds tol nan"
     with pytest.raises(ValueError, match="tol must be positive"):
         solve_stationary_exact(EhrenfestParams(k=3, a=0.4, b=0.2, m=4), tol=tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k, a, b, m", [(3, 5e-324, 0.5, 4), (3, 0.5, 5e-324, 4),
+                                        (4, 5e-324, 5e-324, 6), (4, 3e-310, 2e-310, 20)])
+def test_exact_solver_where_a_move_probability_underflows(k, a, b, m):
+    # a tree edge's up or down entry is 0 or subnormal here: its log ratio once read
+    # log(0), and two-sum turned -inf and inf into NaN. The flows are subnormal too,
+    # so only the closed form can tell a wrong pi here
+    params = EhrenfestParams(k=k, a=a, b=b, m=m)
+    states, pi = solve_stationary_exact(params)
+    closed = np.exp(stationary_closed(params).log_pmf(np.array(states)))
+    assert np.abs(pi - closed).max() <= 1e-12
 
 
 def test_exact_solver_two_urn_midpoint():
@@ -1189,3 +1220,11 @@ def test_tmix_exact_stops_at_its_step_limit():
     assert tmix_exact(params, step_limit=t_hat).t_hat == t_hat
     with pytest.raises(StepLimitError, match=f"through t={t_hat - 1}"):
         tmix_exact(params, step_limit=t_hat - 1)
+
+
+def test_tmix_exact_stops_at_its_step_limit_when_the_bound_overflows():
+    # mixing_bound is inf here; math.ceil(inf) once ended the call on an OverflowError
+    params = EhrenfestParams(k=2, a=1e-310, b=1e-310, m=1)
+    assert mixing_bound(params) == math.inf
+    with pytest.raises(StepLimitError, match="through t=50"):
+        tmix_exact(params, step_limit=50)

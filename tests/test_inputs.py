@@ -6,7 +6,9 @@ argument. An epsilon lies strictly between 0 and 1; NaN does not. A
 count vector is a composition of m into k parts, a label vector holds m
 whole numbers in 1..k, a population mix has alpha, beta >= 0 with
 alpha + beta < 1, a defector share lies in (0, 1), and a generosity in
-[0, 1]. The CLI reports each refusal with exit code 2.
+[0, 1]. A string or None in place of a real number fails that number's
+rule, never with a TypeError. The CLI reports each refusal with exit
+code 2.
 """
 
 import contextlib
@@ -38,8 +40,8 @@ from gtftlab.ehrenfest import (
 from gtftlab.games import (ALLD, GameConfig, RewardVector, Strategy, expected_payoff_closed, gtft,
                            simulate_games)
 from gtftlab.meanfield import (avg_stationary_generosity, check_local_optimality, gap_bound,
-                               generosity_report, granular_expected_payoff, phi_ratio,
-                               stationary_weights, weight_ratio)
+                               generosity_report, granular_expected_payoff, mean_field_payoff,
+                               phi_ratio, stationary_weights, weight_ratio)
 from gtftlab.population import (
     PopulationConfig,
     PopulationState,
@@ -97,7 +99,7 @@ COUNT_ARGUMENTS = [
                          ids=[f"{row[0]}-{row[1]}" for row in COUNT_ARGUMENTS])
 def test_every_count_argument_takes_only_integers(name, least, call, good):
     # True once passed for a count of 1, and 2.5 ended on a TypeError or ran a step
-    for bad in (2.5, True, least - 1, "3"):
+    for bad in (2.5, True, least - 1, "3", None):
         with pytest.raises(ValueError, match=f"need an integer {name} >= {least}, got"):
             call(bad)
     call(np.int64(good))
@@ -114,7 +116,7 @@ EPSILON_ARGUMENTS = [
 
 @pytest.mark.parametrize("call", [row[1] for row in EPSILON_ARGUMENTS],
                          ids=[row[0] for row in EPSILON_ARGUMENTS])
-@pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, -0.1])
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, -0.1, "0.1", None])
 def test_every_epsilon_lies_strictly_between_0_and_1(call, bad):
     with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), got"):
         call(bad)
@@ -150,6 +152,8 @@ def test_every_count_vector_is_a_composition(name, call, m):
     # a string ended on a TypeError everywhere but log_pmf, and log_pmf had a message of its own
     bad = {"string": (str(m), "0", "0"), "fraction": (m - 0.5, 0.5, 0), "negative": (m + 1, -1, 0),
            "length": (m, 0), "sum": (m, 1, 0), "nan": (math.nan, m, 0.0)}
+    if name not in ("init_population", "run"):  # where None asks for a random start
+        bad["none"] = None  # sample_one_step_counts once drew a random z0 for it
     if name != "pmf":  # pmf's memo reads a bool as a count: a type scan would cost it a fifth
         bad["bool"] = (True, m - 1, 0)
     for x in bad.values():
@@ -174,7 +178,7 @@ def test_every_label_vector_holds_m_whole_numbers_in_1_to_k(call, k, m):
     # PopulationState once ended on a TypeError for a fraction and had a message of its own
     rest = [1] * (m - 1)
     for bad in ([1.5] + rest, [0] + rest, [k + 1] + rest, rest, [True] + rest, ["1"] + rest,
-                [math.nan] + rest, [[1] * m], np.array([0] * m)):
+                [math.nan] + rest, [[1] * m], np.array([0] * m), None):
         with pytest.raises(ValueError, match=f"labels must be a vector of m={m} whole numbers "
                                              f"in 1..k={k}"):
             call(bad)
@@ -187,23 +191,29 @@ def compare_argv(alpha, beta):
             "--m", "20", f"--populations={alpha!r},{beta!r}", "--out", "compare.csv"]
 
 
-# (callable, the call with the mix (alpha, beta) set); (0.25, 0.25) is valid for each
+# a string or None ended on a TypeError; the CLI parses its floats before any rule
+NOT_NUMBERS = ("0.1", None)
+MIXES = ((-0.1, 0.3), (0.3, -0.1), (0.5, 0.5), (0.7, 0.6), (math.nan, 0.25), (0.25, math.nan))
+MIXES_AND_NOT_NUMBERS = MIXES + tuple((v, 0.25) for v in NOT_NUMBERS) + tuple(
+    (0.25, v) for v in NOT_NUMBERS)
+
+# (callable, the call with the mix (alpha, beta) set, the bad mixes); (0.25, 0.25) is valid for each
 MIX_ARGUMENTS = [
-    ("PopulationConfig", lambda a, b: PopulationConfig(n=40, alpha=a, beta=b, k=3, g_hat=0.5)),
-    ("phi_ratio", phi_ratio),
+    ("PopulationConfig", lambda a, b: PopulationConfig(n=40, alpha=a, beta=b, k=3, g_hat=0.5),
+     MIXES_AND_NOT_NUMBERS),
+    ("phi_ratio", phi_ratio, MIXES_AND_NOT_NUMBERS),
     ("granular_expected_payoff",
-     lambda a, b: granular_expected_payoff(a, b, 40, 3, GAME, DONATION)),
-    ("cli-compare", lambda a, b: cli_call(compare_argv(a, b))),
+     lambda a, b: granular_expected_payoff(a, b, 40, 3, GAME, DONATION), MIXES_AND_NOT_NUMBERS),
+    ("cli-compare", lambda a, b: cli_call(compare_argv(a, b)), MIXES),
 ]
 
 
-@pytest.mark.parametrize("call", [row[1] for row in MIX_ARGUMENTS],
+@pytest.mark.parametrize("call, bad_mixes", [row[1:] for row in MIX_ARGUMENTS],
                          ids=[row[0] for row in MIX_ARGUMENTS])
-def test_every_population_mix_leaves_a_gtft_share(call, tmp_path, monkeypatch):
+def test_every_population_mix_leaves_a_gtft_share(call, bad_mixes, tmp_path, monkeypatch):
     # granular_expected_payoff built its tables for alpha = -0.1; compare divided by 1 - alpha - beta
     monkeypatch.chdir(tmp_path)
-    for alpha, beta in ((-0.1, 0.3), (0.3, -0.1), (0.5, 0.5), (0.7, 0.6), (math.nan, 0.25),
-                        (0.25, math.nan)):
+    for alpha, beta in bad_mixes:
         with pytest.raises(ValueError, match=r"need alpha, beta >= 0 with alpha \+ beta < 1, got"):
             call(alpha, beta)
     call(0.25, 0.25)
@@ -228,9 +238,10 @@ def stationary_argv(beta):
 # (callable, the call with the defector share set, the bad shares that reach the share rule)
 SHARES = (0.0, 1.0, -0.1, 1.5, math.nan)
 SHARE_ARGUMENTS = [
-    ("weight_ratio", weight_ratio, SHARES),
-    ("stationary_weights", lambda v: stationary_weights(v, 3, 4), SHARES),
-    ("avg_stationary_generosity", lambda v: avg_stationary_generosity(3, v, 0.5), SHARES),
+    ("weight_ratio", weight_ratio, SHARES + NOT_NUMBERS),
+    ("stationary_weights", lambda v: stationary_weights(v, 3, 4), SHARES + NOT_NUMBERS),
+    ("avg_stationary_generosity", lambda v: avg_stationary_generosity(3, v, 0.5),
+     SHARES + NOT_NUMBERS),
     ("cli-stationary", lambda v: cli_call(stationary_argv(v)), SHARES),
     # the mix rule comes first here, so only beta = 0 reaches the share rule
     ("phi_ratio", lambda v: phi_ratio(0.25, v), (0.0,)),
@@ -265,11 +276,36 @@ GENEROSITY_ARGUMENTS = [
 @pytest.mark.parametrize("label, call", [row[1:] for row in GENEROSITY_ARGUMENTS],
                          ids=[row[0] for row in GENEROSITY_ARGUMENTS])
 def test_every_generosity_lies_in_0_to_1(label, call):
-    for g in (-0.1, 1.5, math.nan):
+    for g in (-0.1, 1.5, math.nan, *NOT_NUMBERS):
         with pytest.raises(ValueError, match=rf"{label} must be in \[0, 1\], got"):
             call(g)
     call(0.0)
     call(1.0)
+
+
+# (callable, the message its rule gives, the call with one real argument set, a valid value)
+REAL_ARGUMENTS = [
+    ("EhrenfestParams-a", r"need a, b > 0 with a \+ b <= 1",
+     lambda v: EhrenfestParams(k=2, a=v, b=0.2, m=3), 0.3),
+    ("absorption_times-b", r"need a, b > 0 with a \+ b <= 1",
+     lambda v: absorption_times(2, 0.4, v, 5, 1), 0.2),
+    ("GameConfig-delta", r"delta must be in \[0, 1\)", lambda v: GameConfig(delta=v), 0.9),
+    ("GameConfig-s1", r"s1 must be in \[0, 1\)", lambda v: GameConfig(delta=0.9, s1=v), 0.5),
+    ("RewardVector-R", "reward R must be finite", lambda v: RewardVector(v, -2.0, 3.0, 0.0), 1.0),
+    ("gap_bound", r"bound requires beta in \(0, 1/2\)", lambda v: gap_bound(6, v), 0.1),
+    ("mean_field_payoff", "invalid population fractions",
+     lambda v: mean_field_payoff(0.1, v, 0.1, GAME, DONATION), 0.1),
+]
+
+
+@pytest.mark.parametrize("message, call, good", [row[1:] for row in REAL_ARGUMENTS],
+                         ids=[row[0] for row in REAL_ARGUMENTS])
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_every_real_argument_refuses_a_non_number_with_its_rule(message, call, good, bad):
+    # each of these ended on a TypeError from comparing the string or None with a number
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+    call(good)
 
 
 @pytest.mark.parametrize("message", [
