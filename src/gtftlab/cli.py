@@ -126,31 +126,29 @@ def cmd_stationary(args) -> dict:
     if args.beta is not None:
         if args.k is None or args.k < 2:
             raise ValueError("beta mode needs --k >= 2")
-        lam = meanfield.weight_ratio(args.beta)
-        p = ehrenfest.geometric_weights(lam, args.k)
+        p = ehrenfest.geometric_weights(meanfield.weight_ratio(args.beta), args.k)
         result: dict = {"mode": "population-beta", "beta": args.beta, "k": args.k,
-                        "lambda": lam, "closed_form_p": p.tolist(), "m": args.m}
-        params = None
-        if args.m is not None and args.exact:
-            # an explicit (a, b) pair with the same ratio reproduces the law
-            params = EhrenfestParams(k=args.k, a=(1 - args.beta) / 2, b=args.beta / 2, m=args.m)
+                        "closed_form_p": p.tolist(), "m": args.m}
+        # a/b is bitwise weight_ratio(beta), so the pair reproduces the law
+        params = (EhrenfestParams(k=args.k, a=1 - args.beta, b=args.beta, m=args.m)
+                  if args.m is not None and args.exact else None)
     else:
         if None in (args.k, args.a, args.b, args.m):
             raise ValueError("chain mode needs --k --a --b --m (or use --beta)")
         params = EhrenfestParams(k=args.k, a=args.a, b=args.b, m=args.m)
         dist = ehrenfest.stationary_closed(params)
         result = {"mode": "chain", "k": args.k, "a": args.a, "b": args.b, "m": args.m,
-                  "lambda": params.lam, "closed_form_p": list(dist.p)}
+                  "closed_form_p": list(dist.p)}
 
     if args.exact and params is not None:
         try:
-            states, exact = ehrenfest.solve_stationary_exact(params, cap=args.cap)
-            counts = np.asarray(states)
+            _, exact = ehrenfest.solve_stationary_exact(params, cap=args.cap)
+            counts = ehrenfest.state_array(params.k, params.m, args.cap)
             closed_pmf = np.exp(ehrenfest.stationary_closed(params).log_pmf(counts))
             # per-urn probabilities implied by the solved law: mean counts over m
             exact_p = exact @ counts / params.m
             result["exact_solver"] = {
-                "n_states": len(states),
+                "n_states": len(counts),
                 "exact_p": exact_p.tolist(),
                 "tv_diff": ehrenfest.tv_distance(exact, closed_pmf),
                 "max_pointwise_diff": float(np.abs(exact - closed_pmf).max()),
@@ -270,7 +268,6 @@ def cmd_optimality(args) -> dict:
             {
                 "k": report.k,
                 "avg_stationary_generosity": report.avg_stationary_generosity,
-                "lambda": report.lam,
                 "gap": report.gap,
                 "gap_bound": report.gap_bound,
             }

@@ -11,15 +11,16 @@ stationary law (a multinomial whose urn weights form a geometric
 sequence in a/b), the enumerated state space as an integer array ranked
 by the combinatorial number system, the kernel's moves read off array
 shifts of that ranking one urn pair at a time, a stationary solver that
-reads pi off those moves alone by detailed balance along a spanning tree
-and accepts it only if ||pi P - pi||_1 <= tol, detailed-balance
-residuals, one exact scan of the total-variation distance to
-stationarity, coupling-based mixing estimates, and the explicit
-mixing-time bound. ``_kernel_moves`` is the one place the moves are
-derived: the solver's tree edges and both residuals' balance flows are
-read off its urn-pair moves. They are packed into a sparse matrix only by
-``build_kernel``, whose product, the one product with the kernel, serves
-the distance scan; scipy is imported there, so no other path loads it.
+reads pi off a, b and the counts of those moves, with no closed-form
+weight, by detailed balance along a spanning tree and accepts it only if
+||pi P - pi||_1 <= tol, detailed-balance residuals, one exact scan of
+the total-variation distance to stationarity, coupling-based mixing
+estimates, and the explicit mixing-time bound. ``_kernel_moves`` is the
+one place the moves are derived: the solver's tree edges and both
+residuals' balance flows are read off its urn-pair moves. They are
+packed into a sparse matrix only by ``build_kernel``, whose product, the
+one product with the kernel, serves the distance scan; scipy is imported
+there, so no other path loads it.
 
 The coupling time is sampled ball by ball, not step by step. Each step
 picks a ball uniformly and draws its move independently, so each ball
@@ -105,6 +106,11 @@ def _check_share(beta: float) -> None:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
+def _check_tol(tol: float) -> None:
+    if not _real(tol) > 0:  # a NaN tol would pass no residual and blame the solve
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 def _check_generosity(name: str, g) -> None:
     if not np.all((0.0 <= (r := _real(g))) & (r <= 1.0)):  # g may be an array; NaN fails too
         raise ValueError(f"{name} must be in [0, 1], got {g}")
@@ -179,7 +185,7 @@ class MultinomialDist:
 
     def __post_init__(self) -> None:
         _check_count("m", self.m, 0)
-        if not all(math.isfinite(q) for q in self.p):
+        if not all(math.isfinite(_real(q)) for q in self.p):
             raise ValueError(f"cell probabilities must be finite, got {self.p}")
         if abs(sum(self.p) - 1.0) > 1e-12:
             raise ValueError(f"cell probabilities sum to {sum(self.p)}, not 1")
@@ -281,8 +287,9 @@ def state_array(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
 def _states_and_table(k: int, m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """``state_array(k, m, cap)`` and the rank table it was unranked with."""
     n_states = state_count(k, m)
-    if n_states > cap:
-        raise CapExceededError(f"{n_states} states exceeds cap {cap} for k={k}, m={m}")
+    if n_states > cap:  # str() refuses an int past 4300 digits
+        size = n_states if n_states < 2**1000 else f"at least 2**{n_states.bit_length() - 1}"
+        raise CapExceededError(f"{size} states exceeds cap {cap} for k={k}, m={m}")
     table = _rank_table(k, m)
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= m)
     states = np.empty((n_states, k), dtype=dtype)
@@ -445,40 +452,36 @@ def solve_stationary_exact(
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Stationary distribution over enumerated states, independent of the closed form.
 
-    The chain is reversible, so pi follows from the kernel's moves alone
-    by detailed balance along a spanning tree. The parent of a state moves
-    one ball from its first non-empty urn j + 1 >= 1 down to urn j, which
-    leads every state to (m, 0, ..., 0) in at most m(k - 1) moves, and
-    log pi(x) - log pi(parent) = log P(parent, x) - log P(x, parent). So
-    the tree edges are the urn-pair moves of ``_kernel_moves`` across
-    pair j whose upper row has urns 1..j empty, and each edge's entries
-    are the ``up`` and ``down`` of that move. Pointer doubling sums these
-    steps along every path in about log2(m(k - 1)) vectorised rounds, in
-    compensated (two-sum) arithmetic: log pi near the mode can be of
-    order m, and plain rounding at that size would unbalance neighbouring
-    states by more than ``tol`` long before the state cap. The normalised
-    result is accepted only if ||pi P - pi||_1, read off the net balance
-    flow into each state (``_flow_residual``), is at most ``tol``, else
-    ResidualError. Where an entry is 0 or subnormal, which rates near the
-    float floor give, every edge takes log a/b + log(x_j / y_{j+1}), whose
-    count ratio is a float (np.log of int8 counts would be float16).
+    The chain is reversible, so pi follows from the kernel's moves, with no
+    closed-form weight, by detailed balance along a spanning tree. The
+    parent of a state moves one ball from its first non-empty urn j + 1 >= 1
+    down to urn j, which leads every state to (m, 0, ..., 0) in at most
+    m(k - 1) moves, and log pi(x) - log pi(parent) =
+    log P(parent, x) - log P(x, parent). So the tree edges are the urn-pair
+    moves of ``_kernel_moves`` across pair j whose upper row has urns 1..j
+    empty, and each edge's step is log a - log b + log(x_j / y_{j+1}), not
+    read off the entries, which underflow near the float floor; the count
+    ratio is a float64 (np.log of int8 counts would be float16). Pointer
+    doubling sums the steps along every path in about log2(m(k - 1))
+    vectorised rounds, in compensated (two-sum) arithmetic: log pi near the
+    mode can be of order m, and plain rounding would unbalance neighbouring
+    states by more than ``tol`` long before the state cap. pi is accepted
+    only if ||pi P - pi||_1, the net balance flow into each state
+    (``_flow_residual``), is at most ``tol``, else ResidualError.
     """
-    if not tol > 0:  # a NaN tol would pass no residual and blame the solve
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     states, _, (pairs, _) = _kernel_moves(params, cap)
     n = len(states)
-    lossy = min(params.a, params.b) / params.m < np.finfo(float).tiny  # an entry may underflow
     log_ab = math.log(params.a) - math.log(params.b)
     # log pi is held as the unevaluated sum hi + lo; row 0, (m, 0, ..., 0),
     # is the root and points at itself
     hi = np.zeros(n)
     pointer = np.zeros(n, dtype=np.int64)
     empty = np.ones(n, dtype=bool)  # rows whose urns 1..j are all empty
-    for j, (lower, upper, up, down) in enumerate(pairs):
+    for j, (lower, upper, _, _) in enumerate(pairs):
         edge = empty[upper]
         pointer[upper[edge]] = lower[edge]
-        hi[upper[edge]] = (log_ab + np.log(states[lower[edge], j] / states[upper[edge], j + 1])
-                           if lossy else np.log(up[edge]) - np.log(down[edge]))
+        hi[upper[edge]] = log_ab + np.log(states[lower[edge], j] / states[upper[edge], j + 1])
         empty &= states[:, j + 1] == 0
     lo = np.zeros(n)
     # after r rounds log pi[x] holds the steps of the first 2**r edges above x

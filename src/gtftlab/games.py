@@ -35,7 +35,7 @@ from operator import add
 
 import numpy as np
 
-from .ehrenfest import _check_count, _check_generosity, _real
+from .ehrenfest import _check_count, _check_generosity, _check_tol, _real
 from .rng import ensure_rng
 
 STATES = ("CC", "CD", "DC", "DD")
@@ -67,7 +67,7 @@ class RewardVector:
     @classmethod
     def donation(cls, benefit: float, cost: float) -> "RewardVector":
         """Donation game: cooperation pays `benefit` to the other side at `cost` to self."""
-        if not benefit > cost > 0:
+        if not _real(benefit) > _real(cost) > 0:
             raise ValueError(f"donation game needs benefit > cost > 0, got {benefit}, {cost}")
         return cls(R=benefit - cost, S=-cost, T=benefit, P=0.0)
 
@@ -204,8 +204,7 @@ def expected_payoff_series(
     The tail after I terms is bounded by max|v| * delta^I / (1 - delta),
     so the truncation error is at most ``tol``.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     v = rv.as_array()
     q = initial_distribution(me, opp, cfg)
     m = transition_matrix(me, opp)

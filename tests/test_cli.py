@@ -602,11 +602,14 @@ PAYOFFS = st.floats(-100.0, 100.0)
 
 @st.composite
 def reward_flags(draw):
-    """Donation or T > R > P > S flags, mostly valid; otherwise any floats."""
+    """Donation or T > R > P > S flags, mostly valid; otherwise any floats.
+
+    Also whether the flags are a donation game's, with b > c > 0.
+    """
     form = draw(st.sampled_from(["donation", "ordered", "any"]))
     if form == "donation":
         cost = draw(st.floats(1e-3, 100.0))
-        return [f"--b={cost + draw(st.floats(1e-3, 100.0))!r}", f"--c={cost!r}"]
+        return [f"--b={cost + draw(st.floats(1e-3, 100.0))!r}", f"--c={cost!r}"], True
     flags = ["--T", "--R", "--P", "--S"]
     if form == "ordered":
         values = draw(st.lists(PAYOFFS, min_size=4, max_size=4, unique=True))
@@ -616,14 +619,14 @@ def reward_flags(draw):
             flags = ["--b", "--c"]
         values = draw(st.lists(PAYOFFS | st.floats(), min_size=len(flags), max_size=len(flags)))
     # the = form, since argparse reads a word like -1e-05 as a flag
-    return [f"{flag}={value!r}" for flag, value in zip(flags, values)]
+    return [f"{flag}={value!r}" for flag, value in zip(flags, values)], False
 
 
 @st.composite
 def payoff_argvs(draw):
     return [
         "payoff", "--me", draw(STRATEGY_SPECS), "--opp", draw(STRATEGY_SPECS),
-        *draw(reward_flags()),
+        *draw(reward_flags())[0],
         "--delta", repr(draw(DELTAS)),
         "--s1", repr(draw(st.floats(0.0, 1.0))),
         "--mc-games", str(draw(st.integers(0, 1000))),
@@ -712,13 +715,15 @@ def drawn_flags(draw, required, optional=None):
 
     Each flag maps to its (in-range, any) words. No flag, one flag or every
     flag draws from its any words, so that most runs get past the checks to
-    the work, and each check still meets every kind of bad value.
+    the work, and each check still meets every kind of bad value. Returns
+    the words, and whether every one of them is an in-range word.
     """
     chosen = list(required.items())
     chosen += [item for item in (optional or {}).items() if draw(st.booleans())]
     wild = draw(st.sampled_from(["none", "all", *(flag for flag, _ in chosen)]))
     # the = form, since argparse reads a word like -1 or -0.5 after a flag as a flag
-    return [f"{flag}={draw(words[wild in ('all', flag)])}" for flag, words in chosen]
+    argv = [f"{flag}={draw(words[wild in ('all', flag)])}" for flag, words in chosen]
+    return argv, wild == "none"
 
 
 RATE = real(0.0, 0.5, exclude_min=True)
@@ -736,8 +741,9 @@ def stationary_argvs(draw):
         mode, optional = {"--beta": real(0.0, 1.0, exclude_min=True, exclude_max=True)}, balls
     else:
         mode, optional = {"--a": RATE, "--b": RATE, **balls}, {}
-    argv = drawn_flags(draw, {"--k": count(2, 1000), "--cap": count(1, 2000), **mode}, optional)
-    return ["stationary", *argv] + ["--exact"] * draw(st.booleans())
+    argv, in_range = drawn_flags(draw, {"--k": count(2, 1000), "--cap": count(1, 2000), **mode},
+                                 optional)
+    return ["stationary", *argv] + ["--exact"] * draw(st.booleans()), in_range
 
 
 def sweeps(least):
@@ -762,19 +768,21 @@ def mixing_argvs(draw):
     if draw(st.booleans()):
         required["--step-limit"] = count(0, 10**4)
         optional = {"--epsilon": real(0.0, 0.99, exclude_min=True), "--sweep": sweeps(2)}
-    argv = drawn_flags(draw, required, optional)
+    argv, _ = drawn_flags(draw, required, optional)
     return ["mixing", *argv] + ["--exact-scan"] * draw(st.booleans())
 
 
 @st.composite
 def optimality_argvs(draw):
-    argv = drawn_flags(
+    """The argv, and whether it is a donation game with every other flag in range."""
+    argv, in_range = drawn_flags(
         draw,
         {"--delta": GAME_DELTA, "--g-hat": UNIT, "--alpha": SHARE, "--beta": DEFECTORS,
          "--n": count(1, 10**9)},
         {"--s1": real(0.0, 1.0, exclude_max=True), "--k": count(2, 10**5)},
     )
-    return ["optimality", *draw(reward_flags()), *argv]
+    rewards, donation = draw(reward_flags())
+    return ["optimality", *rewards, *argv], donation and in_range
 
 
 def populations():
@@ -788,13 +796,13 @@ def populations():
 
 @st.composite
 def compare_argvs(draw):
-    argv = drawn_flags(
+    argv, _ = drawn_flags(
         draw,
         {"--delta": GAME_DELTA, "--g-hat": UNIT, "--k": count(2, 64), "--m": count(1, 10**4),
          "--populations": populations()},
         {"--s1": real(0.0, 1.0, exclude_max=True)},
     )
-    return ["compare", *draw(reward_flags()), *argv]
+    return ["compare", *draw(reward_flags())[0], *argv]
 
 
 # fractions whose product with any multiple of 20 nodes is an integer
@@ -804,7 +812,7 @@ NODE_SHARE = (st.sampled_from([0.0, 0.05, 0.1, 0.25]).map(repr), ANY_REAL)
 @st.composite
 def simulate_argvs(draw):
     nodes = st.integers(1, 5000).map(lambda blocks: str(20 * blocks))
-    argv = drawn_flags(
+    argv, _ = drawn_flags(
         draw,
         {"--n": (nodes, count(2, 10**5)[1]), "--alpha": NODE_SHARE, "--beta": NODE_SHARE,
          "--k": count(2, 100), "--g-hat": UNIT, "--steps": count(0, 10**4), "--seed": SEED},
@@ -818,10 +826,11 @@ def simulate_argvs(draw):
 
 
 def assert_report_contract(argv):
-    """The exit-code contract, and strict JSON on stdout after exit 0."""
+    """The exit-code contract, and strict JSON on stdout after exit 0; returns the exit code."""
     code, out = exit_code_and_stdout(argv)
     if code == 0:
         strict_json(out)
+    return code
 
 
 def assert_table_contract(argv, out):
@@ -837,11 +846,41 @@ PROPERTY = settings(max_examples=100, deadline=timedelta(seconds=10),
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @PROPERTY
-@given(argv=stationary_argvs())
+@given(case=stationary_argvs())
 # an up move of probability 5e-324 x / 4 underflows; the solve once warned and exited 3
-@example(argv=["stationary", "--a=5e-324", "--b=0.5", "--k=3", "--m=4", "--exact"])
-def test_stationary_exit_code_contract(argv):
-    assert_report_contract(argv)
+@example(case=(["stationary", "--a=5e-324", "--b=0.5", "--k=3", "--m=4", "--exact"], True))
+# C(m + k - 1, k - 1) has over 4300 digits, which str() refuses: the cap note once exited 2
+@example(case=(["stationary", "--k=819", "--cap=853", "--a=0.17", "--b=0.15", "--m=708186270",
+                "--exact"], True))
+def test_stationary_exit_code_contract(case):
+    """The exit-code contract; a draw with every flag in range is never a config error."""
+    argv, in_range = case
+    code = assert_report_contract(argv)
+    if in_range:
+        assert code in (0, 3)
+
+
+# at rates or shares near the float floor a report's lambda = a/b overflowed and failed strict
+# JSON, and beta mode's exact pair (1 - beta, beta) / 2 had b = 0 at beta = 5e-324
+FLOAT_FLOOR_REPORTS = [
+    ["stationary", "--k", "3", "--a", "0.5", "--b", "5e-324", "--m", "4", "--exact"],
+    ["stationary", "--beta", "1e-320", "--k", "3"],
+    ["stationary", "--beta", "1e-320", "--k", "3", "--m", "4", "--exact"],
+    ["optimality", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25", "--alpha", "0.25",
+     "--beta", "1e-320", "--n", "100", "--k", "6"],
+    ["stationary", "--beta", "5e-324", "--k", "3", "--m", "4", "--exact"],
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", FLOAT_FLOOR_REPORTS, ids=" ".join)
+def test_reports_near_the_float_floor_carry_no_lambda(argv):
+    code, out = exit_code_and_stdout(argv)
+    assert code == 0
+    report = strict_json(out)
+    assert "lambda" not in report
+    if "--exact" in argv:
+        assert report["exact_solver"]["max_pointwise_diff"] <= 1e-12
 
 
 @PROPERTY
@@ -851,17 +890,20 @@ def test_mixing_exit_code_contract(argv):
 
 
 @PROPERTY
-@given(argv=optimality_argvs())
-@example(argv=["optimality", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0",
-               "--alpha", "0.1", "--beta", "0.3", "--n", "100"])
-def test_optimality_exit_code_contract(argv):
+@given(case=optimality_argvs())
+@example(case=(["optimality", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0",
+                "--alpha", "0.1", "--beta", "0.3", "--n", "100"], True))
+def test_optimality_exit_code_contract(case):
     """The exit-code contract; an exit-0 report is strict JSON and its optimum is consistent.
 
-    Only a donation game gets past optimal_generosity, so every exit-0
-    report has both thresholds, and g* lies in [0, g_hat] in the regime
-    that phi picks against them.
+    A donation game with every other flag in range exits 0. Only a
+    donation game gets past optimal_generosity, so every exit-0 report
+    has both thresholds, and g* lies in [0, g_hat] in the regime that phi
+    picks against them.
     """
+    argv, in_range = case
     code, out = exit_code_and_stdout(argv)
+    assert code == 0 or not in_range
     if code != 0:
         return
     report = strict_json(out)

@@ -456,8 +456,8 @@ def test_exact_solver_matches_closed_form_grid():
 
 def test_exact_solver_is_pinned_on_the_benchmark_instances():
     # sha256 of pi's bytes over the 72 tiny and four large instances of the
-    # exact benchmark, recorded while the solver read its entries and its
-    # residual off a scipy.sparse kernel
+    # exact benchmark, recorded when each tree edge became
+    # log a - log b + log(x_j / y_{j+1})
     digest = hashlib.sha256()
     for k in (2, 3, 4):
         for m in range(1, 7):
@@ -465,7 +465,7 @@ def test_exact_solver_is_pinned_on_the_benchmark_instances():
                 digest.update(solve_stationary_exact(EhrenfestParams(k=k, a=a, b=b, m=m))[1])
     for k, m, a, b in ((4, 20, 0.7, 0.3), (5, 20, 0.7, 0.3), (4, 60, 0.7, 0.3), (6, 20, 0.7, 0.3)):
         digest.update(solve_stationary_exact(EhrenfestParams(k=k, a=a, b=b, m=m))[1])
-    assert digest.hexdigest() == "21d214e6373642a95c4c841a8e8a60ad0313dc5288aad4afe729427cd5523d12"
+    assert digest.hexdigest() == "e23aae165aa65252bd75c675f1ec7751704fa98674152016238fdb82adefff13"
 
 
 def test_exact_solver_agrees_to_1e12():

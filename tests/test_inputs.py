@@ -31,14 +31,15 @@ from gtftlab.ehrenfest import (
     estimate_mixing,
     expected_absorption_closed,
     geometric_weights,
+    solve_stationary_exact,
     state_array,
     stationary_closed,
     tmix_exact,
     transition_row,
     tv_distance_exact,
 )
-from gtftlab.games import (ALLD, GameConfig, RewardVector, Strategy, expected_payoff_closed, gtft,
-                           simulate_games)
+from gtftlab.games import (ALLD, GameConfig, RewardVector, Strategy, expected_payoff_closed,
+                           expected_payoff_series, gtft, simulate_games)
 from gtftlab.meanfield import (avg_stationary_generosity, check_local_optimality, gap_bound,
                                generosity_report, granular_expected_payoff, mean_field_payoff,
                                phi_ratio, stationary_weights, weight_ratio)
@@ -292,6 +293,14 @@ REAL_ARGUMENTS = [
     ("GameConfig-delta", r"delta must be in \[0, 1\)", lambda v: GameConfig(delta=v), 0.9),
     ("GameConfig-s1", r"s1 must be in \[0, 1\)", lambda v: GameConfig(delta=0.9, s1=v), 0.5),
     ("RewardVector-R", "reward R must be finite", lambda v: RewardVector(v, -2.0, 3.0, 0.0), 1.0),
+    ("RewardVector.donation-benefit", "donation game needs benefit > cost > 0",
+     lambda v: RewardVector.donation(v, 2.0), 3.0),
+    ("MultinomialDist-p", "cell probabilities must be finite",
+     lambda v: MultinomialDist(m=2, p=(v, 0.5)), 0.5),
+    ("solve_stationary_exact-tol", "tol must be positive",
+     lambda v: solve_stationary_exact(PARAMS, tol=v), 1e-12),
+    ("expected_payoff_series-tol", "tol must be positive",
+     lambda v: expected_payoff_series(gtft(0.2), ALLD, GAME, DONATION, tol=v), 1e-10),
     ("gap_bound", r"bound requires beta in \(0, 1/2\)", lambda v: gap_bound(6, v), 0.1),
     ("mean_field_payoff", "invalid population fractions",
      lambda v: mean_field_payoff(0.1, v, 0.1, GAME, DONATION), 0.1),
@@ -311,7 +320,7 @@ def test_every_real_argument_refuses_a_non_number_with_its_rule(message, call, g
 @pytest.mark.parametrize("message", [
     "need an integer {name} >=", "epsilon must lie in (0, 1)", "is not a composition of",
     "labels must be a vector of", "need alpha, beta >= 0 with alpha + beta < 1",
-    "beta must lie in (0, 1)", "must be in [0, 1], got",
+    "beta must lie in (0, 1)", "must be in [0, 1], got", "tol must be positive",
 ])
 def test_each_input_rule_has_one_message(message):
     # a second copy of a rule is how two messages, or a TypeError, crept in before
