@@ -124,37 +124,31 @@ def cmd_simulate(args) -> Iterator[str]:
 
 def cmd_stationary(args) -> dict:
     if args.beta is not None:
-        if args.k is None or args.k < 2:
-            raise ValueError("beta mode needs --k >= 2")
+        ehrenfest._check_count("k", args.k, 2)
         p = ehrenfest.geometric_weights(meanfield.weight_ratio(args.beta), args.k)
         result: dict = {"mode": "population-beta", "beta": args.beta, "k": args.k,
                         "closed_form_p": p.tolist(), "m": args.m}
         # a/b is bitwise weight_ratio(beta), so the pair reproduces the law
         params = (EhrenfestParams(k=args.k, a=1 - args.beta, b=args.beta, m=args.m)
-                  if args.m is not None and args.exact else None)
+                  if args.m is not None else None)
     else:
         if None in (args.k, args.a, args.b, args.m):
             raise ValueError("chain mode needs --k --a --b --m (or use --beta)")
         params = EhrenfestParams(k=args.k, a=args.a, b=args.b, m=args.m)
-        dist = ehrenfest.stationary_closed(params)
         result = {"mode": "chain", "k": args.k, "a": args.a, "b": args.b, "m": args.m,
-                  "closed_form_p": list(dist.p)}
+                  "closed_form_p": list(ehrenfest.stationary_closed(params).p)}
 
     if args.exact and params is not None:
         try:
-            _, exact = ehrenfest.solve_stationary_exact(params, cap=args.cap)
-            counts = ehrenfest.state_array(params.k, params.m, args.cap)
+            counts, exact, pairs = ehrenfest._solve(params, args.cap)
             closed_pmf = np.exp(ehrenfest.stationary_closed(params).log_pmf(counts))
-            # per-urn probabilities implied by the solved law: mean counts over m
-            exact_p = exact @ counts / params.m
             result["exact_solver"] = {
                 "n_states": len(counts),
-                "exact_p": exact_p.tolist(),
+                # per-urn probabilities implied by the solved law: mean counts over m
+                "exact_p": (exact @ counts / params.m).tolist(),
                 "tv_diff": ehrenfest.tv_distance(exact, closed_pmf),
                 "max_pointwise_diff": float(np.abs(exact - closed_pmf).max()),
-                "detailed_balance_residual": ehrenfest.detailed_balance_residual(
-                    params, cap=args.cap
-                ),
+                "detailed_balance_residual": ehrenfest._balance(closed_pmf, pairs),
             }
         except CapExceededError as exc:
             result["exact_solver"] = None

@@ -286,6 +286,7 @@ def state_array(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
 
 def _states_and_table(k: int, m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """``state_array(k, m, cap)`` and the rank table it was unranked with."""
+    _check_count("cap", cap, 1)
     n_states = state_count(k, m)
     if n_states > cap:  # str() refuses an int past 4300 digits
         size = n_states if n_states < 2**1000 else f"at least 2**{n_states.bit_length() - 1}"
@@ -469,6 +470,12 @@ def solve_stationary_exact(
     only if ||pi P - pi||_1, the net balance flow into each state
     (``_flow_residual``), is at most ``tol``, else ResidualError.
     """
+    states, pi, _ = _solve(params, cap, tol)
+    return _as_tuples(states), pi
+
+
+def _solve(params: EhrenfestParams, cap: int, tol: float = 1e-12):
+    """The solve: the (S, k) state array, pi, and the urn-pair moves that accepted pi."""
     _check_tol(tol)
     states, _, (pairs, _) = _kernel_moves(params, cap)
     n = len(states)
@@ -496,7 +503,7 @@ def solve_stationary_exact(
     residual = _flow_residual(pi, pairs)
     if not residual <= tol:
         raise ResidualError(f"stationary residual {residual:.3e} exceeds tol {tol:.3e}")
-    return _as_tuples(states), pi
+    return states, pi, pairs
 
 
 def detailed_balance_residual(
@@ -512,8 +519,12 @@ def detailed_balance_residual(
     if dist is None:
         dist = stationary_closed(params)
     states, _, (pairs, _) = _kernel_moves(params, cap)
-    return max(float(np.abs(flow).max())
-               for flow in _net_flows(np.exp(dist.log_pmf(states)), pairs))
+    return _balance(np.exp(dist.log_pmf(states)), pairs)
+
+
+def _balance(px: np.ndarray, pairs) -> float:
+    """The largest |net flow| px(x) P(x, y) - px(y) P(y, x) over the urn-pair moves ``pairs``."""
+    return max(float(np.abs(flow).max()) for flow in _net_flows(px, pairs))
 
 
 def corner_labels(params: EhrenfestParams) -> tuple[list[int], list[int]]:

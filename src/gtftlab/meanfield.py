@@ -107,7 +107,7 @@ def optimal_generosity(
     and in between it is the root (1 - delta)(sqrt(phi_high/phi) - 1)/delta
     of dF/dg, clamped to the domain as a guard against rounding.
     """
-    del n  # phi depends only on the fractions; kept for signature symmetry
+    _check_count("n", n, 1)  # phi depends only on the fractions
     phi_low = low_phi_threshold(cfg, rv)  # rejects non-donation vectors
     phi = phi_ratio(alpha, beta)
     if phi <= phi_low:
@@ -134,7 +134,6 @@ class GenerosityReport:
 
     k: int
     avg_stationary_generosity: float
-    lam: float
     g_star: float
     regime: str
     gap: float
@@ -151,7 +150,6 @@ def generosity_report(
     return GenerosityReport(
         k=k,
         avg_stationary_generosity=wg,
-        lam=weight_ratio(beta),
         g_star=g_star,
         regime=regime,
         gap=abs(g_star - wg),

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -168,13 +169,75 @@ def test_stationary_cap_exceeded_degrades_gracefully(capsys):
 
 
 def test_stationary_residual_failure_is_limit_exit(monkeypatch, capsys):
-    solve = ehrenfest.solve_stationary_exact
-    monkeypatch.setattr(ehrenfest, "solve_stationary_exact",
-                        lambda params, cap: solve(params, cap=cap, tol=1e-20))
+    solve = ehrenfest._solve
+    monkeypatch.setattr(ehrenfest, "_solve", lambda params, cap: solve(params, cap, tol=1e-20))
     code = main(["stationary", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--exact"])
     assert code == 3
     out = capsys.readouterr()
     assert out.out == "" and "residual" in out.err
+
+
+def reference_exact_block(params, cap=ehrenfest.DEFAULT_STATE_CAP):
+    """The exact_solver block read off the public route: solve, enumerate, closed pmf, balance."""
+    _, exact = ehrenfest.solve_stationary_exact(params, cap=cap)
+    counts = ehrenfest.state_array(params.k, params.m, cap)
+    closed_pmf = np.exp(ehrenfest.stationary_closed(params).log_pmf(counts))
+    return {
+        "n_states": len(counts),
+        "exact_p": (exact @ counts / params.m).tolist(),
+        "tv_diff": ehrenfest.tv_distance(exact, closed_pmf),
+        "max_pointwise_diff": float(np.abs(exact - closed_pmf).max()),
+        "detailed_balance_residual": ehrenfest.detailed_balance_residual(params, cap=cap),
+    }
+
+
+EXACT_BLOCKS = [
+    (["--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4"], (3, 0.4, 0.2, 4)),
+    (["--k", "6", "--a", "0.7", "--b", "0.3", "--m", "20"], (6, 0.7, 0.3, 20)),
+    (["--beta", "0.25", "--k", "3", "--m", "30"], (3, 0.75, 0.25, 30)),
+    (["--beta", "5e-324", "--k", "3", "--m", "4"], (3, 1 - 5e-324, 5e-324, 4)),
+]
+
+
+@pytest.mark.parametrize("argv, params", EXACT_BLOCKS, ids=[" ".join(a) for a, _ in EXACT_BLOCKS])
+def test_stationary_exact_block_equals_the_public_route_bitwise(argv, params, capsys):
+    assert main(["stationary", *argv, "--exact"]) == 0
+    block = json.loads(capsys.readouterr().out)["exact_solver"]
+    reference = reference_exact_block(ehrenfest.EhrenfestParams(*params))
+    assert block == json.loads(json.dumps(reference))
+
+
+def test_stationary_exact_enumerates_once_and_builds_the_moves_once(monkeypatch, capsys):
+    # the solve, state_array and detailed_balance_residual once enumerated 3 times and built twice
+    calls = {"_states_and_table": 0, "_kernel_moves": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(ehrenfest, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(ehrenfest, name, counted)
+    assert main(["stationary", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--exact"]) == 0
+    assert json.loads(capsys.readouterr().out)["exact_solver"]["n_states"] == 15
+    assert calls == {"_states_and_table": 1, "_kernel_moves": 1}
+
+
+@pytest.mark.parametrize("m", ["-5", "0"])
+def test_stationary_beta_mode_checks_its_ball_count(m, capsys):
+    # with no --exact, beta mode once exited 0 and echoed the bad m
+    assert main(["stationary", "--beta", "0.25", "--k", "3", "--m", m]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "need an integer m >= 1" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--exact", "--cap", "-5"],
+    ["mixing", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--trials", "5",
+     "--seed", "5", "--exact-scan", "--cap", "-3"],
+], ids=["stationary", "mixing"])
+def test_an_exact_run_refuses_a_cap_below_1(argv, capsys):
+    # both once exited 0 with the note "15 states exceeds cap -5" (or -3)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "need an integer cap >= 1" in out.err
 
 
 def test_stationary_missing_args_is_config_error(capsys):
@@ -350,6 +413,15 @@ def test_optimality_refuses_a_small_game_that_is_not_a_donation_game(capsys):
             "--delta", "0.9", "--g-hat", "0.25", "--alpha", "0.1", "--beta", "0.1", "--n", "100"]
     assert main(argv) == 2
     assert "not a donation-game reward vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["-7", "0"])
+def test_optimality_checks_its_node_count(n, capsys):
+    # optimal_generosity once dropped n unread, and the report echoed it
+    assert main(["optimality", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25",
+                 "--alpha", "0.1", "--beta", "0.1", "--n", n]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "need an integer n >= 1" in out.err
 
 
 def test_optimality_impossible_fractions_are_config_errors(tmp_path, capsys):

@@ -42,7 +42,7 @@ from gtftlab.games import (ALLD, GameConfig, RewardVector, Strategy, expected_pa
                            expected_payoff_series, gtft, simulate_games)
 from gtftlab.meanfield import (avg_stationary_generosity, check_local_optimality, gap_bound,
                                generosity_report, granular_expected_payoff, mean_field_payoff,
-                               phi_ratio, stationary_weights, weight_ratio)
+                               optimal_generosity, phi_ratio, stationary_weights, weight_ratio)
 from gtftlab.population import (
     PopulationConfig,
     PopulationState,
@@ -68,6 +68,7 @@ COUNT_ARGUMENTS = [
     ("geometric_weights", "k", 1, lambda v: geometric_weights(2.0, v), 3),
     ("state_array", "k", 1, lambda v: state_array(v, 2), 3),
     ("state_array", "m", 0, lambda v: state_array(2, v), 3),
+    ("state_array", "cap", 1, lambda v: state_array(2, 2, cap=v), 3),
     ("coupled_run", "step_limit", 0,
      lambda v: coupled_run(PARAMS, *corner_labels(PARAMS), 1, step_limit=v), 10**6),
     ("estimate_mixing", "trials", 1, lambda v: estimate_mixing(PARAMS, 0.25, v, 1), 5),
@@ -83,6 +84,8 @@ COUNT_ARGUMENTS = [
     ("simulate_games", "n_games", 0,
      lambda v: simulate_games(gtft(0.2), ALLD, GAME, DONATION, v, 1), 3),
     ("gap_bound", "k", 2, lambda v: gap_bound(v, 0.1), 3),
+    ("optimal_generosity", "n", 1, lambda v: optimal_generosity(0.1, 0.1, v, GAME, DONATION),
+     100),
     ("check_local_optimality", "grid_size", 2,
      lambda v: check_local_optimality(GAME, DONATION, grid_size=v), 3),
     ("generosity_grid", "k", 2, lambda v: generosity_grid(v, 0.5), 3),
