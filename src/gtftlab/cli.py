@@ -140,7 +140,7 @@ def cmd_stationary(args) -> dict:
 
     if args.exact and params is not None:
         try:
-            counts, exact, pairs = ehrenfest._solve(params, args.cap)
+            counts, exact, pairs, residual = ehrenfest._solve(params, args.cap)
             closed_pmf = np.exp(ehrenfest.stationary_closed(params).log_pmf(counts))
             result["exact_solver"] = {
                 "n_states": len(counts),
@@ -149,6 +149,8 @@ def cmd_stationary(args) -> dict:
                 "tv_diff": ehrenfest.tv_distance(exact, closed_pmf),
                 "max_pointwise_diff": float(np.abs(exact - closed_pmf).max()),
                 "detailed_balance_residual": ehrenfest._balance(closed_pmf, pairs),
+                # ||pi P - pi||_1 of the solved law, which the solve accepted against its tol
+                "solver_residual": residual,
             }
         except CapExceededError as exc:
             result["exact_solver"] = None

@@ -470,12 +470,12 @@ def solve_stationary_exact(
     only if ||pi P - pi||_1, the net balance flow into each state
     (``_flow_residual``), is at most ``tol``, else ResidualError.
     """
-    states, pi, _ = _solve(params, cap, tol)
+    states, pi, _, _ = _solve(params, cap, tol)
     return _as_tuples(states), pi
 
 
 def _solve(params: EhrenfestParams, cap: int, tol: float = 1e-12):
-    """The solve: the (S, k) state array, pi, and the urn-pair moves that accepted pi."""
+    """The solve: the (S, k) state array, pi, and the urn-pair moves and residual that accepted pi."""
     _check_tol(tol)
     states, _, (pairs, _) = _kernel_moves(params, cap)
     n = len(states)
@@ -503,7 +503,7 @@ def _solve(params: EhrenfestParams, cap: int, tol: float = 1e-12):
     residual = _flow_residual(pi, pairs)
     if not residual <= tol:
         raise ResidualError(f"stationary residual {residual:.3e} exceeds tol {tol:.3e}")
-    return states, pi, pairs
+    return states, pi, pairs, residual
 
 
 def detailed_balance_residual(

@@ -13,8 +13,10 @@ indices is exactly the weighted multi-urn walk in
 :mod:`gtftlab.ehrenfest`; ``to_ehrenfest`` produces the matching
 parameters.
 
-``run`` draws its pairs in 2**16 blocks, yields its records as it goes,
-and visits only the GTFT steps of each block in one loop.
+``run`` draws its pairs in 2**16 blocks and yields its records as it
+goes. It steps each block's GTFT moves in numpy, grouped by node and
+packed 8 to a byte, through a per-k table of 8-move clamp maps, and reads
+the records off the labels before and after each move.
 ``sample_one_step_counts`` draws in the same blocks, tallies the draws by
 class and reads each class's successor off the start. The per-step rule
 that both are held equal to, one interaction at a time, is a test oracle
@@ -23,10 +25,9 @@ in ``tests/test_population.py``.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,8 +91,8 @@ class PopulationState:
 
     Nodes 0..n_allc-1 are AllC, the next n_alld are AllD, and the last m
     are GTFT. ``idx`` holds the 1-based grid index of each GTFT node and
-    ``z`` the per-index counts; ``run`` keeps both consistent as it steps,
-    and so does the per-step oracle in the tests.
+    ``z`` the per-index counts. ``run`` starts from them and steps its own
+    arrays; the per-step oracle in the tests keeps both consistent as it steps.
     """
 
     __slots__ = ("n", "n_allc", "n_alld", "gtft_start", "m", "k", "idx", "z", "t")
@@ -111,7 +112,17 @@ class PopulationState:
         return tuple(self.z)
 
     def avg_generosity(self, grid: tuple[float, ...]) -> float:
-        return sum(map(operator.mul, grid, self.z)) / self.m
+        return _mean_generosity(grid, np.array(self.z), self.m).item()
+
+
+def _mean_generosity(grid: tuple[float, ...], counts: np.ndarray, m: int) -> np.ndarray:
+    """sum_j g_j z_j / m for each row z of ``counts``: the products summed column by column.
+
+    The running sum adds the columns one at a time in grid order, as a sum
+    from 0 does (every product is >= 0, so 0 + x is x), so each row's figure
+    equals ``sum(map(operator.mul, grid, z)) / m`` bitwise.
+    """
+    return np.add.accumulate(counts * np.array(grid), axis=-1)[..., -1] / m
 
 
 def init_population(
@@ -156,10 +167,11 @@ def run(
     after that (every interaction counts, including null ones). The
     arguments are checked and the starting population is drawn when run()
     is called; the records then stream as the pairs are drawn, in blocks
-    of 2**16, so memory does not grow with the number of records. A block
-    visits only its GTFT initiators, in step order, so the trajectory is
-    deterministic given the seed and equals stepping the per-step oracle
-    of the tests over the same draws.
+    of 2**16, so memory does not grow with the number of records. Each
+    block steps only its GTFT initiators, node by node in 8-move chunks
+    (``_block_moves``); each node sees its moves in step order, so the
+    trajectory is deterministic given the seed and equals stepping the
+    per-step oracle of the tests over the same draws.
     """
     _check_count("steps", steps, 0)
     _check_count("record_every", record_every, 1)
@@ -170,40 +182,128 @@ def run(
 
 def _trajectory(state: PopulationState, cfg: PopulationConfig, steps: int, record_every: int,
                 rng: np.random.Generator) -> Iterator[tuple[int, tuple[int, ...], float]]:
-    """run()'s records, from the population it has drawn."""
-    grid = cfg.grid
-    idx, z, k, start = state.idx, state.z, state.k, state.gtft_start
-    yield state.t, state.counts(), state.avg_generosity(grid)
+    """run()'s records, from the population it has drawn.
+
+    Labels run 0..k-1 here. A block's GTFT moves are stepped by
+    ``_block_moves``; z at each record time is z at the block's start plus
+    a running sum, per segment between record times, of the labels after
+    each move less the labels before it, so a clamped move cancels.
+    """
+    grid, k, m, start = cfg.grid, state.k, state.m, state.gtft_start
+    labels = np.array(state.idx, dtype=np.int32) - 1
+    z = np.bincount(labels, minlength=k)
+    # a slice of records holds about 2**14 counts, so memory does not grow with k
+    rows = max(1, (1 << 14) // k)
+    yield 0, state.counts(), state.avg_generosity(grid)
+    begin = 0
     for initiators, partners in _pair_blocks(state.n, cfg.pairing == "distinct-pair", steps, rng):
-        begin = state.t
         end = begin + len(initiators)
-        # the block's GTFT steps: offsets, then slots and whether the partner is a defector
         offsets = np.flatnonzero(initiators >= start)
-        met = partners[offsets]
-        moves = zip(
-            (initiators[offsets] - start).tolist(),
-            ((met >= state.n_allc) & (met < start)).tolist(),
-        )
         # segments end at each record time inside the block, the last at the block's end
-        marks = list(range(begin - begin % record_every + record_every, end, record_every))
-        marks.append(end)
-        done = 0
-        for mark, stop in zip(marks, np.searchsorted(offsets, np.array(marks) - begin).tolist()):
-            for slot, down in itertools.islice(moves, stop - done):
-                j = idx[slot]
-                if down:
-                    if j > 1:
-                        idx[slot] = j - 1
-                        z[j - 1] -= 1
-                        z[j - 2] += 1
-                elif j < k:
-                    idx[slot] = j + 1
-                    z[j - 1] -= 1
-                    z[j] += 1
-            done = stop
-            state.t = mark
-            if mark % record_every == 0:
-                yield state.t, state.counts(), state.avg_generosity(grid)
+        marks = np.append(np.arange(begin - begin % record_every + record_every, end,
+                                    record_every), end)
+        records = len(marks) - (end % record_every != 0)
+        stops = np.searchsorted(offsets, marks - begin)
+        slots = (initiators.take(offsets) - start).astype(np.min_scalar_type(m - 1))
+        met = partners.take(offsets)
+        del offsets
+        down = (met >= state.n_allc) & (met < start)
+        del met
+        labels, after, before = _block_moves(labels, slots, down, k)
+        del slots, down
+        for first in range(0, len(marks), rows):
+            last = min(first + rows, len(marks))
+            done, size = stops[first - 1] if first else 0, (last - first) * k
+            # each move's column in the slice's segment-by-label table
+            cell = np.repeat(np.arange(0, size, k, dtype=np.int32),
+                             np.diff(stops[first:last], prepend=done))
+            moved = (np.bincount(cell + after[done:stops[last - 1]], minlength=size)
+                     - np.bincount(cell + before[done:stops[last - 1]], minlength=size))
+            del cell
+            counts = z + np.cumsum(moved.reshape(last - first, k), axis=0)
+            z = counts[-1]
+            keep = max(0, min(last, records) - first)
+            yield from zip(marks[first:first + keep].tolist(), map(tuple, counts[:keep].tolist()),
+                           _mean_generosity(grid, counts[:keep], m).tolist())
+        begin = end
+
+
+@lru_cache(maxsize=16)
+def _clip_table(k: int) -> np.ndarray:
+    """Every prefix map of an 8-move chunk, as clip(x + shift, lo, hi) on the labels 0..k-1.
+
+    Column p * 256 + code of the (3, 9 * 256) result holds (shift, lo, hi)
+    of a chunk's first p moves, where move i goes down when bit i of code
+    is set; p = 0 is the identity. Composing clip(x + s, lo, hi) with one
+    move d gives clip(x + s + d, clip(lo + d, 0, k - 1), clip(hi + d, 0, k - 1)).
+    The table is cached per k, so it is read-only; its size does not grow with k.
+    """
+    down = (np.arange(256) >> np.arange(8)[:, None]) & 1
+    table = np.empty((3, 9, 256), dtype=np.int32)
+    table[:, 0] = np.array([0, 0, k - 1])[:, None]
+    for p in range(8):
+        d = 1 - 2 * down[p]
+        table[0, p + 1] = table[0, p] + d
+        table[1:, p + 1] = np.clip(table[1:, p] + d, 0, k - 1)
+    table = table.reshape(3, -1)
+    table.flags.writeable = False
+    return table
+
+
+def _block_moves(labels: np.ndarray, slots: np.ndarray, down: np.ndarray,
+                 k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step one block's GTFT moves, given in step order by node slot and direction.
+
+    Returns the labels after the block, and each move's label after and
+    before it, in step order. The moves are grouped by node, in step order
+    within each node, and laid out 8 to a row, so each row is an 8-move
+    chunk of one node and its directions pack into one byte code. One
+    loop over the chunk index carries every node's label through its
+    chunk's map from ``_clip_table``; each move's label is then read off
+    its chunk's start label and its prefix map.
+    """
+    shift, lo, hi = _clip_table(k)
+    n_moves = len(slots)
+    order = np.argsort(slots, kind="stable")
+    # only the nodes that move in the block enter the loop, so its arrays are O(moves)
+    per_node = np.bincount(slots)
+    moving = np.flatnonzero(per_node)
+    per_node = per_node.take(moving)
+    chunks = (per_node + 7) >> 3
+    base = np.cumsum(chunks) - chunks
+    # each move's place in the rows: 8 per chunk of its node, in step order
+    place = np.empty(n_moves, dtype=np.int32)
+    place[order] = np.arange(n_moves, dtype=np.int32) + np.repeat(
+        (8 * base - np.cumsum(per_node) + per_node).astype(np.int32), per_node)
+    del order
+    bits = np.zeros(8 * chunks.sum(), dtype=bool)
+    bits[place] = down
+    codes = np.packbits(bits, bitorder="little")
+    del bits
+    node = np.repeat(np.arange(len(moving), dtype=np.int32), chunks)
+    chunk = np.arange(len(node), dtype=np.int32) - np.repeat(base.astype(np.int32), chunks)
+    # each node's chunk maps by chunk index; a node without a chunk c keeps its label there
+    maps = np.zeros((chunks.max(initial=0), len(moving)), dtype=np.int32)
+    maps[chunk, node] = np.minimum(per_node.take(node) - 8 * chunk, 8) * 256 + codes
+    starts = np.empty((len(maps) + 1, len(moving)), dtype=np.int32)
+    starts[0] = labels.take(moving)
+    for now, then, s, low, high in zip(starts, starts[1:], shift.take(maps), lo.take(maps),
+                                       hi.take(maps)):
+        np.add(now, s, out=then)
+        np.maximum(then, low, out=then)
+        np.minimum(then, high, out=then)
+    del maps
+    column = codes[:, None] + np.arange(256, 9 * 256, 256, dtype=np.int32)
+    before = np.empty(column.shape, dtype=np.int32)
+    before[:, 0] = starts[chunk, node]
+    after = before[:, :1] + shift.take(column)
+    np.maximum(after, lo.take(column), out=after)
+    np.minimum(after, hi.take(column), out=after)
+    del column
+    before[:, 1:] = after[:, :-1]
+    labels = labels.copy()
+    labels[moving] = starts[-1]
+    return labels, after.take(place), before.take(place)
 
 
 def sample_one_step_counts(

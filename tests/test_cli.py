@@ -203,7 +203,14 @@ EXACT_BLOCKS = [
 def test_stationary_exact_block_equals_the_public_route_bitwise(argv, params, capsys):
     assert main(["stationary", *argv, "--exact"]) == 0
     block = json.loads(capsys.readouterr().out)["exact_solver"]
-    reference = reference_exact_block(ehrenfest.EhrenfestParams(*params))
+    params = ehrenfest.EhrenfestParams(*params)
+    # the solver's residual against ||pi P - pi||_1 from the sparse kernel
+    _, exact = ehrenfest.solve_stationary_exact(params)
+    _, _, kernel = ehrenfest.build_kernel(params)
+    residual = block.pop("solver_residual")
+    assert abs(residual - float(np.abs(exact @ kernel - exact).sum())) <= 1e-15
+    assert 0 <= residual <= 1e-12
+    reference = reference_exact_block(params)
     assert block == json.loads(json.dumps(reference))
 
 

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import gtftlab
 
 
@@ -59,6 +61,18 @@ loaded('mixing')
     assert done.stdout.split() == ["import", "False", "solve", "False", "balance", "False",
                                    "cli", "False", "coupled", "False", "estimate", "False",
                                    "mixing", "False"]
+
+
+def test_import_builds_no_clip_table_and_a_built_one_is_read_only():
+    # run() builds the 8-move clip table of its k on first use, never at import
+    probe = "import gtftlab; print(gtftlab.population._clip_table.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "0"
+    table = gtftlab.population._clip_table(5)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
 
 
 PUBLIC_NAMES = [

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import operator
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +18,8 @@ from gtftlab.population import (
     PAIRING_MODES,
     PopulationConfig,
     PopulationState,
+    _clip_table,
+    _mean_generosity,
     _pair_blocks,
     generosity_grid,
     init_population,
@@ -372,13 +376,92 @@ def test_run_equals_the_apply_loop(pairing, cfg_args, initial_counts):
             assert got == [row for row in each if row[0] % record_every == 0]
 
 
+EDGES = [
+    # m = 1: one node takes every GTFT move and absorbs at the top
+    ((2, 0.5, 0.0, 3, 0.5), (1, 0, 0), (1, 7, 2)),
+    # m = 2
+    ((4, 0.25, 0.25, 4, 0.5), None, (1, 7, 4)),
+    # k = 300: the nodes leave the bottom clamp and drift up into the top one
+    ((10, 0.1, 0.4, 300, 0.5), (5,) + (0,) * 299, (97,)),
+    # m = 1 of n = 2**16: the first block and the 3-step last block have no GTFT initiator
+    ((1 << 16, 0.5, 0.5 - 2**-16, 3, 0.5), None, (1, 7, 1 << 16)),
+]
+
+
+@pytest.mark.parametrize("pairing", PAIRING_MODES)
+@pytest.mark.parametrize("cfg_args, initial_counts, cadences", EDGES)
+def test_run_equals_the_apply_loop_at_the_edges(pairing, cfg_args, initial_counts, cadences):
+    cfg = PopulationConfig(*cfg_args, pairing=pairing)
+    steps = 2 * BLOCK + 3
+    key = (41, pairing, "edges")
+    for record_every in (*cadences, steps + 1):
+        got_rng, ref_rng = stream(*key), stream(*key)
+        got = list(run(cfg, steps, record_every, got_rng, initial_counts))
+        assert got == reference_run(cfg, steps, record_every, ref_rng, initial_counts)
+        # the same draws: run() leaves the generator where the per-step loop does
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    if cfg.n == 1 << 16:
+        rng = stream(*key)
+        init_population(cfg, initial_counts, rng)
+        gtft = [(initiators >= cfg.n - cfg.m).sum() for initiators, _ in
+                _pair_blocks(cfg.n, cfg.pairing == "distinct-pair", steps, rng)]
+        assert gtft[0] == 0 and gtft[1] > 0
+
+
+def test_run_equals_the_apply_loop_on_the_large_benchmark_config():
+    # the benchmark's n=1000, k=6 trajectory, from a draw of its stationary law
+    cfg = PopulationConfig(n=1000, alpha=0.2, beta=0.1, k=6, g_hat=0.25)
+    start = tuple(stream(42, "start").multinomial(cfg.m, stationary_of_population(cfg).p).tolist())
+    got = list(run(cfg, 60_000, cfg.n, stream(42, "large"), start))
+    assert got == reference_run(cfg, 60_000, cfg.n, stream(42, "large"), start)
+
+
+@pytest.mark.parametrize("k", [2, 3, 9, 10, 300])
+def test_clip_table_holds_every_prefix_of_8_moves(k):
+    # (shift, lo, hi) at p * 256 + code against the first p moves stepped one by one
+    shift, lo, hi = _clip_table(k)
+    x = np.arange(k)
+    for p in range(9):
+        for code in range(256):
+            y = x
+            for i in range(p):
+                y = np.clip(y + (-1 if code >> i & 1 else 1), 0, k - 1)
+            c = p * 256 + code
+            assert (np.clip(x + shift[c], lo[c], hi[c]) == y).all(), (p, code)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(2, 60), m=st.integers(1, 10**6),
+       g_hat=st.floats(0.0, 1.0, exclude_min=True))
+def test_mean_generosity_equals_the_sum_in_grid_order(data, k, m, g_hat):
+    grid = generosity_grid(k, g_hat)
+    rows = data.draw(st.lists(st.lists(st.integers(0, m), min_size=k, max_size=k), min_size=1,
+                              max_size=5))
+    got = _mean_generosity(grid, np.array(rows), m).tolist()
+    assert got == [sum(map(operator.mul, grid, z)) / m for z in rows]
+
+
+def test_run_streams_its_records_at_large_k():
+    # at k=300 a block's 2**16 records hold 2 * 10**7 counts; they are built in
+    # slices of about 2**14 counts. The per-move loop peaked at 8.6 MB here
+    cfg = PopulationConfig(n=40, alpha=0.25, beta=0.25, k=300, g_hat=0.25)
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in run(cfg, 70_000, 1, stream(43, "stream")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == 70_001
+    assert peak < 8e6
+
+
 @st.composite
 def populations(draw):
     n = draw(st.integers(2, 30))
     n_allc = draw(st.integers(0, n - 1))
     n_alld = draw(st.integers(0, n - 1 - n_allc))
     return PopulationConfig(
-        n=n, alpha=n_allc / n, beta=n_alld / n, k=draw(st.integers(2, 6)), g_hat=0.5,
+        n=n, alpha=n_allc / n, beta=n_alld / n, k=draw(st.integers(2, 40)), g_hat=0.5,
         pairing=draw(st.sampled_from(PAIRING_MODES)),
     )
 
