@@ -38,9 +38,7 @@ from .ehrenfest import (
 )
 from .population import (
     PopulationConfig,
-    PopulationState,
     generosity_grid,
-    init_population,
     run,
     stationary_of_population,
     to_ehrenfest,

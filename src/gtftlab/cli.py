@@ -11,7 +11,7 @@ The manifest echoes the full configuration and seed, and
 it to the same data byte for byte.
 
 Exit codes: 0 success, 2 invalid configuration, 3 state cap, step
-limit or stationary-solver residual bound exceeded.
+limit or stationary-solver residual bound exceeded, or memory exhausted.
 """
 
 from __future__ import annotations
@@ -114,9 +114,9 @@ def cmd_simulate(args) -> Iterator[str]:
     rows = population.run(cfg, args.steps, args.record_every, rng, initial)
 
     header = "t," + ",".join(f"z_{j}" for j in range(1, cfg.k + 1)) + ",avg_generosity"
-    return itertools.chain(
-        [header], (f"{t}," + ",".join(map(str, z)) + f",{wg!r}" for t, z, wg in rows)
-    )
+    # %d prints an int as str() does and %r a float as repr() does
+    row = "%d," + ",".join(["%d"] * cfg.k) + ",%r"
+    return itertools.chain([header], (row % (t, *z, wg) for t, z, wg in rows))
 
 
 # ---------------------------------------------------------------- stationary
@@ -450,6 +450,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (CapExceededError, StepLimitError, ResidualError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except MemoryError as exc:
+        # a size the rules accept can still ask for more memory than the host has
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_LIMIT
     return EXIT_OK
 

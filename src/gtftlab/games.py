@@ -38,8 +38,6 @@ import numpy as np
 from .ehrenfest import _check_count, _check_generosity, _check_tol, _real
 from .rng import ensure_rng
 
-STATES = ("CC", "CD", "DC", "DD")
-
 # Payoff of the column player in state s equals the row payoff in the
 # state with the roles swapped: CC->CC, CD->DC, DC->CD, DD->DD.
 _SWAP = np.array([0, 2, 1, 3])

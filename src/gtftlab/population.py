@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ehrenfest import (EhrenfestParams, MultinomialDist, _check_count, _check_generosity,
-                        _check_mix, _check_share, _check_state, _labels, stationary_closed)
+                        _check_mix, _check_share, _check_state, stationary_closed)
 from .rng import ensure_rng
 
 PAIRING_MODES = ("idealized", "distinct-pair")
@@ -86,35 +86,6 @@ class PopulationConfig:
         return generosity_grid(self.k, self.g_hat)
 
 
-class PopulationState:
-    """Mutable population snapshot: node layout is fixed, GTFT indices evolve.
-
-    Nodes 0..n_allc-1 are AllC, the next n_alld are AllD, and the last m
-    are GTFT. ``idx`` holds the 1-based grid index of each GTFT node and
-    ``z`` the per-index counts. ``run`` starts from them and steps its own
-    arrays; the per-step oracle in the tests keeps both consistent as it steps.
-    """
-
-    __slots__ = ("n", "n_allc", "n_alld", "gtft_start", "m", "k", "idx", "z", "t")
-
-    def __init__(self, cfg: PopulationConfig, idx: list[int] | np.ndarray):
-        self.n = cfg.n
-        self.n_allc = cfg.n_allc
-        self.n_alld = cfg.n_alld
-        self.gtft_start = cfg.n_allc + cfg.n_alld
-        self.m = cfg.m
-        self.k = cfg.k
-        self.idx = _labels(idx, self.k, self.m).tolist()
-        self.z = np.bincount(self.idx, minlength=self.k + 1)[1:].tolist()
-        self.t = 0
-
-    def counts(self) -> tuple[int, ...]:
-        return tuple(self.z)
-
-    def avg_generosity(self, grid: tuple[float, ...]) -> float:
-        return _mean_generosity(grid, np.array(self.z), self.m).item()
-
-
 def _mean_generosity(grid: tuple[float, ...], counts: np.ndarray, m: int) -> np.ndarray:
     """sum_j g_j z_j / m for each row z of ``counts``: the products summed column by column.
 
@@ -123,19 +94,6 @@ def _mean_generosity(grid: tuple[float, ...], counts: np.ndarray, m: int) -> np.
     equals ``sum(map(operator.mul, grid, z)) / m`` bitwise.
     """
     return np.add.accumulate(counts * np.array(grid), axis=-1)[..., -1] / m
-
-
-def init_population(
-    cfg: PopulationConfig,
-    initial_counts: tuple[int, ...] | None = None,
-    rng: np.random.Generator | int | None = None,
-) -> PopulationState:
-    """Build a population with the requested (or uniformly random) GTFT indices."""
-    if initial_counts is not None:
-        idx = np.repeat(np.arange(1, cfg.k + 1), _check_state(initial_counts, cfg.k, cfg.m))
-    else:
-        idx = ensure_rng(rng).integers(1, cfg.k + 1, size=cfg.m)
-    return PopulationState(cfg, idx)
 
 
 def _pair_blocks(n: int, distinct: bool, count: int, rng: np.random.Generator):
@@ -176,27 +134,30 @@ def run(
     _check_count("steps", steps, 0)
     _check_count("record_every", record_every, 1)
     rng = ensure_rng(rng)
-    state = init_population(cfg, initial_counts, rng)
-    return _trajectory(state, cfg, steps, record_every, rng)
+    if initial_counts is None:
+        labels = rng.integers(0, cfg.k, size=cfg.m, dtype=np.int32)
+    else:
+        labels = np.repeat(np.arange(cfg.k, dtype=np.int32),
+                           _check_state(initial_counts, cfg.k, cfg.m))
+    return _trajectory(cfg, labels, steps, record_every, rng)
 
 
-def _trajectory(state: PopulationState, cfg: PopulationConfig, steps: int, record_every: int,
+def _trajectory(cfg: PopulationConfig, labels: np.ndarray, steps: int, record_every: int,
                 rng: np.random.Generator) -> Iterator[tuple[int, tuple[int, ...], float]]:
-    """run()'s records, from the population it has drawn.
+    """run()'s records, from the GTFT nodes' grid labels 0..k-1 in node order.
 
-    Labels run 0..k-1 here. A block's GTFT moves are stepped by
-    ``_block_moves``; z at each record time is z at the block's start plus
-    a running sum, per segment between record times, of the labels after
-    each move less the labels before it, so a clamped move cancels.
+    A block's GTFT moves are stepped by ``_block_moves``; z at each record
+    time is z at the block's start plus a running sum, per segment between
+    record times, of the labels after each move less the labels before it,
+    so a clamped move cancels.
     """
-    grid, k, m, start = cfg.grid, state.k, state.m, state.gtft_start
-    labels = np.array(state.idx, dtype=np.int32) - 1
+    grid, k, m, n_allc, start = cfg.grid, cfg.k, cfg.m, cfg.n_allc, cfg.n_allc + cfg.n_alld
     z = np.bincount(labels, minlength=k)
     # a slice of records holds about 2**14 counts, so memory does not grow with k
     rows = max(1, (1 << 14) // k)
-    yield 0, state.counts(), state.avg_generosity(grid)
+    yield 0, tuple(z.tolist()), _mean_generosity(grid, z, m).item()
     begin = 0
-    for initiators, partners in _pair_blocks(state.n, cfg.pairing == "distinct-pair", steps, rng):
+    for initiators, partners in _pair_blocks(cfg.n, cfg.pairing == "distinct-pair", steps, rng):
         end = begin + len(initiators)
         offsets = np.flatnonzero(initiators >= start)
         # segments end at each record time inside the block, the last at the block's end
@@ -207,7 +168,7 @@ def _trajectory(state: PopulationState, cfg: PopulationConfig, steps: int, recor
         slots = (initiators.take(offsets) - start).astype(np.min_scalar_type(m - 1))
         met = partners.take(offsets)
         del offsets
-        down = (met >= state.n_allc) & (met < start)
+        down = (met >= n_allc) & (met < start)
         del met
         labels, after, before = _block_moves(labels, slots, down, k)
         del slots, down
@@ -324,20 +285,20 @@ def sample_one_step_counts(
     under z0 itself.
     """
     _check_count("n_samples", n_samples, 0)
-    if z0 is None:  # init_population would draw a random start for it
-        _check_state(z0, cfg.k, cfg.m)
+    z0 = _check_state(z0, cfg.k, cfg.m)
     rng = ensure_rng(rng)
-    state = init_population(cfg, z0)
-    n, k = state.n, state.k
-    label = np.concatenate((np.zeros(state.gtft_start, dtype=np.int64), state.idx))
+    k, n_allc, start = cfg.k, cfg.n_allc, cfg.n_allc + cfg.n_alld
+    # each node's grid index, 0 for AllC and AllD
+    label = np.repeat(np.arange(k + 1), [start, *z0])
     tally = np.zeros(2 * (k + 1), dtype=np.int64)
-    for initiators, partners in _pair_blocks(n, cfg.pairing == "distinct-pair", n_samples, rng):
-        defector = (partners >= state.n_allc) & (partners < state.gtft_start)
+    for initiators, partners in _pair_blocks(cfg.n, cfg.pairing == "distinct-pair", n_samples,
+                                             rng):
+        defector = (partners >= n_allc) & (partners < start)
         tally += np.bincount(2 * label[initiators] + defector, minlength=2 * (k + 1))
     counts: dict[tuple[int, ...], int] = {}
     for cls in np.flatnonzero(tally).tolist():
         j, down = divmod(cls, 2)
-        z = list(state.z)
+        z = z0.tolist()
         j_new = j - 1 if down else j + 1
         if j and 1 <= j_new <= k:
             z[j - 1] -= 1

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gtftlab import ehrenfest, games, meanfield
+from gtftlab import cli, ehrenfest, games, meanfield
 from gtftlab.cli import main
 
 from test_games import (
@@ -85,6 +85,32 @@ def test_simulate_validation_failure_writes_nothing(tmp_path):
         assert main(bad + ["--out", str(out)]) == 2
         assert not out.exists()
         assert not (tmp_path / "traj.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    SIM_FLAGS,
+    ["stationary", "--beta", "0.25", "--k", "3"],
+    ["mixing", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--trials", "5", "--seed", "1"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 36.4 TiB"), "Unable to allocate 36.4 TiB"),
+    (MemoryError(), "an allocation failed"),
+])
+def test_running_out_of_memory_is_a_limit_exit(argv, error, message, tmp_path, monkeypatch,
+                                               capsys, request):
+    # a huge --n, --m or --k once ended main() on a MemoryError traceback; the
+    # command raises it here, since a real allocation could succeed and fill the host
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", exhausted)
+    # the cached parser holds the commands it was built with
+    cli.build_parser.cache_clear()
+    request.addfinalizer(cli.build_parser.cache_clear)
+    out = tmp_path / "x.out"
+    assert main(argv + ["--out", str(out)]) == cli.EXIT_LIMIT
+    assert capsys.readouterr() == ("", f"error: out of memory: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of the CSV and of the manifest's config (json.dumps, sorted keys) for

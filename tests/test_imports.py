@@ -77,11 +77,11 @@ def test_import_builds_no_clip_table_and_a_built_one_is_read_only():
 
 PUBLIC_NAMES = [
     "ALLC", "ALLD", "EhrenfestParams", "GameConfig", "GenerosityReport", "MixingEstimate",
-    "MultinomialDist", "PayoffComparison", "PopulationConfig", "PopulationState",
-    "RewardVector", "Strategy", "avg_stationary_generosity", "check_local_optimality",
-    "coupled_run", "detailed_balance_residual", "enumerate_states", "estimate_mixing",
+    "MultinomialDist", "PayoffComparison", "PopulationConfig", "RewardVector", "Strategy",
+    "avg_stationary_generosity", "check_local_optimality", "coupled_run",
+    "detailed_balance_residual", "enumerate_states", "estimate_mixing",
     "expected_absorption_closed", "expected_payoff_closed", "gap_bound", "generosity_grid",
-    "granular_expected_payoff", "gtft", "init_population", "mean_field_payoff",
+    "granular_expected_payoff", "gtft", "mean_field_payoff",
     "mixing_bound", "optimal_generosity", "run", "simulate_games", "solve_stationary_exact",
     "state_array", "stationary_closed", "stationary_of_population", "tmix_exact",
     "to_ehrenfest", "transition_row", "tv_distance_exact",

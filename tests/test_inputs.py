@@ -45,9 +45,7 @@ from gtftlab.meanfield import (avg_stationary_generosity, check_local_optimality
                                optimal_generosity, phi_ratio, stationary_weights, weight_ratio)
 from gtftlab.population import (
     PopulationConfig,
-    PopulationState,
     generosity_grid,
-    init_population,
     run,
     sample_one_step_counts,
     to_ehrenfest,
@@ -141,7 +139,6 @@ def cli_call(argv):
 STATE_ARGUMENTS = [
     ("transition_row", lambda v: transition_row(v, PARAMS), PARAMS.m),
     ("tv_distance_exact", lambda v: tv_distance_exact(PARAMS, 2, v), PARAMS.m),
-    ("init_population", lambda v: init_population(POPULATION, v), POPULATION.m),
     ("run", lambda v: list(run(POPULATION, 5, 1, 1, v)), POPULATION.m),
     ("sample_one_step_counts", lambda v: sample_one_step_counts(POPULATION, v, 5, 1),
      POPULATION.m),
@@ -156,7 +153,7 @@ def test_every_count_vector_is_a_composition(name, call, m):
     # a string ended on a TypeError everywhere but log_pmf, and log_pmf had a message of its own
     bad = {"string": (str(m), "0", "0"), "fraction": (m - 0.5, 0.5, 0), "negative": (m + 1, -1, 0),
            "length": (m, 0), "sum": (m, 1, 0), "nan": (math.nan, m, 0.0)}
-    if name not in ("init_population", "run"):  # where None asks for a random start
+    if name != "run":  # where None asks for a random start
         bad["none"] = None  # sample_one_step_counts once drew a random z0 for it
     if name != "pmf":  # pmf's memo reads a bool as a count: a type scan would cost it a fifth
         bad["bool"] = (True, m - 1, 0)
@@ -172,14 +169,12 @@ def test_every_count_vector_is_a_composition(name, call, m):
 LABEL_ARGUMENTS = [
     ("coupled_run-x0", lambda v: coupled_run(PARAMS, v, [1] * PARAMS.m, 1), PARAMS.k, PARAMS.m),
     ("coupled_run-y0", lambda v: coupled_run(PARAMS, [1] * PARAMS.m, v, 1), PARAMS.k, PARAMS.m),
-    ("PopulationState", lambda v: PopulationState(POPULATION, v), POPULATION.k, POPULATION.m),
 ]
 
 
 @pytest.mark.parametrize("call, k, m", [row[1:] for row in LABEL_ARGUMENTS],
                          ids=[row[0] for row in LABEL_ARGUMENTS])
 def test_every_label_vector_holds_m_whole_numbers_in_1_to_k(call, k, m):
-    # PopulationState once ended on a TypeError for a fraction and had a message of its own
     rest = [1] * (m - 1)
     for bad in ([1.5] + rest, [0] + rest, [k + 1] + rest, rest, [True] + rest, ["1"] + rest,
                 [math.nan] + rest, [[1] * m], np.array([0] * m), None):

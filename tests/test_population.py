@@ -17,12 +17,10 @@ from gtftlab.ehrenfest import stationary_closed, transition_row
 from gtftlab.population import (
     PAIRING_MODES,
     PopulationConfig,
-    PopulationState,
     _clip_table,
     _mean_generosity,
     _pair_blocks,
     generosity_grid,
-    init_population,
     run,
     sample_one_step_counts,
     stationary_of_population,
@@ -80,15 +78,13 @@ def test_config_rejects_bad_fractions():
             PopulationConfig(n=40, alpha=alpha, beta=beta, k=3, g_hat=0.25)
 
 
-# ------------------------------------------------------------------ init
+# ------------------------------------------------------------------ start
 
 
 def test_init_with_explicit_counts():
-    state = init_population(CFG, (20, 0, 0))
-    assert state.counts() == (20, 0, 0)
-    assert all(j == 1 for j in state.idx)
+    assert list(run(CFG, 0, 1, stream(20, "explicit"), (20, 0, 0))) == [(0, (20, 0, 0), 0.0)]
     with pytest.raises(ValueError):
-        init_population(CFG, (19, 0, 0))
+        run(CFG, 0, 1, stream(20, "explicit"), (19, 0, 0))
 
 
 def test_init_uniform_random_marginal():
@@ -97,9 +93,8 @@ def test_init_uniform_random_marginal():
     rng = stream(20, "init")
     counts = np.zeros(cfg.k)
     for _ in range(draws // cfg.m):
-        state = init_population(cfg, rng=rng)
-        for j in state.idx:
-            counts[j - 1] += 1
+        [(_, z, _)] = run(cfg, 0, 1, rng)
+        counts += z
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 1e-4
 
@@ -108,6 +103,38 @@ def test_init_uniform_random_marginal():
 #
 # The agent rule one interaction at a time. run() and sample_one_step_counts()
 # are held equal to it over the same draws.
+
+
+class OracleState:
+    """Mutable population snapshot: node layout is fixed, GTFT indices evolve.
+
+    Nodes 0..n_allc-1 are AllC, the next n_alld are AllD, and the last m
+    are GTFT. ``idx`` holds the 1-based grid index of each GTFT node and
+    ``z`` the per-index counts; the oracle keeps both consistent as it steps.
+    """
+
+    def __init__(self, cfg: PopulationConfig, idx: np.ndarray):
+        self.n, self.k, self.m = cfg.n, cfg.k, cfg.m
+        self.n_allc = cfg.n_allc
+        self.gtft_start = cfg.n_allc + cfg.n_alld
+        self.idx = idx.tolist()
+        self.z = [self.idx.count(j) for j in range(1, self.k + 1)]
+        self.t = 0
+
+    def counts(self) -> tuple[int, ...]:
+        return tuple(self.z)
+
+    def avg_generosity(self, grid: tuple[float, ...]) -> float:
+        return _mean_generosity(grid, np.array(self.z), self.m).item()
+
+
+def reference_population(cfg, initial_counts=None, rng=None) -> OracleState:
+    """The oracle's start: the given counts laid out in grid order, or m uniform 1-based draws."""
+    if initial_counts is not None:
+        idx = np.repeat(np.arange(1, cfg.k + 1), initial_counts)
+    else:
+        idx = rng.integers(1, cfg.k + 1, size=cfg.m)
+    return OracleState(cfg, idx)
 
 
 class InteractionRecord(NamedTuple):
@@ -119,7 +146,7 @@ class InteractionRecord(NamedTuple):
     index_after: int | None
 
 
-def node_kind(state: PopulationState, node: int) -> str:
+def node_kind(state: OracleState, node: int) -> str:
     if node < state.n_allc:
         return "allc"
     if node < state.gtft_start:
@@ -127,7 +154,7 @@ def node_kind(state: PopulationState, node: int) -> str:
     return "gtft"
 
 
-def _apply(state: PopulationState, initiator: int, partner: int):
+def _apply(state: OracleState, initiator: int, partner: int):
     """Advance the clock one interaction; return the initiator's (index before, after).
 
     Both are None when the initiator is not GTFT. The partner matters only
@@ -149,7 +176,7 @@ def _apply(state: PopulationState, initiator: int, partner: int):
     return j, j_new
 
 
-def _rollback(state: PopulationState, initiator: int, j: int | None, j_new: int | None) -> None:
+def _rollback(state: OracleState, initiator: int, j: int | None, j_new: int | None) -> None:
     """Undo one _apply() call, given its initiator and returned index change."""
     state.t -= 1
     if j is not None and j != j_new:
@@ -158,7 +185,7 @@ def _rollback(state: PopulationState, initiator: int, j: int | None, j_new: int 
         state.z[j - 1] += 1
 
 
-def interact(state: PopulationState, cfg: PopulationConfig,
+def interact(state: OracleState, cfg: PopulationConfig,
              rng: np.random.Generator) -> InteractionRecord:
     """Sample one interaction, mutate the state, and describe what happened.
 
@@ -175,7 +202,7 @@ def interact(state: PopulationState, cfg: PopulationConfig,
     )
 
 
-def undo_interaction(state: PopulationState, record: InteractionRecord) -> None:
+def undo_interaction(state: OracleState, record: InteractionRecord) -> None:
     """Roll back one interact() call."""
     _rollback(state, record.initiator, record.index_before, record.index_after)
 
@@ -184,7 +211,7 @@ def undo_interaction(state: PopulationState, record: InteractionRecord) -> None:
 
 
 def test_interact_truncates_at_top():
-    state = init_population(CFG, (0, 0, 20))
+    state = reference_population(CFG, (0, 0, 20))
     rng = stream(21, "trunc")
     hit_top = 0
     for _ in range(500):
@@ -202,7 +229,7 @@ def test_interact_truncates_at_top():
 
 def test_interact_increments_on_gtft_partner_regardless_of_its_value():
     cfg = PopulationConfig(n=8, alpha=0.0, beta=0.25, k=4, g_hat=1.0)
-    state = init_population(cfg, (6, 0, 0, 0))
+    state = reference_population(cfg, (6, 0, 0, 0))
     rng = stream(22, "inc")
     seen = False
     for _ in range(200):
@@ -214,7 +241,7 @@ def test_interact_increments_on_gtft_partner_regardless_of_its_value():
 
 
 def test_interact_only_initiator_updates():
-    state = init_population(CFG, (7, 6, 7))
+    state = reference_population(CFG, (7, 6, 7))
     rng = stream(23, "one-sided")
     before = list(state.idx)
     rec = interact(state, CFG, rng)
@@ -227,7 +254,7 @@ def test_interact_only_initiator_updates():
 
 
 def test_interact_preserves_type_counts_and_simplex():
-    state = init_population(CFG, (7, 6, 7))
+    state = reference_population(CFG, (7, 6, 7))
     rng = stream(24, "conserve")
     for _ in range(2000):
         interact(state, CFG, rng)
@@ -249,7 +276,7 @@ def test_increment_frequency_is_one_minus_beta():
 
 
 def test_null_interaction_rate():
-    state = init_population(CFG, (7, 6, 7))
+    state = reference_population(CFG, (7, 6, 7))
     rng = stream(26, "null")
     n = 100_000
     nulls = sum(
@@ -263,7 +290,7 @@ def test_null_interaction_rate():
 def test_distinct_pair_never_self():
     cfg = PopulationConfig(n=8, alpha=0.25, beta=0.25, k=3, g_hat=0.5,
                            pairing="distinct-pair")
-    state = init_population(cfg, (4, 0, 0))
+    state = reference_population(cfg, (4, 0, 0))
     rng = stream(27, "distinct")
     for _ in range(20_000):
         rec = interact(state, cfg, rng)
@@ -271,7 +298,7 @@ def test_distinct_pair_never_self():
 
 
 def test_idealized_pair_can_self():
-    state = init_population(CFG, (7, 6, 7))
+    state = reference_population(CFG, (7, 6, 7))
     rng = stream(28, "self")
     records = [interact(state, CFG, rng) for _ in range(5000)]
     assert any(rec.partner == rec.initiator for rec in records)
@@ -288,7 +315,7 @@ PINNED_INTERACT = {
 @pytest.mark.parametrize("pairing", PAIRING_MODES)
 def test_interact_records_are_pinned(pairing):
     cfg = PopulationConfig(n=8, alpha=0.25, beta=0.25, k=3, g_hat=0.5, pairing=pairing)
-    state = init_population(cfg, (2, 1, 1))
+    state = reference_population(cfg, (2, 1, 1))
     rng = stream(37, "pinned", pairing)
     records = [interact(state, cfg, rng) for _ in range(2000)]
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
@@ -296,7 +323,7 @@ def test_interact_records_are_pinned(pairing):
 
 
 def test_undo_interaction_restores_state():
-    state = init_population(CFG, (7, 6, 7), rng=stream(29, "undo"))
+    state = reference_population(CFG, (7, 6, 7), rng=stream(29, "undo"))
     rng = stream(29, "undo-run")
     for _ in range(200):
         before = (list(state.idx), list(state.z), state.t)
@@ -344,7 +371,7 @@ def _pairs(n, distinct, count, rng):
 
 def reference_run(cfg, steps, record_every, rng, initial_counts=None):
     """run() written as the per-step rule: _apply() over _pairs(), same draws."""
-    state, grid = init_population(cfg, initial_counts, rng), cfg.grid
+    state, grid = reference_population(cfg, initial_counts, rng), cfg.grid
     rows = [(0, state.counts(), state.avg_generosity(grid))]
     for initiator, partner in _pairs(cfg.n, cfg.pairing == "distinct-pair", steps, rng):
         _apply(state, initiator, partner)
@@ -402,7 +429,7 @@ def test_run_equals_the_apply_loop_at_the_edges(pairing, cfg_args, initial_count
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     if cfg.n == 1 << 16:
         rng = stream(*key)
-        init_population(cfg, initial_counts, rng)
+        reference_population(cfg, initial_counts, rng)
         gtft = [(initiators >= cfg.n - cfg.m).sum() for initiators, _ in
                 _pair_blocks(cfg.n, cfg.pairing == "distinct-pair", steps, rng)]
         assert gtft[0] == 0 and gtft[1] > 0
@@ -414,6 +441,16 @@ def test_run_equals_the_apply_loop_on_the_large_benchmark_config():
     start = tuple(stream(42, "start").multinomial(cfg.m, stationary_of_population(cfg).p).tolist())
     got = list(run(cfg, 60_000, cfg.n, stream(42, "large"), start))
     assert got == reference_run(cfg, 60_000, cfg.n, stream(42, "large"), start)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_run_equals_the_apply_loop_from_a_large_random_start(steps):
+    # m = 5 * 10**5 GTFT nodes drawn at random: the same start, records and draws
+    cfg = PopulationConfig(n=10**6, alpha=0.25, beta=0.25, k=3, g_hat=0.25)
+    got_rng, ref_rng = stream(44, "large-start"), stream(44, "large-start")
+    got = list(run(cfg, steps, 1, got_rng))
+    assert got == reference_run(cfg, steps, 1, ref_rng)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("k", [2, 3, 9, 10, 300])
@@ -478,7 +515,7 @@ def test_run_equals_the_apply_loop_anywhere(cfg, steps, record_every, seed):
 
 def reference_one_step_counts(cfg, z0, n_samples, rng):
     """sample_one_step_counts() as the per-sample rule: _apply() then _rollback() over _pairs()."""
-    state, counts = init_population(cfg, z0), {}
+    state, counts = reference_population(cfg, z0), {}
     for initiator, partner in _pairs(cfg.n, cfg.pairing == "distinct-pair", n_samples, rng):
         j, j_new = _apply(state, initiator, partner)
         counts[state.counts()] = counts.get(state.counts(), 0) + 1
@@ -530,7 +567,7 @@ def test_run_matches_interact_distributionally():
     for rep in range(reps):
         rows = list(run(CFG, 300, 300, stream(34, "a", rep), initial_counts=(20, 0, 0)))
         totals_run += rows[-1][1]
-        state = init_population(CFG, (20, 0, 0))
+        state = reference_population(CFG, (20, 0, 0))
         rng = stream(34, "b", rep)
         for _ in range(300):
             interact(state, CFG, rng)
