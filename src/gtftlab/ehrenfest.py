@@ -15,12 +15,16 @@ reads pi off a, b and the counts of those moves, with no closed-form
 weight, by detailed balance along a spanning tree and accepts it only if
 ||pi P - pi||_1 <= tol, detailed-balance residuals, one exact scan of
 the total-variation distance to stationarity, coupling-based mixing
-estimates, and the explicit mixing-time bound. ``_kernel_moves`` is the
-one place the moves are derived: the solver's tree edges and both
-residuals' balance flows are read off its urn-pair moves. They are
-packed into a sparse matrix only by ``build_kernel``, whose product, the
-one product with the kernel, serves the distance scan; scipy is imported
-there, so no other path loads it.
+estimates, and the explicit mixing-time bound. ``_build_chain`` is the
+one place the moves are derived: it reads everything that depends on k
+and m alone, the state array, each urn pair's moves and the solver's
+spanning tree, and ``_small_chain`` memoizes it for chains with
+S * k <= ``_MEMO_SIZE`` (512), so a rate sweep at a fixed small (k, m)
+builds it once. Each call reads only its rates off it: the kernel's
+entries (``_kernel_moves``), the tree's steps, and both residuals'
+balance flows. The entries are packed into a sparse matrix only by
+``build_kernel``, whose product, the one product with the kernel, serves
+the distance scan; scipy is imported there, so no other path loads it.
 
 The coupling time is sampled ball by ball, not step by step. Each step
 picks a ball uniformly and draws its move independently, so each ball
@@ -40,7 +44,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import add, mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -281,16 +285,24 @@ def state_array(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """
     _check_count("k", k, 1)
     _check_count("m", m, 0)
-    return _states_and_table(k, m, cap)[0]
+    if _check_cap(k, m, cap) * k <= _MEMO_SIZE:
+        return _small_chain(k, m).states.copy()
+    return _states_and_table(k, m)[0]
 
 
-def _states_and_table(k: int, m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """``state_array(k, m, cap)`` and the rank table it was unranked with."""
+def _check_cap(k: int, m: int, cap: int) -> int:
+    """The state count S of (k, m), or CapExceededError if it exceeds ``cap``."""
     _check_count("cap", cap, 1)
     n_states = state_count(k, m)
     if n_states > cap:  # str() refuses an int past 4300 digits
         size = n_states if n_states < 2**1000 else f"at least 2**{n_states.bit_length() - 1}"
         raise CapExceededError(f"{size} states exceeds cap {cap} for k={k}, m={m}")
+    return n_states
+
+
+def _states_and_table(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``state_array(k, m)`` and the rank table it was unranked with."""
+    n_states = state_count(k, m)
     table = _rank_table(k, m)
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= m)
     states = np.empty((n_states, k), dtype=dtype)
@@ -371,34 +383,113 @@ def stationary_closed(params: EhrenfestParams) -> MultinomialDist:
     return MultinomialDist(m=params.m, p=tuple(geometric_weights(params.lam, params.k)))
 
 
-def _kernel_moves(params: EhrenfestParams, cap: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The (S, k) state array, its rank table, and every entry of the kernel over its rows.
+class _Chain(NamedTuple):
+    """What the kernel's moves and the solver's spanning tree depend on: k and m, not the rates.
 
-    The entries come one urn pair at a time: each up move x -> y across
-    urns (j, j + 1) pairs with the down move y -> x, so one rank shift
-    gives both. For each j the moves hold ``(lower, upper, up, down)``:
-    the rows ``lower`` with a ball in urn j, the rows ``upper`` they reach,
-    P(lower, upper) = a x_j / m and P(upper, lower) = b y_{j+1} / m. The
-    diagonal, the self loops, follows the pairs.
+    Row j of ``lower`` holds the rows with a ball in urn j, and row j of
+    ``upper`` the rows their up move across urns (j, j + 1) reaches: one
+    rank shift gives both. ``x`` and ``y`` hold the counts x_j of the lower
+    rows and y_{j+1} of the upper ones. Every pair has as many moves as
+    there are compositions of m - 1. ``parent`` and ``log_ratio`` are each
+    row's tree edge and its log(x_j / y_{j+1}); row 0 is the root.
+    ``rounds`` holds the pointer-doubling rounds if the chain is memoized,
+    else None. Every array is read-only.
     """
-    k, a, b, m = params.k, params.a, params.b, params.m
-    states, table = _states_and_table(k, m, cap)
-    tails = _tails(states, m)
-    pairs = []
-    move = np.zeros(len(states))
+
+    states: np.ndarray
+    table: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    parent: np.ndarray
+    log_ratio: np.ndarray
+    rounds: tuple[np.ndarray, ...] | None
+
+
+# Chains with S * k <= _MEMO_SIZE are built once per process, in the 32 entries of
+# ``_small_chain``. For k >= 2 such a chain has S <= 256 states, so m < 256 fits 2-byte
+# counts, and (k - 1) E < S k moves, E per pair. It holds: states 2 S k bytes, table
+# 8 (k - 1)(m + 1) <= 8 S k, lower and upper 16 S k, x and y 4 S k, parent and log_ratio
+# 16 S, and fewer than log2(m (k - 1)) + 1 < 10 doubling rounds of 8 S each. That is under
+# 30 * 512 + 96 * 256 bytes, 40 KB, plus about 2 KB of array headers, so the memo holds
+# under 1.4 MB. k = 1 or m = 0 gives one state. Larger chains are built per call and freed.
+_MEMO_SIZE = 512
+
+
+def _doubling_rounds(parent: np.ndarray):
+    """The pointers of pointer doubling: after r rounds, row x points 2**r tree edges above x."""
+    pointer = parent
+    while pointer.any():
+        yield pointer
+        pointer = pointer[pointer]
+
+
+def _build_chain(k: int, m: int, rounds: bool) -> _Chain:
+    """The urn-pair moves and spanning tree of (k, m); ``rounds`` also holds the doubling pointers.
+
+    The tree parent of a state moves one ball from its first non-empty urn
+    j + 1 >= 1 down to urn j, which leads every state to (m, 0, ..., 0) in
+    at most m(k - 1) moves: its edge is the move across pair j whose upper
+    row has urns 1..j empty. The count ratio is a float64 (np.log of int8
+    counts would be float16).
+    """
+    states, table = _states_and_table(k, m)
+    n = len(states)
+    parent = np.zeros(n, dtype=np.int64)
+    log_ratio = np.zeros(n)
+    tail = np.full(n, m, dtype=np.int64)  # balls above urn j
+    empty = np.ones(n, dtype=bool)  # rows whose urns 1..j are all empty
+    moves = []  # per urn pair: lower, upper, x_j, y_{j+1}
     for j in range(k - 1):
-        up = a * states[:, j] / m
-        down = b * states[:, j + 1] / m
-        move += up
-        move += down
+        tail -= states[:, j]
+        low = np.flatnonzero(states[:, j])
         # the up move adds one ball above urn j and leaves every other
         # tail alone, so only the urn-j term of the rank changes
-        lower = np.flatnonzero(states[:, j])
-        t = tails[lower, j]
-        upper = lower + table[j, t + 1] - table[j, t]
-        pairs.append((lower, upper, up[lower], down[upper]))
-    # a + b may sit a few ulps above 1; keep the self loop a probability
-    return states, table, (pairs, np.maximum(0.0, 1.0 - move))
+        t = tail[low]
+        high = low + table[j, t + 1] - table[j, t]
+        x_j, y_j = states[low, j], states[high, j + 1]
+        moves.append((low, high, x_j, y_j))
+        edge = empty[high]
+        parent[high[edge]] = low[edge]
+        log_ratio[high[edge]] = np.log(x_j[edge] / y_j[edge])
+        empty &= states[:, j + 1] == 0
+    # stacked after the loop, so the per-pair arrays free room below the stack for what a
+    # solve keeps, such as pi: a chain built per call is then freed at the top of the heap,
+    # which glibc's malloc hands back to the system (stacks filled in the loop cost the
+    # exact benchmark 3 MB of peak RSS)
+    per_pair = state_count(k, m - 1) if m else 0
+    lower, upper, x, y = (np.reshape([move[i] for move in moves], (k - 1, per_pair))
+                          for i in range(4))
+    chain = _Chain(states, table, lower, upper, x, y, parent, log_ratio,
+                   tuple(_doubling_rounds(parent)) if rounds else None)
+    for array in (*chain[:-1], *(chain.rounds or ())):
+        array.flags.writeable = False
+    return chain
+
+
+@lru_cache(maxsize=32)
+def _small_chain(k: int, m: int) -> _Chain:
+    """``_build_chain`` of a chain with S * k <= _MEMO_SIZE, with its doubling rounds."""
+    return _build_chain(k, m, rounds=True)
+
+
+def _chain(k: int, m: int, cap: int) -> _Chain:
+    """The moves and tree of (k, m), memoized if S * k <= _MEMO_SIZE; CapExceededError past cap."""
+    if _check_cap(k, m, cap) * k <= _MEMO_SIZE:
+        return _small_chain(k, m)
+    return _build_chain(k, m, rounds=False)
+
+
+def _kernel_moves(chain: _Chain, params: EhrenfestParams) -> list[tuple[np.ndarray, ...]]:
+    """Every off-diagonal kernel entry over the chain's rows, one urn pair at a time.
+
+    Each up move x -> y across urns (j, j + 1) pairs with the down move
+    y -> x. For each j the moves hold ``(lower, upper, up, down)``: the
+    chain's rows, P(lower, upper) = a x_j / m and P(upper, lower) = b y_{j+1} / m.
+    """
+    a, b, m = params.a, params.b, params.m
+    return list(zip(chain.lower, chain.upper, a * chain.x / m, b * chain.y / m))
 
 
 def _net_flows(px: np.ndarray, pairs) -> list[np.ndarray]:
@@ -421,22 +512,35 @@ def build_kernel(
     """The (S, k) state array, its rank table, and the sparse transition matrix over its rows.
 
     ``_rank(states, table, m)`` gives the row of each count vector. The
-    matrix holds the entries of ``_kernel_moves``.
+    matrix holds the entries of ``_kernel_moves`` and the self loops.
     """
     import scipy.sparse as sp  # about 0.2 s: paid only by callers that want the matrix
 
-    states, table, (pairs, diagonal) = _kernel_moves(params, cap)
+    chain = _chain(params.k, params.m, cap)
+    n = len(chain.states)
+    # the moves' rates are freed before scipy copies the triplets
+    kernel = sp.csr_matrix(_kernel_entries(chain, params), shape=(n, n))
+    return chain.states.copy(), chain.table.copy(), kernel
+
+
+def _kernel_entries(chain: _Chain, params: EhrenfestParams) -> tuple[np.ndarray, tuple]:
+    """The kernel as (values, (rows, columns)): each pair's moves both ways, then self loops."""
+    k, a, b, m = params.k, params.a, params.b, params.m
+    states = chain.states
     n = len(states)
     rows, cols, vals = [], [], []
-    for lower, upper, up, down in pairs:
+    move = np.zeros(n)
+    for j, (lower, upper, up, down) in enumerate(_kernel_moves(chain, params)):
         rows += [lower, upper]
         cols += [upper, lower]
         vals += [up, down]
+        move += a * states[:, j] / m
+        move += b * states[:, j + 1] / m
     rows.append(np.arange(n))
     cols.append(np.arange(n))
-    vals.append(diagonal)
-    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return states, table, sp.csr_matrix(entries, shape=(n, n))
+    # a + b may sit a few ulps above 1; keep the self loop a probability
+    vals.append(np.maximum(0.0, 1.0 - move))
+    return np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
 
 
 def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,8 +565,7 @@ def solve_stationary_exact(
     log P(parent, x) - log P(x, parent). So the tree edges are the urn-pair
     moves of ``_kernel_moves`` across pair j whose upper row has urns 1..j
     empty, and each edge's step is log a - log b + log(x_j / y_{j+1}), not
-    read off the entries, which underflow near the float floor; the count
-    ratio is a float64 (np.log of int8 counts would be float16). Pointer
+    read off the entries, which underflow near the float floor. Pointer
     doubling sums the steps along every path in about log2(m(k - 1))
     vectorised rounds, in compensated (two-sum) arithmetic: log pi near the
     mode can be of order m, and plain rounding would unbalance neighbouring
@@ -477,33 +580,30 @@ def solve_stationary_exact(
 def _solve(params: EhrenfestParams, cap: int, tol: float = 1e-12):
     """The solve: the (S, k) state array, pi, and the urn-pair moves and residual that accepted pi."""
     _check_tol(tol)
-    states, _, (pairs, _) = _kernel_moves(params, cap)
-    n = len(states)
-    log_ab = math.log(params.a) - math.log(params.b)
-    # log pi is held as the unevaluated sum hi + lo; row 0, (m, 0, ..., 0),
-    # is the root and points at itself
-    hi = np.zeros(n)
-    pointer = np.zeros(n, dtype=np.int64)
-    empty = np.ones(n, dtype=bool)  # rows whose urns 1..j are all empty
-    for j, (lower, upper, _, _) in enumerate(pairs):
-        edge = empty[upper]
-        pointer[upper[edge]] = lower[edge]
-        hi[upper[edge]] = log_ab + np.log(states[lower[edge], j] / states[upper[edge], j + 1])
-        empty &= states[:, j + 1] == 0
-    lo = np.zeros(n)
+    chain = _chain(params.k, params.m, cap)
+    pi = _tree_law(chain, math.log(params.a) - math.log(params.b))
+    pairs = _kernel_moves(chain, params)
+    residual = _flow_residual(pi, pairs)
+    if not residual <= tol:
+        raise ResidualError(f"stationary residual {residual:.3e} exceeds tol {tol:.3e}")
+    return chain.states, pi, pairs, residual
+
+
+def _tree_law(chain: _Chain, log_ab: float) -> np.ndarray:
+    """pi read off the spanning tree: the tree steps log a - log b + log(x_j / y_{j+1}), summed."""
+    # log pi is held as the unevaluated sum hi + lo; row 0, (m, 0, ..., 0), is the root
+    hi = log_ab + chain.log_ratio
+    hi[0] = 0.0
+    lo = np.zeros(len(hi))
     # after r rounds log pi[x] holds the steps of the first 2**r edges above x
-    while pointer.any():
+    for pointer in chain.rounds if chain.rounds is not None else _doubling_rounds(chain.parent):
         hi, err = _two_sum(hi, hi[pointer])
         lo += lo[pointer] + err
-        pointer = pointer[pointer]
     top = np.argmax(hi)
     shifted, err = _two_sum(hi, -hi[top])
     pi = np.exp(shifted + (err + lo - lo[top]))
     pi /= pi.sum()
-    residual = _flow_residual(pi, pairs)
-    if not residual <= tol:
-        raise ResidualError(f"stationary residual {residual:.3e} exceeds tol {tol:.3e}")
-    return states, pi, pairs, residual
+    return pi
 
 
 def detailed_balance_residual(
@@ -518,8 +618,8 @@ def detailed_balance_residual(
     """
     if dist is None:
         dist = stationary_closed(params)
-    states, _, (pairs, _) = _kernel_moves(params, cap)
-    return _balance(np.exp(dist.log_pmf(states)), pairs)
+    chain = _chain(params.k, params.m, cap)
+    return _balance(np.exp(dist.log_pmf(chain.states)), _kernel_moves(chain, params))
 
 
 def _balance(px: np.ndarray, pairs) -> float:

@@ -241,16 +241,25 @@ def test_stationary_exact_block_equals_the_public_route_bitwise(argv, params, ca
 
 
 def test_stationary_exact_enumerates_once_and_builds_the_moves_once(monkeypatch, capsys):
-    # the solve, state_array and detailed_balance_residual once enumerated 3 times and built twice
-    calls = {"_states_and_table": 0, "_kernel_moves": 0}
+    # the solve, state_array and detailed_balance_residual once enumerated 3 times and built
+    # the moves twice per run; now one chain serves a run, and a memoized one every later run
+    calls = {"_build_chain": 0, "_states_and_table": 0, "_kernel_moves": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(ehrenfest, name), **kwargs):
             calls[_name] += 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(ehrenfest, name, counted)
-    assert main(["stationary", "--k", "3", "--a", "0.4", "--b", "0.2", "--m", "4", "--exact"]) == 0
-    assert json.loads(capsys.readouterr().out)["exact_solver"]["n_states"] == 15
-    assert calls == {"_states_and_table": 1, "_kernel_moves": 1}
+    # two runs each: 15 states are memoized, 1,771 are built per call
+    for k, m, builds in ((3, 4, 1), (4, 20, 2)):
+        ehrenfest._small_chain.cache_clear()
+        calls.update(dict.fromkeys(calls, 0))
+        argv = ["stationary", "--k", str(k), "--a", "0.4", "--b", "0.2", "--m", str(m), "--exact"]
+        for _ in range(2):
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)["exact_solver"]
+            assert report["n_states"] == ehrenfest.state_count(k, m)
+        # each run reads the rates off the moves once
+        assert calls == {"_build_chain": builds, "_states_and_table": builds, "_kernel_moves": 2}
 
 
 @pytest.mark.parametrize("m", ["-5", "0"])

@@ -201,10 +201,143 @@ def test_flow_residual_is_the_l1_distance_of_one_sparse_step(params, seed):
     # each side sums at most 2k - 1 terms per state, whose masses add to at most 2 over the
     # states; 4 k eps leaves room over the worst seen, 0.67 k eps in 3000 random draws
     states, _, kernel = build_kernel(params)
-    _, _, (pairs, _) = _kernel_moves(params, cap=len(states))
+    pairs = _kernel_moves(ehrenfest._chain(params.k, params.m, cap=len(states)), params)
     mu = np.random.default_rng(seed).dirichlet(np.ones(len(states)))
     product = np.abs(mu @ kernel - mu).sum()
     assert abs(_flow_residual(mu, pairs) - product) <= 4 * params.k * np.finfo(float).eps
+
+
+def reference_kernel_moves(params: EhrenfestParams, cap: int) -> tuple:
+    """Oracle: the moves and self loops as they were built on every call, before the (k, m) memo.
+
+    The body is the old ``_kernel_moves`` verbatim, but for the cap check,
+    which has its own rule now.
+    """
+    k, a, b, m = params.k, params.a, params.b, params.m
+    ehrenfest._check_cap(k, m, cap)
+    states, table = ehrenfest._states_and_table(k, m)
+    tails = ehrenfest._tails(states, m)
+    pairs = []
+    move = np.zeros(len(states))
+    for j in range(k - 1):
+        up = a * states[:, j] / m
+        down = b * states[:, j + 1] / m
+        move += up
+        move += down
+        # the up move adds one ball above urn j and leaves every other
+        # tail alone, so only the urn-j term of the rank changes
+        lower = np.flatnonzero(states[:, j])
+        t = tails[lower, j]
+        upper = lower + table[j, t + 1] - table[j, t]
+        pairs.append((lower, upper, up[lower], down[upper]))
+    # a + b may sit a few ulps above 1; keep the self loop a probability
+    return states, table, (pairs, np.maximum(0.0, 1.0 - move))
+
+
+def reference_solve(params: EhrenfestParams, cap: int = 10**6, tol: float = 1e-12):
+    """Oracle: the solve as it ran on ``reference_kernel_moves``: states, pi, moves, residual."""
+    states, _, (pairs, _) = reference_kernel_moves(params, cap)
+    n = len(states)
+    log_ab = math.log(params.a) - math.log(params.b)
+    hi = np.zeros(n)
+    pointer = np.zeros(n, dtype=np.int64)
+    empty = np.ones(n, dtype=bool)
+    for j, (lower, upper, _, _) in enumerate(pairs):
+        edge = empty[upper]
+        pointer[upper[edge]] = lower[edge]
+        hi[upper[edge]] = log_ab + np.log(states[lower[edge], j] / states[upper[edge], j + 1])
+        empty &= states[:, j + 1] == 0
+    lo = np.zeros(n)
+    while pointer.any():
+        hi, err = ehrenfest._two_sum(hi, hi[pointer])
+        lo += lo[pointer] + err
+        pointer = pointer[pointer]
+    top = np.argmax(hi)
+    shifted, err = ehrenfest._two_sum(hi, -hi[top])
+    pi = np.exp(shifted + (err + lo - lo[top]))
+    pi /= pi.sum()
+    residual = _flow_residual(pi, pairs)
+    assert residual <= tol
+    return states, pi, pairs, residual
+
+
+def reference_build_kernel(params: EhrenfestParams, cap: int = 10**6):
+    """Oracle: the sparse kernel packed from ``reference_kernel_moves``."""
+    states, table, (pairs, diagonal) = reference_kernel_moves(params, cap)
+    n = len(states)
+    rows, cols, vals = [], [], []
+    for lower, upper, up, down in pairs:
+        rows += [lower, upper]
+        cols += [upper, lower]
+        vals += [up, down]
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(diagonal)
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return states, table, sp.csr_matrix(entries, shape=(n, n))
+
+
+def exact_layer_bytes(params: EhrenfestParams, solve, balance, kernel) -> list[tuple]:
+    """Every array the exact layer returns for params, as bytes with its dtype and shape."""
+    states, pi, pairs, residual = solve(params)
+    k_states, table, matrix = kernel(params)
+    arrays = [states, pi, np.array([residual, balance(params)]), k_states, table,
+              matrix.data, matrix.indices, matrix.indptr]
+    arrays += [array for pair in pairs for array in pair]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+def chains_near_the_memo_bound() -> list[tuple[int, int]]:
+    """(k, m) with S * k from a quarter to four times the memo bound, on both sides of it."""
+    bound = ehrenfest._MEMO_SIZE
+    return [(k, m) for k in range(2, 7) for m in range(1, 2 * bound)
+            if bound // 4 <= state_count(k, m) * k <= 4 * bound]
+
+
+@settings(max_examples=60, deadline=None)
+@given(km=st.sampled_from(chains_near_the_memo_bound()),
+       a=st.floats(min_value=1e-3, max_value=0.999), b=st.floats(min_value=1e-3, max_value=0.999))
+@example(km=(2, 255), a=0.3, b=0.3)  # S k = 512: the largest memoized chain at k = 2
+@example(km=(2, 256), a=0.3, b=0.3)  # S k = 514: the smallest built per call
+@example(km=(4, 7), a=0.7, b=0.2)  # S k = 480, memoized
+@example(km=(4, 8), a=0.7, b=0.2)  # S k = 660, built per call
+def test_memoized_chain_is_bitwise_the_per_call_build(km, a, b):
+    assume(a + b <= 1.0)
+    (k, m), cap = km, 10**6
+    params = EhrenfestParams(k=k, a=a, b=b, m=m)
+
+    def reference_balance(p):
+        states, _, (pairs, _) = reference_kernel_moves(p, cap)
+        return ehrenfest._balance(np.exp(stationary_closed(p).log_pmf(states)), pairs)
+
+    reference = exact_layer_bytes(params, reference_solve, reference_balance,
+                                  reference_build_kernel)
+    layer = (lambda p: ehrenfest._solve(p, cap), lambda p: detailed_balance_residual(p, cap=cap),
+             lambda p: build_kernel(p, cap))
+    ehrenfest._small_chain.cache_clear()
+    cold = exact_layer_bytes(params, *layer)
+    built = ehrenfest._small_chain.cache_info()
+    warm = exact_layer_bytes(params, *layer)
+    # a memoized chain is built once, by the cold solve, and read by the other five calls
+    memoized = state_count(k, m) * k <= ehrenfest._MEMO_SIZE
+    assert built.misses == ehrenfest._small_chain.cache_info().misses == memoized
+    assert built.currsize == memoized
+    assert cold == reference
+    assert warm == reference
+
+
+@pytest.mark.parametrize("k, m", [(3, 4), (4, 20)], ids=["memoized", "built per call"])
+def test_public_arrays_are_writable_and_writing_them_leaves_later_solves_alone(k, m):
+    params = EhrenfestParams(k=k, a=0.4, b=0.2, m=m)
+    layer = (lambda p: ehrenfest._solve(p, 10**6), detailed_balance_residual, build_kernel)
+    before = exact_layer_bytes(params, *layer)
+    enumerated = enumerate_states(k, m)
+    states, (kernel_states, table, kernel) = state_array(k, m), build_kernel(params)
+    for array in (states, kernel_states, table, kernel.data):
+        assert array.flags.writeable
+        array[...] = 7
+    assert exact_layer_bytes(params, *layer) == before
+    assert enumerate_states(k, m) == enumerated
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import gtftlab
@@ -73,6 +74,47 @@ def test_import_builds_no_clip_table_and_a_built_one_is_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1
+
+
+# one call per cached builder in src/, None for one that holds no array; a builder missing
+# here fails the guard below
+MEMO_CALLS = {
+    "cli.build_parser": None,
+    "population._clip_table": (5,),
+    "ehrenfest._pair_moves": (4,),
+    "ehrenfest._small_chain": (4, 6),
+}
+
+
+def arrays_in(value):
+    """Every numpy array in a builder's result, through tuples, lists and named tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+
+
+def test_every_memoized_array_is_read_only():
+    # a cached array is shared by every later caller, so one write would corrupt them all
+    import gtftlab.cli  # noqa: F401  every module of src/ is loaded, so every builder is found
+    import gtftlab.games  # noqa: F401
+    import gtftlab.meanfield  # noqa: F401
+    found = {f"{name.rsplit('.', 1)[-1]}.{attr}"
+             for name, module in list(sys.modules.items()) if name.startswith("gtftlab.")
+             for attr, value in vars(module).items()
+             if hasattr(value, "cache_info") and value.__module__ == name}
+    assert found == set(MEMO_CALLS)
+    for name, args in MEMO_CALLS.items():
+        if args is None:
+            continue
+        module, attr = name.split(".")
+        arrays = list(arrays_in(getattr(getattr(gtftlab, module), attr)(*args)))
+        assert arrays
+        for array in arrays:
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
 
 
 PUBLIC_NAMES = [
