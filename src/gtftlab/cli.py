@@ -141,7 +141,8 @@ def cmd_stationary(args) -> dict:
     if args.exact and params is not None:
         try:
             counts, exact, pairs, residual = ehrenfest._solve(params, args.cap)
-            closed_pmf = np.exp(ehrenfest.stationary_closed(params).log_pmf(counts))
+            closed_pmf = np.exp(ehrenfest._closed_log_pmf(
+                counts, params.m, ehrenfest.geometric_weights(params.lam, params.k)))
             result["exact_solver"] = {
                 "n_states": len(counts),
                 # per-urn probabilities implied by the solved law: mean counts over m
@@ -152,6 +153,10 @@ def cmd_stationary(args) -> dict:
                 # ||pi P - pi||_1 of the solved law, which the solve accepted against its tol
                 "solver_residual": residual,
             }
+            # main() adds these to the manifest
+            result["manifest"] = {"counters": {
+                "states_enumerated": len(counts),
+                "chain_memoized": ehrenfest._memoized(params.k, len(counts))}}
         except CapExceededError as exc:
             result["exact_solver"] = None
             result["note"] = f"exact comparison skipped: {exc}"
@@ -438,7 +443,8 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.monotonic()
         report = args.func(args)
         if isinstance(report, dict):
-            report["manifest"] = _manifest(args, [], t0)
+            # a command may leave entries of its own, such as counters, for the manifest
+            report["manifest"] = _manifest(args, [], t0) | report.get("manifest", {})
             _emit_json(report, args.out)
         else:
             with open(args.out, "w") as fh:

@@ -22,9 +22,14 @@ spanning tree, and ``_small_chain`` memoizes it for chains with
 S * k <= ``_MEMO_SIZE`` (512), so a rate sweep at a fixed small (k, m)
 builds it once. Each call reads only its rates off it: the kernel's
 entries (``_kernel_moves``), the tree's steps, and both residuals'
-balance flows. The entries are packed into a sparse matrix only by
-``build_kernel``, whose product, the one product with the kernel, serves
-the distance scan; scipy is imported there, so no other path loads it.
+balance flows. A memoized chain also holds each row's log multinomial
+coefficient, and the layer reads the closed law over its own state
+arrays through ``_closed_log_pmf``, with no input check; that and
+``MultinomialDist.log_pmf``, which checks its input, share the one
+log-law expression ``_log_law``. The entries are packed into a sparse
+matrix only by ``build_kernel``, whose product, the one product with the
+kernel, serves the distance scan; scipy is imported there, so no other
+path loads it.
 
 The coupling time is sampled ball by ball, not step by step. Each step
 picks a ball uniformly and draws its move independently, so each ball
@@ -220,13 +225,22 @@ class MultinomialDist:
     def log_pmf(self, states: np.ndarray) -> np.ndarray:
         """Log-probability of each row of an (S, k) array of count vectors."""
         states = _check_state(states, len(self.p), self.m, ndim=2)
-        table = np.array([math.lgamma(i + 1) for i in range(self.m + 1)])
-        # not the memo's math.log weights: numpy's log can differ from it in the last bit
-        with np.errstate(divide="ignore"):
-            log_p = np.log(self.p)
-        # an empty cell contributes nothing even where its probability is 0
-        log_prob = (states * np.where(states > 0, log_p, 0.0)).sum(axis=1)
-        return table[self.m] - table[states].sum(axis=1) + log_prob
+        return _log_law(_log_coef(states, self.m), states, self.p)
+
+
+def _log_coef(states: np.ndarray, m: int) -> np.ndarray:
+    """lgamma(m + 1) - sum_j lgamma(x_j + 1) for each row x: the log multinomial coefficient."""
+    table = np.array([math.lgamma(i + 1) for i in range(m + 1)])
+    return table[m] - table[states].sum(axis=1)
+
+
+def _log_law(log_coef: np.ndarray, states: np.ndarray, p) -> np.ndarray:
+    """log_coef + sum_j x_j log p_j for each row x: the one multinomial log-law expression."""
+    # not the memo's math.log weights: numpy's log can differ from it in the last bit
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    # an empty cell contributes nothing even where its probability is 0
+    return log_coef + (states * np.where(states > 0, log_p, 0.0)).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -285,7 +299,7 @@ def state_array(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """
     _check_count("k", k, 1)
     _check_count("m", m, 0)
-    if _check_cap(k, m, cap) * k <= _MEMO_SIZE:
+    if _memoized(k, _check_cap(k, m, cap)):
         return _small_chain(k, m).states.copy()
     return _states_and_table(k, m)[0]
 
@@ -392,7 +406,8 @@ class _Chain(NamedTuple):
     rows and y_{j+1} of the upper ones. Every pair has as many moves as
     there are compositions of m - 1. ``parent`` and ``log_ratio`` are each
     row's tree edge and its log(x_j / y_{j+1}); row 0 is the root.
-    ``rounds`` holds the pointer-doubling rounds if the chain is memoized,
+    ``rounds`` holds the pointer-doubling rounds and ``log_coef`` each row's
+    log multinomial coefficient (``_log_coef``) if the chain is memoized,
     else None. Every array is read-only.
     """
 
@@ -405,16 +420,23 @@ class _Chain(NamedTuple):
     parent: np.ndarray
     log_ratio: np.ndarray
     rounds: tuple[np.ndarray, ...] | None
+    log_coef: np.ndarray | None
 
 
 # Chains with S * k <= _MEMO_SIZE are built once per process, in the 32 entries of
 # ``_small_chain``. For k >= 2 such a chain has S <= 256 states, so m < 256 fits 2-byte
 # counts, and (k - 1) E < S k moves, E per pair. It holds: states 2 S k bytes, table
-# 8 (k - 1)(m + 1) <= 8 S k, lower and upper 16 S k, x and y 4 S k, parent and log_ratio
-# 16 S, and fewer than log2(m (k - 1)) + 1 < 10 doubling rounds of 8 S each. That is under
-# 30 * 512 + 96 * 256 bytes, 40 KB, plus about 2 KB of array headers, so the memo holds
-# under 1.4 MB. k = 1 or m = 0 gives one state. Larger chains are built per call and freed.
+# 8 (k - 1)(m + 1) <= 8 S k, lower and upper 16 S k, x and y 4 S k, parent, log_ratio and
+# log_coef 24 S, and fewer than log2(m (k - 1)) + 1 < 10 doubling rounds of 8 S each. That
+# is under 30 * 512 + 104 * 256 bytes, 42 KB, plus about 2 KB of array headers, so the memo
+# holds under 1.4 MB; log_coef's 8 S bytes add under 2 KB a chain, 64 KB in all. k = 1 or
+# m = 0 gives one state. Larger chains are built per call and freed.
 _MEMO_SIZE = 512
+
+
+def _memoized(k: int, n_states: int) -> bool:
+    """Whether the chain of k urns and ``n_states`` states is held by ``_small_chain``."""
+    return n_states * k <= _MEMO_SIZE
 
 
 def _doubling_rounds(parent: np.ndarray):
@@ -425,8 +447,8 @@ def _doubling_rounds(parent: np.ndarray):
         pointer = pointer[pointer]
 
 
-def _build_chain(k: int, m: int, rounds: bool) -> _Chain:
-    """The urn-pair moves and spanning tree of (k, m); ``rounds`` also holds the doubling pointers.
+def _build_chain(k: int, m: int, memoized: bool) -> _Chain:
+    """The urn-pair moves and spanning tree of (k, m), and if ``memoized`` its rounds and log_coef.
 
     The tree parent of a state moves one ball from its first non-empty urn
     j + 1 >= 1 down to urn j, which leads every state to (m, 0, ..., 0) in
@@ -462,23 +484,38 @@ def _build_chain(k: int, m: int, rounds: bool) -> _Chain:
     lower, upper, x, y = (np.reshape([move[i] for move in moves], (k - 1, per_pair))
                           for i in range(4))
     chain = _Chain(states, table, lower, upper, x, y, parent, log_ratio,
-                   tuple(_doubling_rounds(parent)) if rounds else None)
-    for array in (*chain[:-1], *(chain.rounds or ())):
-        array.flags.writeable = False
+                   tuple(_doubling_rounds(parent)) if memoized else None,
+                   _log_coef(states, m) if memoized else None)
+    for array in (*chain[:-2], *(chain.rounds or ()), chain.log_coef):
+        if array is not None:
+            array.flags.writeable = False
     return chain
 
 
 @lru_cache(maxsize=32)
 def _small_chain(k: int, m: int) -> _Chain:
-    """``_build_chain`` of a chain with S * k <= _MEMO_SIZE, with its doubling rounds."""
-    return _build_chain(k, m, rounds=True)
+    """``_build_chain`` of a chain with S * k <= _MEMO_SIZE, with its rounds and coefficients."""
+    return _build_chain(k, m, memoized=True)
 
 
 def _chain(k: int, m: int, cap: int) -> _Chain:
     """The moves and tree of (k, m), memoized if S * k <= _MEMO_SIZE; CapExceededError past cap."""
-    if _check_cap(k, m, cap) * k <= _MEMO_SIZE:
+    if _memoized(k, _check_cap(k, m, cap)):
         return _small_chain(k, m)
-    return _build_chain(k, m, rounds=False)
+    return _build_chain(k, m, memoized=False)
+
+
+def _closed_log_pmf(states: np.ndarray, m: int, p: np.ndarray) -> np.ndarray:
+    """log pi(x) of the closed law with cell weights p at each row of the state array of (k, m).
+
+    ``states`` is the layer's own array (the chain's, or a copy of it), so
+    it is not checked. A memoized chain holds the rows' log coefficient;
+    the rows of a larger chain get theirs here, only when a caller asks.
+    """
+    k = states.shape[1]
+    log_coef = (_small_chain(k, m).log_coef if _memoized(k, len(states))
+                else _log_coef(states, m))
+    return _log_law(log_coef, states, p)
 
 
 def _kernel_moves(chain: _Chain, params: EhrenfestParams) -> list[tuple[np.ndarray, ...]]:
@@ -501,8 +538,14 @@ def _flow_residual(px: np.ndarray, pairs) -> float:
     """||px P - px||_1, read as the net flow into each state: P's rows sum to 1, so no product."""
     net = np.zeros(len(px))
     for (lower, upper, _, _), flow in zip(pairs, _net_flows(px, pairs)):
-        net[upper] += flow
-        net[lower] -= flow
+        # a pair's upper rows are distinct, as are its lower rows, so ufunc.at adds as += does;
+        # it is faster past about 256 states and 0.3 us a call slower below
+        if len(px) > 256:
+            np.add.at(net, upper, flow)
+            np.subtract.at(net, lower, flow)
+        else:
+            net[upper] += flow
+            net[lower] -= flow
     return float(np.abs(net).sum())
 
 
@@ -613,13 +656,14 @@ def detailed_balance_residual(
 ) -> float:
     """Max over adjacent pairs of |pi(x) P(x,y) - pi(y) P(y,x)|.
 
-    Defaults to the closed-form stationary law; pass ``dist`` to probe how
-    sharply the residual reacts to a perturbed candidate.
+    Defaults to the closed-form stationary law, read off the chain
+    (``_closed_log_pmf``); pass ``dist`` to probe how sharply the residual
+    reacts to a perturbed candidate.
     """
-    if dist is None:
-        dist = stationary_closed(params)
     chain = _chain(params.k, params.m, cap)
-    return _balance(np.exp(dist.log_pmf(chain.states)), _kernel_moves(chain, params))
+    log_px = (_closed_log_pmf(chain.states, params.m, geometric_weights(params.lam, params.k))
+              if dist is None else dist.log_pmf(chain.states))
+    return _balance(np.exp(log_px), _kernel_moves(chain, params))
 
 
 def _balance(px: np.ndarray, pairs) -> float:
@@ -858,7 +902,7 @@ def _tv_scan(params: EhrenfestParams, inits: list[tuple[int, ...]], cap: int):
     Yields the distance at t = 0, 1, 2, ...; one kernel build serves every t.
     """
     states, table, kernel = build_kernel(params, cap)
-    pi = np.exp(stationary_closed(params).log_pmf(states))
+    pi = np.exp(_closed_log_pmf(states, params.m, geometric_weights(params.lam, params.k)))
     mus = np.zeros((len(inits), len(states)))
     mus[np.arange(len(inits)), _rank(np.asarray(inits), table, params.m)] = 1.0
     back = kernel.T  # mus @ kernel is this product, but rebuilds the transpose on every call

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrenfest import (MultinomialDist, _check_count, _check_mix, _check_share, _real,
-                        geometric_weights, state_array)
+from .ehrenfest import (MultinomialDist, _check_count, _check_mix, _check_share,
+                        _closed_log_pmf, _real, geometric_weights, state_array)
 from .games import ALLC, ALLD, GameConfig, RewardVector, expected_payoff_closed
 from .population import generosity_grid
 
@@ -274,13 +274,13 @@ def granular_expected_payoff(
     space with multinomial weights and distinct-partner frequencies,
     which agrees exactly and cross-checks the identity on small m.
     """
-    _check_mix(alpha, beta)  # and stationary_weights checks beta > 0 before the tables
+    _check_mix(alpha, beta)  # and weight_ratio checks beta > 0 before the tables
     m_exact = (1.0 - alpha - beta) * n
     m = round(m_exact) if np.isfinite(m_exact) else 0  # round(inf) overflows
     if abs(m_exact - m) > 1e-9 or m < 1:
         raise ValueError(f"(1 - alpha - beta) * n = {m_exact} is not a positive integer")
-    dist = stationary_weights(beta, k, m)
-    p = np.asarray(dist.p)
+    # the cell weights of stationary_weights(beta, k, m), read with no MultinomialDist
+    p = geometric_weights(weight_ratio(beta), k)
     grid = np.asarray(generosity_grid(k, cfg.g_hat))
     f_allc, f_alld, f_gg = _payoff_tables(grid, cfg, rv)
     gtft_frac = m / n
@@ -289,7 +289,7 @@ def granular_expected_payoff(
         if m < 2:
             raise ValueError("count enumeration needs at least two GTFT nodes")
         states = state_array(k, m)
-        weight = np.exp(dist.log_pmf(states))
+        weight = np.exp(_closed_log_pmf(states, m, p))
         counts = states.astype(float)
         # row s, column i: a focal node at index i meets one of the other
         # m - 1 GTFT nodes, so its own index leaves the partner counts

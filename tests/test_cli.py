@@ -5,10 +5,14 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +264,33 @@ def test_stationary_exact_enumerates_once_and_builds_the_moves_once(monkeypatch,
             assert report["n_states"] == ehrenfest.state_count(k, m)
         # each run reads the rates off the moves once
         assert calls == {"_build_chain": builds, "_states_and_table": builds, "_kernel_moves": 2}
+
+
+@pytest.mark.parametrize("k, m, memoized", [(3, 4, True), (4, 20, False)],
+                         ids=["15 states, memoized", "1,771 states, built per call"])
+def test_stationary_exact_counts_its_states_in_the_manifest(k, m, memoized, capsys):
+    argv = ["stationary", "--k", str(k), "--a", "0.4", "--b", "0.2", "--m", str(m)]
+    assert main([*argv, "--exact"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["manifest"]["counters"] == {
+        "states_enumerated": ehrenfest.state_count(k, m), "chain_memoized": memoized}
+    assert "counters" not in report["exact_solver"]
+    # a run with no solve enumerates nothing and writes no counters
+    assert main(argv) == 0
+    assert "counters" not in json.loads(capsys.readouterr().out)["manifest"]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    run = [sys.executable, "-m", "gtftlab"]
+    done = subprocess.run([*run, "--help"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert "stationary" in done.stdout
+    done = subprocess.run([*run, "stationary", "--k", "three"], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 2
+    assert "invalid int value" in done.stderr and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("m", ["-5", "0"])

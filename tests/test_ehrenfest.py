@@ -205,6 +205,12 @@ def test_flow_residual_is_the_l1_distance_of_one_sparse_step(params, seed):
     mu = np.random.default_rng(seed).dirichlet(np.ones(len(states)))
     product = np.abs(mu @ kernel - mu).sum()
     assert abs(_flow_residual(mu, pairs) - product) <= 4 * params.k * np.finfo(float).eps
+    # past 256 states the flows are scattered by ufunc.at: bitwise the fancy-index sums
+    net = np.zeros(len(mu))
+    for (lower, upper, up, down) in pairs:
+        net[upper] += mu[lower] * up - mu[upper] * down
+        net[lower] -= mu[lower] * up - mu[upper] * down
+    assert _flow_residual(mu, pairs) == float(np.abs(net).sum())
 
 
 def reference_kernel_moves(params: EhrenfestParams, cap: int) -> tuple:
@@ -324,6 +330,46 @@ def test_memoized_chain_is_bitwise_the_per_call_build(km, a, b):
     assert built.currsize == memoized
     assert cold == reference
     assert warm == reference
+
+
+RANDOM_RATE = st.floats(min_value=1e-3, max_value=0.999)
+
+
+@settings(max_examples=60, deadline=None)
+@given(km=st.one_of(st.sampled_from(chains_near_the_memo_bound()),
+                    st.tuples(st.integers(40, 48), st.integers(1, 2))),
+       ab=st.one_of(st.tuples(RANDOM_RATE, RANDOM_RATE),
+                    st.tuples(st.just(1e-300), RANDOM_RATE),
+                    st.tuples(RANDOM_RATE, st.just(1e-300)),
+                    # a / b >= 5e8: past k = 40 the plain powers overflow
+                    st.tuples(st.floats(0.5, 0.999), st.floats(1e-12, 1e-9))))
+@example(km=(2, 255), ab=(0.3, 0.3))  # the largest memoized chain at k = 2
+@example(km=(2, 256), ab=(0.3, 0.3))  # the smallest built per call
+@example(km=(40, 2), ab=(0.5, 1e-10))  # shifted exponents, with cells of probability 0
+@example(km=(4, 7), ab=(1e-300, 0.5))  # memoized, with cells of probability 0
+def test_chain_held_closed_law_is_bitwise_the_multinomial_log_pmf(km, ab):
+    (k, m), (a, b) = km, ab
+    assume(a + b <= 1.0)
+    params = EhrenfestParams(k=k, a=a, b=b, m=m)
+    dist = stationary_closed(params)
+    p = geometric_weights(params.lam, k)
+
+    def layer():
+        states = ehrenfest._chain(k, m, 10**6).states
+        return (ehrenfest._closed_log_pmf(states, m, p).tobytes(),
+                dist.log_pmf(states).tobytes(),
+                detailed_balance_residual(params),
+                detailed_balance_residual(params, dist=dist))
+
+    ehrenfest._small_chain.cache_clear()
+    cold = layer()
+    warm = layer()
+    assert cold == warm
+    law, reference, balance, reference_balance = cold
+    assert law == reference
+    assert balance == reference_balance
+    chain = ehrenfest._chain(k, m, 10**6)
+    assert (chain.log_coef is not None) == (state_count(k, m) * k <= ehrenfest._MEMO_SIZE)
 
 
 @pytest.mark.parametrize("k, m", [(3, 4), (4, 20)], ids=["memoized", "built per call"])

@@ -5,15 +5,16 @@ import itertools
 import math
 import operator
 import tracemalloc
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gtftlab.ehrenfest import stationary_closed, transition_row
+from gtftlab.ehrenfest import build_kernel, stationary_closed, transition_row
 from gtftlab.population import (
     PAIRING_MODES,
     PopulationConfig,
@@ -631,3 +632,55 @@ def test_one_step_frequencies_match_kernel_row():
             freq = counts.get(y, 0) / n
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(freq - p) <= 4 * sigma, (tag, y, freq, p)
+
+
+@st.composite
+def lumpable_configs(draw):
+    """(n, alpha, beta, k, g_hat, pairing) with k**m * n**2 <= 10**5: a labelled chain to lump."""
+    n, k = draw(st.integers(2, 12)), draw(st.integers(2, 4))
+    most = max(m for m in range(1, n) if k**m * n * n <= 10**5 or m == 1)
+    m = draw(st.integers(1, min(most, n - 1)))
+    n_alld, pairing = draw(st.integers(1, n - m)), draw(st.sampled_from(PAIRING_MODES))
+    # a lone GTFT node among defectors only meets defectors under distinct-pair: up weight 0
+    assume(pairing == "idealized" or n_alld < n - 1)
+    return PopulationConfig(n=n, alpha=(n - m - n_alld) / n, beta=n_alld / n, k=k,
+                            g_hat=draw(st.floats(0, 1)), pairing=pairing)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=lumpable_configs())
+@example(cfg=PopulationConfig(n=12, alpha=1 / 3, beta=0.25, k=3, g_hat=0.25,
+                              pairing="distinct-pair"))  # 3**5 labellings of 5 GTFT nodes
+@example(cfg=PopulationConfig(n=8, alpha=0.25, beta=0.25, k=4, g_hat=0.25))  # 4**4 labellings
+def test_the_count_process_is_the_urn_walk_by_exact_lumping(cfg):
+    # the labelled chain over the GTFT nodes' grid indices, one _apply per ordered pair of
+    # nodes, lumps by count vector: every labelling of a count vector has the same row of
+    # count-to-count chances, and that row is the urn walk's kernel row
+    n, k, m = cfg.n, cfg.k, cfg.m
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if cfg.pairing == "idealized" or i != j]
+    chance = Fraction(1, len(pairs))
+    lumped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for idx in itertools.product(range(1, k + 1), repeat=m):
+        state = OracleState(cfg, np.array(idx))
+        z, row = state.counts(), {}
+        for initiator, partner in pairs:
+            j, j_new = _apply(state, initiator, partner)
+            y = state.counts()
+            row[y] = row.get(y, 0) + chance
+            _rollback(state, initiator, j, j_new)
+        assert lumped.setdefault(z, row) == row, (z, idx)
+    states, _, kernel = build_kernel(to_ehrenfest(cfg))
+    assert len(lumped) == len(states)
+    rank = {z: r for r, z in enumerate(map(tuple, states.tolist()))}
+    exact = np.zeros(kernel.shape, dtype=object)
+    for z, row in lumped.items():
+        assert sum(row.values()) == 1
+        for y, p in row.items():
+            exact[rank[z], rank[y]] = p
+    dense = kernel.toarray()
+    assert ((exact != 0) == (dense != 0)).all()
+    # a few roundings in to_ehrenfest's a and b and in the self loop's 1 - sum
+    ulps = [abs(Fraction(x) - p) / Fraction(math.ulp(float(p)))
+            for x, p in zip(dense.flat, exact.flat) if p]
+    assert max(ulps) <= 8
