@@ -125,7 +125,7 @@ def cmd_simulate(args) -> Iterator[str]:
 def cmd_stationary(args) -> dict:
     if args.beta is not None:
         ehrenfest._check_count("k", args.k, 2)
-        p = ehrenfest.geometric_weights(meanfield.weight_ratio(args.beta), args.k)
+        p = meanfield.cell_weights(args.beta, args.k)
         result: dict = {"mode": "population-beta", "beta": args.beta, "k": args.k,
                         "closed_form_p": p.tolist(), "m": args.m}
         # a/b is bitwise weight_ratio(beta), so the pair reproduces the law
@@ -140,9 +140,9 @@ def cmd_stationary(args) -> dict:
 
     if args.exact and params is not None:
         try:
-            counts, exact, pairs, residual = ehrenfest._solve(params, args.cap)
-            closed_pmf = np.exp(ehrenfest._closed_log_pmf(
-                counts, params.m, ehrenfest.geometric_weights(params.lam, params.k)))
+            chain, exact, pairs, residual = ehrenfest._solve(params, args.cap)
+            counts = chain.states
+            closed_pmf = np.exp(ehrenfest._closed_log_pmf(chain, params))
             result["exact_solver"] = {
                 "n_states": len(counts),
                 # per-urn probabilities implied by the solved law: mean counts over m

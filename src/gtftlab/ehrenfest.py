@@ -23,13 +23,13 @@ S * k <= ``_MEMO_SIZE`` (512), so a rate sweep at a fixed small (k, m)
 builds it once. Each call reads only its rates off it: the kernel's
 entries (``_kernel_moves``), the tree's steps, and both residuals'
 balance flows. A memoized chain also holds each row's log multinomial
-coefficient, and the layer reads the closed law over its own state
-arrays through ``_closed_log_pmf``, with no input check; that and
+coefficient, and the layer reads the closed law over a chain's rows
+through ``_closed_log_pmf``, with no input check; that and
 ``MultinomialDist.log_pmf``, which checks its input, share the one
 log-law expression ``_log_law``. The entries are packed into a sparse
-matrix only by ``build_kernel``, whose product, the one product with the
-kernel, serves the distance scan; scipy is imported there, so no other
-path loads it.
+matrix only by ``_sparse_kernel``, for ``build_kernel`` and the distance
+scan, whose product is the one product with the kernel; scipy is
+imported there, so no other path loads it.
 
 The coupling time is sampled ball by ball, not step by step. Each step
 picks a ball uniformly and draws its move independently, so each ball
@@ -505,17 +505,14 @@ def _chain(k: int, m: int, cap: int) -> _Chain:
     return _build_chain(k, m, memoized=False)
 
 
-def _closed_log_pmf(states: np.ndarray, m: int, p: np.ndarray) -> np.ndarray:
-    """log pi(x) of the closed law with cell weights p at each row of the state array of (k, m).
+def _closed_log_pmf(chain: _Chain, params: EhrenfestParams) -> np.ndarray:
+    """log pi(x) of the closed law of params at each row x of ``chain.states``, unchecked.
 
-    ``states`` is the layer's own array (the chain's, or a copy of it), so
-    it is not checked. A memoized chain holds the rows' log coefficient;
-    the rows of a larger chain get theirs here, only when a caller asks.
+    A memoized chain holds its rows' log coefficient; a chain built per
+    call gets it here, only when a caller asks for the law.
     """
-    k = states.shape[1]
-    log_coef = (_small_chain(k, m).log_coef if _memoized(k, len(states))
-                else _log_coef(states, m))
-    return _log_law(log_coef, states, p)
+    log_coef = chain.log_coef if chain.log_coef is not None else _log_coef(chain.states, params.m)
+    return _log_law(log_coef, chain.states, geometric_weights(params.lam, params.k))
 
 
 def _kernel_moves(chain: _Chain, params: EhrenfestParams) -> list[tuple[np.ndarray, ...]]:
@@ -538,14 +535,9 @@ def _flow_residual(px: np.ndarray, pairs) -> float:
     """||px P - px||_1, read as the net flow into each state: P's rows sum to 1, so no product."""
     net = np.zeros(len(px))
     for (lower, upper, _, _), flow in zip(pairs, _net_flows(px, pairs)):
-        # a pair's upper rows are distinct, as are its lower rows, so ufunc.at adds as += does;
-        # it is faster past about 256 states and 0.3 us a call slower below
-        if len(px) > 256:
-            np.add.at(net, upper, flow)
-            np.subtract.at(net, lower, flow)
-        else:
-            net[upper] += flow
-            net[lower] -= flow
+        # a pair's upper rows are distinct, as are its lower rows, so ufunc.at adds as += does
+        np.add.at(net, upper, flow)
+        np.subtract.at(net, lower, flow)
     return float(np.abs(net).sum())
 
 
@@ -557,13 +549,17 @@ def build_kernel(
     ``_rank(states, table, m)`` gives the row of each count vector. The
     matrix holds the entries of ``_kernel_moves`` and the self loops.
     """
+    chain = _chain(params.k, params.m, cap)
+    return chain.states.copy(), chain.table.copy(), _sparse_kernel(chain, params)
+
+
+def _sparse_kernel(chain: _Chain, params: EhrenfestParams) -> sp.csr_matrix:
+    """The transition matrix over the chain's rows: ``_kernel_entries`` packed as CSR."""
     import scipy.sparse as sp  # about 0.2 s: paid only by callers that want the matrix
 
-    chain = _chain(params.k, params.m, cap)
     n = len(chain.states)
     # the moves' rates are freed before scipy copies the triplets
-    kernel = sp.csr_matrix(_kernel_entries(chain, params), shape=(n, n))
-    return chain.states.copy(), chain.table.copy(), kernel
+    return sp.csr_matrix(_kernel_entries(chain, params), shape=(n, n))
 
 
 def _kernel_entries(chain: _Chain, params: EhrenfestParams) -> tuple[np.ndarray, tuple]:
@@ -616,12 +612,14 @@ def solve_stationary_exact(
     only if ||pi P - pi||_1, the net balance flow into each state
     (``_flow_residual``), is at most ``tol``, else ResidualError.
     """
-    states, pi, _, _ = _solve(params, cap, tol)
+    chain, pi, _, _ = _solve(params, cap, tol)
+    states = chain.states
+    del chain  # the moves and the tree are freed before the row tuples are built
     return _as_tuples(states), pi
 
 
 def _solve(params: EhrenfestParams, cap: int, tol: float = 1e-12):
-    """The solve: the (S, k) state array, pi, and the urn-pair moves and residual that accepted pi."""
+    """The solve: the chain, pi over its rows, and the pair moves and residual that accepted pi."""
     _check_tol(tol)
     chain = _chain(params.k, params.m, cap)
     pi = _tree_law(chain, math.log(params.a) - math.log(params.b))
@@ -629,7 +627,7 @@ def _solve(params: EhrenfestParams, cap: int, tol: float = 1e-12):
     residual = _flow_residual(pi, pairs)
     if not residual <= tol:
         raise ResidualError(f"stationary residual {residual:.3e} exceeds tol {tol:.3e}")
-    return chain.states, pi, pairs, residual
+    return chain, pi, pairs, residual
 
 
 def _tree_law(chain: _Chain, log_ab: float) -> np.ndarray:
@@ -661,8 +659,7 @@ def detailed_balance_residual(
     reacts to a perturbed candidate.
     """
     chain = _chain(params.k, params.m, cap)
-    log_px = (_closed_log_pmf(chain.states, params.m, geometric_weights(params.lam, params.k))
-              if dist is None else dist.log_pmf(chain.states))
+    log_px = _closed_log_pmf(chain, params) if dist is None else dist.log_pmf(chain.states)
     return _balance(np.exp(log_px), _kernel_moves(chain, params))
 
 
@@ -901,11 +898,12 @@ def _tv_scan(params: EhrenfestParams, inits: list[tuple[int, ...]], cap: int):
 
     Yields the distance at t = 0, 1, 2, ...; one kernel build serves every t.
     """
-    states, table, kernel = build_kernel(params, cap)
-    pi = np.exp(_closed_log_pmf(states, params.m, geometric_weights(params.lam, params.k)))
-    mus = np.zeros((len(inits), len(states)))
-    mus[np.arange(len(inits)), _rank(np.asarray(inits), table, params.m)] = 1.0
-    back = kernel.T  # mus @ kernel is this product, but rebuilds the transpose on every call
+    chain = _chain(params.k, params.m, cap)
+    pi = np.exp(_closed_log_pmf(chain, params))
+    mus = np.zeros((len(inits), len(chain.states)))
+    mus[np.arange(len(inits)), _rank(np.asarray(inits), chain.table, params.m)] = 1.0
+    # mus @ kernel is this product, but rebuilds the transpose on every call
+    back = _sparse_kernel(chain, params).T
     while True:
         yield 0.5 * float(np.abs(mus - pi).sum(axis=1).max())
         mus = (back @ mus.T).T

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrenfest import (MultinomialDist, _check_count, _check_mix, _check_share,
-                        _closed_log_pmf, _real, geometric_weights, state_array)
+from .ehrenfest import (MultinomialDist, _check_count, _check_mix, _check_share, _log_coef,
+                        _log_law, _real, geometric_weights, state_array)
 from .games import ALLC, ALLD, GameConfig, RewardVector, expected_payoff_closed
 from .population import generosity_grid
 
@@ -37,9 +37,14 @@ def weight_ratio(beta: float) -> float:
     return (1.0 - beta) / beta
 
 
+def cell_weights(beta: float, k: int) -> np.ndarray:
+    """The k cell probabilities of the dynamics' stationary law, proportional to lam**(j-1)."""
+    return geometric_weights(weight_ratio(beta), k)
+
+
 def stationary_weights(beta: float, k: int, m: int) -> MultinomialDist:
-    """Stationary multinomial of the dynamics: cell weights lam**(j-1)."""
-    return MultinomialDist(m=m, p=tuple(geometric_weights(weight_ratio(beta), k)))
+    """Stationary multinomial of the dynamics: the m balls fall i.i.d. into ``cell_weights``."""
+    return MultinomialDist(m=m, p=tuple(cell_weights(beta, k)))
 
 
 def avg_stationary_generosity(k: int, beta: float, g_hat: float) -> float:
@@ -279,8 +284,7 @@ def granular_expected_payoff(
     m = round(m_exact) if np.isfinite(m_exact) else 0  # round(inf) overflows
     if abs(m_exact - m) > 1e-9 or m < 1:
         raise ValueError(f"(1 - alpha - beta) * n = {m_exact} is not a positive integer")
-    # the cell weights of stationary_weights(beta, k, m), read with no MultinomialDist
-    p = geometric_weights(weight_ratio(beta), k)
+    p = cell_weights(beta, k)
     grid = np.asarray(generosity_grid(k, cfg.g_hat))
     f_allc, f_alld, f_gg = _payoff_tables(grid, cfg, rv)
     gtft_frac = m / n
@@ -289,7 +293,8 @@ def granular_expected_payoff(
         if m < 2:
             raise ValueError("count enumeration needs at least two GTFT nodes")
         states = state_array(k, m)
-        weight = np.exp(_closed_log_pmf(states, m, p))
+        # the law of stationary_weights(beta, k, m), with no input check on the enumerated rows
+        weight = np.exp(_log_law(_log_coef(states, m), states, p))
         counts = states.astype(float)
         # row s, column i: a focal node at index i meets one of the other
         # m - 1 GTFT nodes, so its own index leaves the partner counts

@@ -315,10 +315,15 @@ def to_ehrenfest(cfg: PopulationConfig) -> EhrenfestParams:
     where N is the partner pool: n for idealized pairing, n - 1 for
     distinct-pair. Up weight (m/n)(N - n_D)/N, down weight (m/n) n_D/N,
     with the m GTFT nodes as balls. Requires 0 < beta, else the down
-    weight vanishes and the walk is degenerate (simulation still works).
+    weight vanishes, and under distinct-pair a GTFT node that is not alone
+    among defectors, else the up weight vanishes: either walk is
+    degenerate (simulation still works).
     """
     _check_share(cfg.beta)
     pool = cfg.n - 1 if cfg.pairing == "distinct-pair" else cfg.n
+    if cfg.n_alld == pool:
+        raise ValueError(f"under distinct-pair the one GTFT node meets only the {pool} "
+                         f"defectors of n={cfg.n}: the up weight is 0, the count walk degenerate")
     share = cfg.m / cfg.n
     return EhrenfestParams(
         k=cfg.k, a=share * (pool - cfg.n_alld) / pool, b=share * cfg.n_alld / pool, m=cfg.m

@@ -283,6 +283,12 @@ def reference_build_kernel(params: EhrenfestParams, cap: int = 10**6):
     return states, table, sp.csr_matrix(entries, shape=(n, n))
 
 
+def layer_solve(params: EhrenfestParams, cap: int):
+    """The layer's solve in the oracle's shape: states, pi, moves, residual."""
+    chain, *rest = ehrenfest._solve(params, cap)
+    return (chain.states, *rest)
+
+
 def exact_layer_bytes(params: EhrenfestParams, solve, balance, kernel) -> list[tuple]:
     """Every array the exact layer returns for params, as bytes with its dtype and shape."""
     states, pi, pairs, residual = solve(params)
@@ -318,7 +324,7 @@ def test_memoized_chain_is_bitwise_the_per_call_build(km, a, b):
 
     reference = exact_layer_bytes(params, reference_solve, reference_balance,
                                   reference_build_kernel)
-    layer = (lambda p: ehrenfest._solve(p, cap), lambda p: detailed_balance_residual(p, cap=cap),
+    layer = (lambda p: layer_solve(p, cap), lambda p: detailed_balance_residual(p, cap=cap),
              lambda p: build_kernel(p, cap))
     ehrenfest._small_chain.cache_clear()
     cold = exact_layer_bytes(params, *layer)
@@ -352,12 +358,11 @@ def test_chain_held_closed_law_is_bitwise_the_multinomial_log_pmf(km, ab):
     assume(a + b <= 1.0)
     params = EhrenfestParams(k=k, a=a, b=b, m=m)
     dist = stationary_closed(params)
-    p = geometric_weights(params.lam, k)
 
     def layer():
-        states = ehrenfest._chain(k, m, 10**6).states
-        return (ehrenfest._closed_log_pmf(states, m, p).tobytes(),
-                dist.log_pmf(states).tobytes(),
+        chain = ehrenfest._chain(k, m, 10**6)
+        return (ehrenfest._closed_log_pmf(chain, params).tobytes(),
+                dist.log_pmf(chain.states).tobytes(),
                 detailed_balance_residual(params),
                 detailed_balance_residual(params, dist=dist))
 
@@ -375,7 +380,7 @@ def test_chain_held_closed_law_is_bitwise_the_multinomial_log_pmf(km, ab):
 @pytest.mark.parametrize("k, m", [(3, 4), (4, 20)], ids=["memoized", "built per call"])
 def test_public_arrays_are_writable_and_writing_them_leaves_later_solves_alone(k, m):
     params = EhrenfestParams(k=k, a=0.4, b=0.2, m=m)
-    layer = (lambda p: ehrenfest._solve(p, 10**6), detailed_balance_residual, build_kernel)
+    layer = (lambda p: layer_solve(p, 10**6), detailed_balance_residual, build_kernel)
     before = exact_layer_bytes(params, *layer)
     enumerated = enumerate_states(k, m)
     states, (kernel_states, table, kernel) = state_array(k, m), build_kernel(params)

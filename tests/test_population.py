@@ -1,5 +1,6 @@
 """Tests for the agent-level dynamics and the urn-walk reduction."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -602,6 +603,21 @@ def test_to_ehrenfest_rejects_degenerate_beta():
         to_ehrenfest(cfg)
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_to_ehrenfest_names_a_lone_gtft_node_among_defectors(n):
+    # the up weight is 0 under distinct-pair; this once raised "need a, b > 0 ... got a=0.0",
+    # naming rates the caller never gave
+    cfg = PopulationConfig(n=n, alpha=0.0, beta=(n - 1) / n, k=3, g_hat=0.5,
+                           pairing="distinct-pair")
+    message = f"one GTFT node meets only the {n - 1} defectors of n={n}"
+    for call in (to_ehrenfest, stationary_of_population):
+        with pytest.raises(ValueError, match=message):
+            call(cfg)
+    # idealized pairing lets the node meet itself, a cooperator
+    params = to_ehrenfest(dataclasses.replace(cfg, pairing="idealized"))
+    assert params.a == pytest.approx(1 / n**2) and params.b == pytest.approx((n - 1) / n**2)
+
+
 def test_stationary_of_population_values():
     assert stationary_of_population(CFG).p == pytest.approx((1 / 13, 3 / 13, 9 / 13))
     uniform_cfg = PopulationConfig(n=40, alpha=0.25, beta=0.5, k=4, g_hat=1.0)
@@ -641,7 +657,8 @@ def lumpable_configs(draw):
     most = max(m for m in range(1, n) if k**m * n * n <= 10**5 or m == 1)
     m = draw(st.integers(1, min(most, n - 1)))
     n_alld, pairing = draw(st.integers(1, n - m)), draw(st.sampled_from(PAIRING_MODES))
-    # a lone GTFT node among defectors only meets defectors under distinct-pair: up weight 0
+    # a lone GTFT node among defectors only meets defectors under distinct-pair: up weight 0,
+    # which to_ehrenfest refuses (test_to_ehrenfest_names_a_lone_gtft_node_among_defectors)
     assume(pairing == "idealized" or n_alld < n - 1)
     return PopulationConfig(n=n, alpha=(n - m - n_alld) / n, beta=n_alld / n, k=k,
                             g_hat=draw(st.floats(0, 1)), pairing=pairing)
