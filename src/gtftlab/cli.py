@@ -279,14 +279,18 @@ def cmd_optimality(args) -> dict:
 # ---------------------------------------------------------------- compare
 
 
+def _parse_populations(text: str) -> list[tuple[float, float]]:
+    try:  # a third value or an empty chunk fails float() too
+        return [(float(alpha), float(beta))
+                for alpha, _, beta in (chunk.partition(",") for chunk in text.split(";"))]
+    except ValueError:
+        raise ValueError(f"--populations must look like 0.25,0.25;0.3,0.2, got {text!r}") from None
+
+
 def cmd_compare(args) -> list[str]:
     rv = _reward_vector(args)
     cfg = GameConfig(delta=args.delta, s1=args.s1, g_hat=args.g_hat)
-    pairs = []
-    for chunk in args.populations.split(";"):
-        alpha_s, beta_s = chunk.split(",")
-        pairs.append((float(alpha_s), float(beta_s)))
-
+    pairs = _parse_populations(args.populations)
     lines = ["alpha,beta,g,F_meanfield,F_granular,avg_generosity,F_meanfield_at_avg"]
     for alpha, beta in pairs:
         ehrenfest._check_mix(alpha, beta)

@@ -18,18 +18,20 @@ the total-variation distance to stationarity, coupling-based mixing
 estimates, and the explicit mixing-time bound. ``_build_chain`` is the
 one place the moves are derived: it reads everything that depends on k
 and m alone, the state array, each urn pair's moves and the solver's
-spanning tree, and ``_small_chain`` memoizes it for chains with
-S * k <= ``_MEMO_SIZE`` (512), so a rate sweep at a fixed small (k, m)
-builds it once. Each call reads only its rates off it: the kernel's
-entries (``_kernel_moves``), the tree's steps, and both residuals'
-balance flows. A memoized chain also holds each row's log multinomial
-coefficient, and the layer reads the closed law over a chain's rows
-through ``_closed_log_pmf``, with no input check; that and
+spanning tree. ``_chain`` is the one place that decides whether a chain
+is memoized: ``_small_chain`` holds the chains with S * k <=
+``_MEMO_SIZE`` (512), so a rate sweep at a fixed small (k, m) builds
+each once, and adds the solver's pointer-doubling rounds and each row's
+log multinomial coefficient to them. Each call reads only its rates off
+the chain: the kernel's entries (``_kernel_moves``), the tree's steps,
+and both residuals' balance flows. The layer reads the closed law over
+a chain's rows through ``_closed_log_pmf``, with no input check; that and
 ``MultinomialDist.log_pmf``, which checks its input, share the one
-log-law expression ``_log_law``. The entries are packed into a sparse
-matrix only by ``_sparse_kernel``, for ``build_kernel`` and the distance
-scan, whose product is the one product with the kernel; scipy is
-imported there, so no other path loads it.
+log-law expression ``_log_law``. ``state_array`` and
+``enumerate_states`` enumerate afresh and leave the memo alone. The
+entries are packed into a sparse matrix only by ``_sparse_kernel``, for
+``build_kernel`` and the distance scan, whose product is the one product
+with the kernel; scipy is imported there, so no other path loads it.
 
 The coupling time is sampled ball by ball, not step by step. Each step
 picks a ball uniformly and draws its move independently, so each ball
@@ -299,8 +301,7 @@ def state_array(k: int, m: int, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """
     _check_count("k", k, 1)
     _check_count("m", m, 0)
-    if _memoized(k, _check_cap(k, m, cap)):
-        return _small_chain(k, m).states.copy()
+    _check_cap(k, m, cap)
     return _states_and_table(k, m)[0]
 
 
@@ -406,9 +407,10 @@ class _Chain(NamedTuple):
     rows and y_{j+1} of the upper ones. Every pair has as many moves as
     there are compositions of m - 1. ``parent`` and ``log_ratio`` are each
     row's tree edge and its log(x_j / y_{j+1}); row 0 is the root.
-    ``rounds`` holds the pointer-doubling rounds and ``log_coef`` each row's
-    log multinomial coefficient (``_log_coef``) if the chain is memoized,
-    else None. Every array is read-only.
+    ``_small_chain`` adds ``rounds``, the pointer-doubling rounds, and
+    ``log_coef``, each row's log multinomial coefficient (``_log_coef``),
+    to the chains it memoizes; a chain built per call leaves both None.
+    Every array is read-only.
     """
 
     states: np.ndarray
@@ -419,8 +421,8 @@ class _Chain(NamedTuple):
     y: np.ndarray
     parent: np.ndarray
     log_ratio: np.ndarray
-    rounds: tuple[np.ndarray, ...] | None
-    log_coef: np.ndarray | None
+    rounds: tuple[np.ndarray, ...] | None = None
+    log_coef: np.ndarray | None = None
 
 
 # Chains with S * k <= _MEMO_SIZE are built once per process, in the 32 entries of
@@ -447,8 +449,8 @@ def _doubling_rounds(parent: np.ndarray):
         pointer = pointer[pointer]
 
 
-def _build_chain(k: int, m: int, memoized: bool) -> _Chain:
-    """The urn-pair moves and spanning tree of (k, m), and if ``memoized`` its rounds and log_coef.
+def _build_chain(k: int, m: int) -> _Chain:
+    """The urn-pair moves and spanning tree of (k, m); ``_small_chain`` adds rounds and log_coef.
 
     The tree parent of a state moves one ball from its first non-empty urn
     j + 1 >= 1 down to urn j, which leads every state to (m, 0, ..., 0) in
@@ -483,26 +485,27 @@ def _build_chain(k: int, m: int, memoized: bool) -> _Chain:
     per_pair = state_count(k, m - 1) if m else 0
     lower, upper, x, y = (np.reshape([move[i] for move in moves], (k - 1, per_pair))
                           for i in range(4))
-    chain = _Chain(states, table, lower, upper, x, y, parent, log_ratio,
-                   tuple(_doubling_rounds(parent)) if memoized else None,
-                   _log_coef(states, m) if memoized else None)
-    for array in (*chain[:-2], *(chain.rounds or ()), chain.log_coef):
-        if array is not None:
-            array.flags.writeable = False
+    chain = _Chain(states, table, lower, upper, x, y, parent, log_ratio)
+    for array in chain[:-2]:
+        array.flags.writeable = False
     return chain
 
 
 @lru_cache(maxsize=32)
 def _small_chain(k: int, m: int) -> _Chain:
     """``_build_chain`` of a chain with S * k <= _MEMO_SIZE, with its rounds and coefficients."""
-    return _build_chain(k, m, memoized=True)
+    chain = _build_chain(k, m)
+    rounds, log_coef = tuple(_doubling_rounds(chain.parent)), _log_coef(chain.states, m)
+    for array in (*rounds, log_coef):
+        array.flags.writeable = False
+    return chain._replace(rounds=rounds, log_coef=log_coef)
 
 
 def _chain(k: int, m: int, cap: int) -> _Chain:
     """The moves and tree of (k, m), memoized if S * k <= _MEMO_SIZE; CapExceededError past cap."""
     if _memoized(k, _check_cap(k, m, cap)):
         return _small_chain(k, m)
-    return _build_chain(k, m, memoized=False)
+    return _build_chain(k, m)
 
 
 def _closed_log_pmf(chain: _Chain, params: EhrenfestParams) -> np.ndarray:
@@ -647,20 +650,10 @@ def _tree_law(chain: _Chain, log_ab: float) -> np.ndarray:
     return pi
 
 
-def detailed_balance_residual(
-    params: EhrenfestParams,
-    dist: MultinomialDist | None = None,
-    cap: int = DEFAULT_STATE_CAP,
-) -> float:
-    """Max over adjacent pairs of |pi(x) P(x,y) - pi(y) P(y,x)|.
-
-    Defaults to the closed-form stationary law, read off the chain
-    (``_closed_log_pmf``); pass ``dist`` to probe how sharply the residual
-    reacts to a perturbed candidate.
-    """
+def detailed_balance_residual(params: EhrenfestParams, cap: int = DEFAULT_STATE_CAP) -> float:
+    """Max over adjacent pairs of |pi(x) P(x,y) - pi(y) P(y,x)|, pi the closed law of params."""
     chain = _chain(params.k, params.m, cap)
-    log_px = _closed_log_pmf(chain, params) if dist is None else dist.log_pmf(chain.states)
-    return _balance(np.exp(log_px), _kernel_moves(chain, params))
+    return _balance(np.exp(_closed_log_pmf(chain, params)), _kernel_moves(chain, params))
 
 
 def _balance(px: np.ndarray, pairs) -> float:

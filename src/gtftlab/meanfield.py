@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrenfest import (MultinomialDist, _check_count, _check_mix, _check_share, _log_coef,
-                        _log_law, _real, geometric_weights, state_array)
+from .ehrenfest import (DEFAULT_STATE_CAP, CapExceededError, _check_count, _check_mix,
+                        _check_share, _log_coef, _log_law, _real, geometric_weights, state_array)
 from .games import ALLC, ALLD, GameConfig, RewardVector, expected_payoff_closed
 from .population import generosity_grid
 
@@ -42,18 +42,11 @@ def cell_weights(beta: float, k: int) -> np.ndarray:
     return geometric_weights(weight_ratio(beta), k)
 
 
-def stationary_weights(beta: float, k: int, m: int) -> MultinomialDist:
-    """Stationary multinomial of the dynamics: the m balls fall i.i.d. into ``cell_weights``."""
-    return MultinomialDist(m=m, p=tuple(cell_weights(beta, k)))
-
-
 def avg_stationary_generosity(k: int, beta: float, g_hat: float) -> float:
     """Mean generosity sum_j g_j p_j under the stationary law of the k-point dynamics."""
     grid = np.asarray(generosity_grid(k, g_hat))
-    lam = weight_ratio(beta)
-    if beta == 0.5:
-        return g_hat / 2.0
-    return float(grid @ geometric_weights(lam, k))
+    p = cell_weights(beta, k)
+    return g_hat / 2.0 if beta == 0.5 else float(grid @ p)
 
 
 def mean_field_payoff(g, alpha: float, beta: float, cfg: GameConfig, rv: RewardVector):
@@ -251,6 +244,9 @@ class PayoffComparison:
 
 
 def _payoff_tables(grid: np.ndarray, cfg: GameConfig, rv: RewardVector):
+    k = grid.size
+    if k * k > DEFAULT_STATE_CAP:  # the GTFT table's round chain holds dozens of k x k arrays
+        raise CapExceededError(f"k x k payoff tables at k={k} exceed cap {DEFAULT_STATE_CAP}")
     f_allc = expected_payoff_closed(grid, ALLC, cfg, rv)
     f_alld = expected_payoff_closed(grid, ALLD, cfg, rv)
     f_gg = expected_payoff_closed(grid[:, None], grid[None, :], cfg, rv)
@@ -293,7 +289,7 @@ def granular_expected_payoff(
         if m < 2:
             raise ValueError("count enumeration needs at least two GTFT nodes")
         states = state_array(k, m)
-        # the law of stationary_weights(beta, k, m), with no input check on the enumerated rows
+        # the multinomial law of the m labels over p, with no input check on the enumerated rows
         weight = np.exp(_log_law(_log_coef(states, m), states, p))
         counts = states.astype(float)
         # row s, column i: a focal node at index i meets one of the other

@@ -526,6 +526,28 @@ def test_compare_emits_fig_shaped_table(tmp_path):
     assert manifest["command"] == "compare"
 
 
+COMPARE = ["compare", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25", "--m", "20"]
+
+
+def test_compare_refuses_payoff_tables_past_the_cap(tmp_path, capsys):
+    # k x k payoff tables: k = 5000 was killed for want of memory, before any MemoryError
+    out = tmp_path / "compare.csv"
+    assert main([*COMPARE, "--k", "5000", "--populations", "0.25,0.25", "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: k x k payoff tables at k=5000 exceed cap 1000000\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("populations", ["0.25,0.25,0.1", "0.25,0.25;", "0.25,x"])
+def test_compare_names_a_malformed_populations_flag(populations, tmp_path, capsys):
+    # a third value and a trailing ';' once exited 2 on a tuple-unpacking message
+    out = tmp_path / "compare.csv"
+    assert main([*COMPARE, "--k", "3", "--populations", populations, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --populations must look like 0.25,0.25;0.3,0.2, got {populations!r}\n")
+    assert not out.exists()
+
+
 # sha256 of the README's payoff report (json.dumps, sorted keys, without the
 # manifest, which holds the time) and of its compare CSV: first from the
 # round-chain solve, then from the reference forms, as recorded before that
@@ -1062,6 +1084,8 @@ def test_optimality_exit_code_contract(case):
 
 @PROPERTY
 @given(argv=compare_argvs())
+# k x k payoff tables past the state cap: k = 5000 was killed for want of memory, not exit 3
+@example(argv=["compare", *GAME, "--k", "5000", "--m", "20", "--populations", "0.25,0.25"])
 def test_compare_exit_code_contract(argv, tmp_path):
     assert_table_contract(argv, tmp_path / "compare.csv")
 

@@ -180,6 +180,19 @@ def test_state_array_matches_recursive_oracle_and_ranks(k, m):
     np.testing.assert_array_equal(_rank(states, _rank_table(k, m), m), np.arange(len(states)))
 
 
+def test_enumeration_stays_off_the_chain_memo():
+    # both once copied a memoized chain's states, and so filled the memo for a caller that
+    # solves nothing
+    ehrenfest._small_chain.cache_clear()
+    states, enumerated = state_array(3, 4), enumerate_states(3, 4)
+    assert ehrenfest._small_chain.cache_info().currsize == 0
+    held = ehrenfest._small_chain(3, 4).states
+    assert (states.dtype, states.shape, states.tobytes()) == (held.dtype, held.shape,
+                                                               held.tobytes())
+    assert enumerated == list(map(tuple, held.tolist()))
+    assert states.flags.writeable
+
+
 @settings(max_examples=60, deadline=None)
 @given(params=small_params())
 @example(params=EhrenfestParams(k=3, a=0.5, b=0.5, m=4))  # self loops of mass 0
@@ -289,6 +302,12 @@ def layer_solve(params: EhrenfestParams, cap: int):
     return (chain.states, *rest)
 
 
+def balance_of(params: EhrenfestParams, dist: MultinomialDist) -> float:
+    """The largest |net flow| of a candidate law ``dist`` over the layer's chain of params."""
+    chain = ehrenfest._chain(params.k, params.m, ehrenfest.DEFAULT_STATE_CAP)
+    return ehrenfest._balance(np.exp(dist.log_pmf(chain.states)), _kernel_moves(chain, params))
+
+
 def exact_layer_bytes(params: EhrenfestParams, solve, balance, kernel) -> list[tuple]:
     """Every array the exact layer returns for params, as bytes with its dtype and shape."""
     states, pi, pairs, residual = solve(params)
@@ -364,7 +383,7 @@ def test_chain_held_closed_law_is_bitwise_the_multinomial_log_pmf(km, ab):
         return (ehrenfest._closed_log_pmf(chain, params).tobytes(),
                 dist.log_pmf(chain.states).tobytes(),
                 detailed_balance_residual(params),
-                detailed_balance_residual(params, dist=dist))
+                balance_of(params, dist))
 
     ehrenfest._small_chain.cache_clear()
     cold = layer()
@@ -741,7 +760,7 @@ def test_detailed_balance_residual_flags_perturbation():
     p[0] += 1e-3
     p /= p.sum()
     bad = MultinomialDist(m=4, p=tuple(p))
-    assert detailed_balance_residual(params, dist=bad) > 1e-6
+    assert balance_of(params, bad) > 1e-6
 
 
 @settings(max_examples=60, deadline=None)
@@ -756,7 +775,7 @@ def test_detailed_balance_residual_is_bitwise_the_transition_row_oracle(params, 
     rows = {x: transition_row(x, params) for x in states}
     oracle = max(abs(px[x] * p_xy - px[y] * rows[y][x])
                  for x in states for y, p_xy in rows[x].items() if y != x)
-    assert detailed_balance_residual(params, dist=dist) == oracle
+    assert balance_of(params, dist) == oracle
 
 
 def test_detailed_balance_two_state_chain_exact():

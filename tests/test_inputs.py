@@ -40,9 +40,9 @@ from gtftlab.ehrenfest import (
 )
 from gtftlab.games import (ALLD, GameConfig, RewardVector, Strategy, expected_payoff_closed,
                            expected_payoff_series, gtft, simulate_games)
-from gtftlab.meanfield import (avg_stationary_generosity, check_local_optimality, gap_bound,
-                               generosity_report, granular_expected_payoff, mean_field_payoff,
-                               optimal_generosity, phi_ratio, stationary_weights, weight_ratio)
+from gtftlab.meanfield import (avg_stationary_generosity, cell_weights, check_local_optimality,
+                               gap_bound, generosity_report, granular_expected_payoff,
+                               mean_field_payoff, optimal_generosity, phi_ratio, weight_ratio)
 from gtftlab.population import (
     PopulationConfig,
     generosity_grid,
@@ -238,7 +238,7 @@ def stationary_argv(beta):
 SHARES = (0.0, 1.0, -0.1, 1.5, math.nan)
 SHARE_ARGUMENTS = [
     ("weight_ratio", weight_ratio, SHARES + NOT_NUMBERS),
-    ("stationary_weights", lambda v: stationary_weights(v, 3, 4), SHARES + NOT_NUMBERS),
+    ("cell_weights", lambda v: cell_weights(v, 3), SHARES + NOT_NUMBERS),
     ("avg_stationary_generosity", lambda v: avg_stationary_generosity(3, v, 0.5),
      SHARES + NOT_NUMBERS),
     ("cli-stationary", lambda v: cli_call(stationary_argv(v)), SHARES),
@@ -255,7 +255,8 @@ SHARE_ARGUMENTS = [
 @pytest.mark.parametrize("call, bad_shares", [row[1:] for row in SHARE_ARGUMENTS],
                          ids=[row[0] for row in SHARE_ARGUMENTS])
 def test_every_defector_share_lies_strictly_between_0_and_1(call, bad_shares):
-    # weight_ratio(0) ended on a ZeroDivisionError; stationary_weights(1, 3, 4) returned (1, 0, 0)
+    # weight_ratio(0) ended on a ZeroDivisionError; the stationary weights at beta = 1 were
+    # (1, 0, 0)
     for beta in bad_shares:
         with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\), got"):
             call(beta)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gtftlab import games, meanfield
+from gtftlab.ehrenfest import CapExceededError
 from gtftlab.games import GameConfig, RewardVector
 from gtftlab.meanfield import (
     LocalOptimalityReport,
     avg_stationary_generosity,
+    cell_weights,
     check_local_optimality,
     gap_bound,
     granular_expected_payoff,
@@ -21,7 +24,6 @@ from gtftlab.meanfield import (
     mean_field_payoff,
     optimal_generosity,
     phi_ratio,
-    stationary_weights,
 )
 from gtftlab.population import generosity_grid
 from gtftlab.rng import stream
@@ -69,8 +71,7 @@ def granular_mc_oracle(alpha, beta, n, k, cfg, rv, draws, rng):
     distinct partner node; average the closed-form payoffs.
     """
     m = round((1 - alpha - beta) * n)
-    dist = stationary_weights(beta, k, m)
-    p = np.asarray(dist.p)
+    p = cell_weights(beta, k)
     grid = np.asarray(generosity_grid(k, cfg.g_hat))
     f_allc = reference_payoff_gtft_vs_allc(grid, cfg, rv)
     f_alld = reference_payoff_gtft_vs_alld(grid, cfg, rv)
@@ -135,10 +136,10 @@ def test_avg_generosity_matches_exact_oracle(beta, k):
 
 
 @pytest.mark.parametrize("k", [3.5, 4.0, True])
-def test_stationary_weights_reject_non_integer_cell_counts(k):
+def test_cell_weights_reject_non_integer_cell_counts(k):
     # 3.5 once gave a 4-cell law
     with pytest.raises(ValueError, match="k"):
-        stationary_weights(0.3, k, 4)
+        cell_weights(0.3, k)
 
 
 def test_avg_generosity_monotone_in_k_toward_ghat():
@@ -537,6 +538,23 @@ def test_local_optimality_rejects_a_non_integer_grid_size():
     for grid_size in (2.5, 20.0):
         with pytest.raises(ValueError, match="integer grid_size"):
             check_local_optimality(CFG, DONATION, grid_size)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: granular_expected_payoff(0.25, 0.25, 40, 1001, CFG, DONATION),
+    lambda: check_local_optimality(CFG, DONATION, grid_size=1001),
+], ids=["granular_expected_payoff", "check_local_optimality"])
+def test_payoff_tables_past_the_cap_are_refused_before_they_are_built(call):
+    # k x k tables past the state cap: at k = 5000 the GTFT table's temporaries got the process
+    # killed for want of memory, before any MemoryError could be raised
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=r"^k x k payoff tables at k=1001 exceed cap "):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_local_optimality_allc_payoff_exactly_constant():
