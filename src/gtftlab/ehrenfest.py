@@ -29,9 +29,12 @@ a chain's rows through ``_closed_log_pmf``, with no input check; that and
 ``MultinomialDist.log_pmf``, which checks its input, share the one
 log-law expression ``_log_law``. ``state_array`` and
 ``enumerate_states`` enumerate afresh and leave the memo alone. The
-entries are packed into a sparse matrix only by ``_sparse_kernel``, for
-``build_kernel`` and the distance scan, whose product is the one product
-with the kernel; scipy is imported there, so no other path loads it.
+kernel's entries, moves and self loops, are listed once, by
+``_kernel_entries``. ``build_kernel`` packs them into a sparse matrix,
+and only it imports scipy. The distance scan lays them out as a numpy
+table of each state's in-moves (``_in_moves``) and steps by gathering
+from it, adding the terms in the order of scipy's product, so its
+distances are bit for bit those of stepping by the matrix.
 
 The coupling time is sampled ball by ball, not step by step. Each step
 picks a ball uniformly and draws its move independently, so each ball
@@ -550,19 +553,16 @@ def build_kernel(
     """The (S, k) state array, its rank table, and the sparse transition matrix over its rows.
 
     ``_rank(states, table, m)`` gives the row of each count vector. The
-    matrix holds the entries of ``_kernel_moves`` and the self loops.
+    matrix holds ``_kernel_entries``: the entries of ``_kernel_moves`` and
+    the self loops, packed as CSR.
     """
     chain = _chain(params.k, params.m, cap)
-    return chain.states.copy(), chain.table.copy(), _sparse_kernel(chain, params)
-
-
-def _sparse_kernel(chain: _Chain, params: EhrenfestParams) -> sp.csr_matrix:
-    """The transition matrix over the chain's rows: ``_kernel_entries`` packed as CSR."""
     import scipy.sparse as sp  # about 0.2 s: paid only by callers that want the matrix
 
     n = len(chain.states)
     # the moves' rates are freed before scipy copies the triplets
-    return sp.csr_matrix(_kernel_entries(chain, params), shape=(n, n))
+    return (chain.states.copy(), chain.table.copy(),
+            sp.csr_matrix(_kernel_entries(chain, params), shape=(n, n)))
 
 
 def _kernel_entries(chain: _Chain, params: EhrenfestParams) -> tuple[np.ndarray, tuple]:
@@ -886,20 +886,57 @@ def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(mu) - np.asarray(nu)).sum())
 
 
+def _in_moves(chain: _Chain, params: EhrenfestParams) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's kernel entries in, as a (2k - 1, S) table of source rows and weights.
+
+    Slot j holds urn pair j's up move into the row, slot k - 1 the self
+    loop and slot 2k - 2 - j pair j's down move; a row with no such move
+    has weight 0 there. In the lexicographically decreasing ranking this
+    is each row's ascending order of source rows. The entries are read off
+    ``_kernel_entries``, which lists pair by pair the up moves, then the
+    down moves, and last the self loops.
+    """
+    k, n = params.k, len(chain.states)
+    values, (rows, cols) = _kernel_entries(chain, params)
+    slots = [slot for j in range(k - 1) for slot in (j, 2 * k - 2 - j)] + [k - 1]
+    slot = np.repeat(slots, [chain.lower.shape[1]] * (2 * k - 2) + [n])
+    source = np.zeros((2 * k - 1, n), dtype=np.intp)
+    weight = np.zeros((2 * k - 1, n))
+    source[slot, cols] = rows
+    weight[slot, cols] = values
+    return source, weight
+
+
 def _tv_scan(params: EhrenfestParams, inits: list[tuple[int, ...]], cap: int):
     """Exact TV distance to stationarity, maximized over point masses at ``inits``.
 
-    Yields the distance at t = 0, 1, 2, ...; one kernel build serves every t.
+    Yields the distance at t = 0, 1, 2, ...; one table of in-moves
+    (``_in_moves``) serves every t. A step gathers each row's sources and
+    sums the terms one slot after the other: in each row, the terms of
+    ``mus @ build_kernel(params)[2]`` in scipy's order of addition, so the
+    same bits. The extra terms of weight 0 change no sum, since every term
+    is >= 0.
     """
     chain = _chain(params.k, params.m, cap)
     pi = np.exp(_closed_log_pmf(chain, params))
-    mus = np.zeros((len(inits), len(chain.states)))
-    mus[np.arange(len(inits)), _rank(np.asarray(inits), chain.table, params.m)] = 1.0
-    # mus @ kernel is this product, but rebuilds the transpose on every call
-    back = _sparse_kernel(chain, params).T
+    width = len(inits)
+    mus = np.zeros((width, len(chain.states)))
+    mus[np.arange(width), _rank(np.asarray(inits), chain.table, params.m)] = 1.0
+    source, weight = _in_moves(chain, params)
+    shape = (*source.shape, width)
+    # the table over the flat C-ordered (S, width) mus.T: one 1-D take gathers a step's terms,
+    # 1.4-2x faster than a take of whole rows
+    source = (source[..., None] * width + np.arange(width)).ravel()
+    weight = np.repeat(weight, width, axis=1).ravel()
     while True:
+        # after the first step mus is the transpose of a C-ordered (S, width) array, as scipy's
+        # product left it: the row sums below add in a different order on another layout
         yield 0.5 * float(np.abs(mus - pi).sum(axis=1).max())
-        mus = (back @ mus.T).T
+        terms = mus.T.ravel().take(source)
+        terms *= weight
+        # a sum over the outer axis adds slot after slot; numpy sums pairwise only along the
+        # contiguous axis
+        mus = terms.reshape(shape).sum(axis=0).T
 
 
 def tv_distance_exact(

@@ -280,8 +280,8 @@ def granular_expected_payoff(
     m = round(m_exact) if np.isfinite(m_exact) else 0  # round(inf) overflows
     if abs(m_exact - m) > 1e-9 or m < 1:
         raise ValueError(f"(1 - alpha - beta) * n = {m_exact} is not a positive integer")
+    grid = np.asarray(generosity_grid(k, cfg.g_hat))  # first: it refuses a k past the cap
     p = cell_weights(beta, k)
-    grid = np.asarray(generosity_grid(k, cfg.g_hat))
     f_allc, f_alld, f_gg = _payoff_tables(grid, cfg, rv)
     gtft_frac = m / n
 

@@ -31,17 +31,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ehrenfest import (EhrenfestParams, MultinomialDist, _check_count, _check_generosity,
-                        _check_mix, _check_share, _check_state, stationary_closed)
+from .ehrenfest import (DEFAULT_STATE_CAP, CapExceededError, EhrenfestParams, MultinomialDist,
+                        _check_count, _check_generosity, _check_mix, _check_share, _check_state,
+                        stationary_closed)
 from .rng import ensure_rng
 
 PAIRING_MODES = ("idealized", "distinct-pair")
 
 
 def generosity_grid(k: int, g_hat: float) -> tuple[float, ...]:
-    """The k equidistant generosity values 0 = g_1 < ... < g_k = g_hat."""
+    """The k <= DEFAULT_STATE_CAP equidistant generosity values 0 = g_1 < ... < g_k = g_hat."""
     _check_count("k", k, 2)
     _check_generosity("g_hat", g_hat)
+    if k > DEFAULT_STATE_CAP:  # refused before the k floats are built
+        raise CapExceededError(f"k={k} generosity values exceed cap {DEFAULT_STATE_CAP}")
     return tuple(((j - 1) / (k - 1)) * g_hat for j in range(1, k + 1))
 
 

@@ -538,6 +538,26 @@ def test_compare_refuses_payoff_tables_past_the_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    SIM_FLAGS[:7] + ["--k", "300000000"] + SIM_FLAGS[9:],
+    ["optimality", *COMPARE[1:-2], "--alpha", "0.25", "--beta", "0.25", "--n", "40",
+     "--k", "300000000"],
+], ids=["simulate", "optimality"])
+def test_a_huge_k_is_refused_before_its_grid_is_built(argv, tmp_path, capsys):
+    # a tuple of 3*10^8 generosity values once ended only on the allocator
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(out)]) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == (
+        "", "error: k=300000000 generosity values exceed cap 1000000\n")
+    assert not out.exists()
+    assert peak < 5e6
+
+
 @pytest.mark.parametrize("populations", ["0.25,0.25,0.1", "0.25,0.25;", "0.25,x"])
 def test_compare_names_a_malformed_populations_flag(populations, tmp_path, capsys):
     # a third value and a trailing ';' once exited 2 on a tuple-unpacking message

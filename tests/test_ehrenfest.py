@@ -202,6 +202,7 @@ def test_kernel_matches_dict_oracle_entry_for_entry(params):
     oracle = dict_kernel(params)
     assert list(map(tuple, states.tolist())) == fill_states(params.k, params.m)
     np.testing.assert_array_equal(_rank(states, table, params.m), np.arange(len(states)))
+    assert type(kernel) is sp.csr_matrix
     assert kernel.shape == oracle.shape
     assert (kernel != oracle).nnz == 0
 
@@ -1386,14 +1387,30 @@ def reference_tv_scan(params: EhrenfestParams, inits, steps: int) -> list[float]
 
 @pytest.mark.parametrize("k, a, b, m, steps",
                          [(*instance, 200) for instance in SCAN_INSTANCES]
-                         + [(3, 0.02, 0.45, 1, 50), (6, 0.3, 0.2, 20, 20)])
+                         + [(3, 0.02, 0.45, 1, 50), (6, 0.3, 0.2, 20, 20),
+                            (4, 0.6, 0.4, 6, 60),  # a + b = 1: self loops of mass 0 inside
+                            (8, 0.3, 0.2, 5, 40),  # 15 slots, past numpy's 8 pairwise lanes
+                            (2, 0.3, 0.3, 255, 60),  # S k = 512: memoized
+                            (2, 0.3, 0.3, 256, 60),  # S k = 514: built per call
+                            (3, 1e-300, 0.4, 6, 60)])  # up moves near the float floor
 def test_tv_scan_equals_stepping_by_the_kernel(k, a, b, m, steps):
-    # the scan holds the kernel's transpose; the same product, so the same bits
+    # the scan adds each row's terms in the order of the sparse product, so the same bits
     params = EhrenfestParams(k=k, a=a, b=b, m=m)
     starts = scan_starts(k, m)
     for inits in (starts, starts[:2], starts[2:]):
         scanned = list(itertools.islice(_tv_scan(params, inits, 10**6), steps + 1))
         assert scanned == reference_tv_scan(params, inits, steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=small_params(), picks=st.lists(st.integers(0, 10**4), min_size=1, max_size=5))
+@example(params=EhrenfestParams(k=7, a=1e-300, b=0.5, m=8), picks=[0, 1716, 3002])
+@example(params=EhrenfestParams(k=5, a=0.5, b=0.5, m=8), picks=[7, 7, 400])
+def test_tv_scan_from_random_starts_equals_stepping_by_the_kernel(params, picks):
+    states = fill_states(params.k, params.m)
+    inits = [states[pick % len(states)] for pick in picks]
+    scanned = list(itertools.islice(_tv_scan(params, inits, 10**6), 31))
+    assert scanned == reference_tv_scan(params, inits, 30)
 
 
 def test_tv_scan_digest_is_pinned():

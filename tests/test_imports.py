@@ -1,6 +1,7 @@
 """Import-time cost, public names and the one integer rule of the package."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -26,17 +27,19 @@ def test_import_loads_no_scipy_solvers_or_special_functions():
 
 def test_only_the_sparse_kernel_loads_scipy_sparse(tmp_path):
     # the stationary solve, the balance check and `stationary --exact` read the
-    # kernel's moves, and the coupling samplers draw with numpy alone; only
-    # build_kernel's matrix, for the TV scan, needs scipy.sparse
+    # kernel's moves, the coupling samplers draw with numpy alone and the distance
+    # scan steps by a numpy table of the kernel's entries; only build_kernel's
+    # matrix needs scipy
     probe = f"""
 import sys
 import gtftlab
 from gtftlab import cli
-from gtftlab.ehrenfest import (EhrenfestParams, corner_labels, coupled_run,
-                               detailed_balance_residual, estimate_mixing, solve_stationary_exact)
+from gtftlab.ehrenfest import (EhrenfestParams, build_kernel, corner_labels, coupled_run,
+                               detailed_balance_residual, estimate_mixing, solve_stationary_exact,
+                               tmix_exact, tv_distance_exact)
 
 def loaded(step):
-    print(step, 'scipy.sparse' in sys.modules or 'scipy.stats' in sys.modules)
+    print(step, 'scipy' in sys.modules)
 
 loaded('import')
 params = EhrenfestParams(k=3, a=0.4, b=0.2, m=4)
@@ -56,12 +59,24 @@ argv = ['mixing', '--k', '3', '--a', '0.4', '--b', '0.2', '--m', '4', '--trials'
         '--seed', '1', '--sweep', 'm=4,8', '--out', {str(tmp_path / "mixing.json")!r}]
 assert cli.main(argv) == cli.EXIT_OK
 loaded('mixing')
+tmix_exact(params)
+loaded('tmix')
+tv_distance_exact(params, 3, (4, 0, 0))
+loaded('tv')
+argv = ['mixing', '--k', '3', '--a', '0.4', '--b', '0.2', '--m', '4', '--trials', '20',
+        '--seed', '1', '--exact-scan', '--out', {str(tmp_path / "scan.json")!r}]
+assert cli.main(argv) == cli.EXIT_OK
+loaded('scan')
+build_kernel(params)
+loaded('kernel')
 """
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout.split() == ["import", "False", "solve", "False", "balance", "False",
                                    "cli", "False", "coupled", "False", "estimate", "False",
-                                   "mixing", "False"]
+                                   "mixing", "False", "tmix", "False", "tv", "False",
+                                   "scan", "False", "kernel", "True"]
+    assert isinstance(json.loads((tmp_path / "scan.json").read_text())["exact_tmix"], int)
 
 
 def test_import_builds_no_clip_table_and_a_built_one_is_read_only():

@@ -15,7 +15,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gtftlab.ehrenfest import build_kernel, stationary_closed, transition_row
+from gtftlab.ehrenfest import (DEFAULT_STATE_CAP, CapExceededError, build_kernel,
+                               stationary_closed, transition_row)
 from gtftlab.population import (
     PAIRING_MODES,
     PopulationConfig,
@@ -44,6 +45,23 @@ def test_generosity_grid_examples():
     for k in (3.5, 3.0, 1):
         with pytest.raises(ValueError, match="need an integer k >= 2"):
             generosity_grid(k, 0.25)
+
+
+@pytest.mark.parametrize("build", [
+    lambda k: generosity_grid(k, 0.25),
+    lambda k: PopulationConfig(n=40, alpha=0.25, beta=0.25, k=k, g_hat=0.25),
+], ids=["grid", "config"])
+def test_a_grid_past_the_cap_is_refused_before_it_is_built(build):
+    # a tuple of 3*10^8 generosity values once ended only on the allocator
+    tracemalloc.start()
+    try:
+        for k in (DEFAULT_STATE_CAP + 1, 3 * 10**8):
+            with pytest.raises(CapExceededError, match=f"^k={k} generosity values exceed cap "):
+                build(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_generosity_grid_shape():
