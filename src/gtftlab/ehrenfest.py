@@ -883,7 +883,10 @@ def expected_absorption_closed(k: int, a: float, b: float) -> float:
 
 def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
     """Total variation distance between two PMFs on the same state list."""
-    return 0.5 * float(np.abs(np.asarray(mu) - np.asarray(nu)).sum())
+    mu, nu = np.asarray(mu), np.asarray(nu)
+    if mu.shape != nu.shape:  # broadcasting would pair the cells up wrongly
+        raise ValueError(f"tv_distance needs two laws of one shape, got {mu.shape} and {nu.shape}")
+    return 0.5 * float(np.abs(mu - nu).sum())
 
 
 def _in_moves(chain: _Chain, params: EhrenfestParams) -> tuple[np.ndarray, np.ndarray]:

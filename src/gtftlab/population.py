@@ -13,10 +13,13 @@ indices is exactly the weighted multi-urn walk in
 :mod:`gtftlab.ehrenfest`; ``to_ehrenfest`` produces the matching
 parameters.
 
-``run`` draws its pairs in 2**16 blocks and yields its records as it
-goes. It steps each block's GTFT moves in numpy, grouped by node and
-packed 8 to a byte, through a per-k table of 8-move clamp maps, and reads
-the records off the labels before and after each move.
+``run`` draws its pairs in 2**16 blocks, as int32 up to n = 2**31, and
+yields its records as it goes. It steps each block's GTFT moves in numpy,
+grouped by node and packed 8 to a byte, through a per-k table of 8-move
+clamp maps, and reads the records off the labels before and after each
+move. Records of one slice that repeat a count vector share its tuple and
+its average-generosity float, so a kept trajectory holds each visited
+vector about once per slice.
 ``sample_one_step_counts`` draws in the same blocks, tallies the draws by
 class and reads each class's successor off the start. The per-step rule
 that both are held equal to, one interaction at a time, is a test oracle
@@ -104,12 +107,16 @@ def _pair_blocks(n: int, distinct: bool, count: int, rng: np.random.Generator):
 
     The partner is uniform over all n nodes, or with ``distinct`` over the
     other n - 1: draws from 0..n-2 at or above the initiator shift up by one.
+    The draws are int32 up to n = 2**31, int64 past it: below 2**32 numpy
+    draws both dtypes by the same 32-bit rule, so the values and the
+    generator state are those of int64 draws.
     """
     stride = 1 << 16
+    dtype = np.int32 if n <= 1 << 31 else np.int64
     for done in range(0, count, stride):
         size = min(stride, count - done)
-        initiators = rng.integers(0, n, size=size)
-        partners = rng.integers(0, n - 1 if distinct else n, size=size)
+        initiators = rng.integers(0, n, size=size, dtype=dtype)
+        partners = rng.integers(0, n - 1 if distinct else n, size=size, dtype=dtype)
         if distinct:
             partners += partners >= initiators
         yield initiators, partners
@@ -132,7 +139,12 @@ def run(
     block steps only its GTFT initiators, node by node in 8-move chunks
     (``_block_moves``); each node sees its moves in step order, so the
     trajectory is deterministic given the seed and equals stepping the
-    per-step oracle of the tests over the same draws.
+    per-step oracle of the tests over the same draws. Within each slice of
+    about 2**14 counts, records with equal counts share one counts tuple
+    and one average-generosity float: a trajectory visits few of the
+    C(m + k - 1, k - 1) count vectors, so a kept list of records holds
+    each about once per slice. The pairs are drawn as int32 up to
+    n = 2**31, with the values and generator state of int64 draws.
     """
     _check_count("steps", steps, 0)
     _check_count("record_every", record_every, 1)
@@ -187,8 +199,17 @@ def _trajectory(cfg: PopulationConfig, labels: np.ndarray, steps: int, record_ev
             counts = z + np.cumsum(moved.reshape(last - first, k), axis=0)
             z = counts[-1]
             keep = max(0, min(last, records) - first)
-            yield from zip(marks[first:first + keep].tolist(), map(tuple, counts[:keep].tolist()),
-                           _mean_generosity(grid, counts[:keep], m).tolist())
+            # records with equal counts share one tuple and one float, built once per distinct
+            # row; _mean_generosity works row by row, so each float keeps its bits
+            row = np.dtype((np.void, counts.itemsize * k))
+            _, once, which = np.unique(counts[:keep].view(row).ravel(), return_index=True,
+                                       return_inverse=True)
+            distinct = counts.take(once, axis=0)
+            shared = list(map(tuple, distinct.tolist()))
+            means = _mean_generosity(grid, distinct, m).tolist()
+            which = which.tolist()
+            yield from zip(marks[first:first + keep].tolist(), map(shared.__getitem__, which),
+                           map(means.__getitem__, which))
         begin = end
 
 

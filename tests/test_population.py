@@ -512,6 +512,46 @@ def test_run_streams_its_records_at_large_k():
     assert peak < 8e6
 
 
+def test_records_with_equal_counts_share_one_tuple_and_one_float():
+    # 25,000 steps are one block and one slice of records after t = 0
+    rows = list(run(CFG, 25_000, CFG.n, stream(45, "shared")))
+    first = {}
+    for _, counts, avg in rows[1:]:
+        kept = first.setdefault(counts, (counts, avg))
+        assert kept[0] is counts and kept[1] is avg
+    assert len(first) < len(rows) // 5
+
+
+def test_a_kept_trajectory_holds_each_count_vector_once_per_slice():
+    # the benchmark's n=40 trajectory over 10**6 steps: 25,001 records of about
+    # 90 count vectors. With a tuple and a float per record it held 4.7-4.8 MB
+    list(run(CFG, 1000, CFG.n, stream(47, "warm")))  # the grid and clip table are built
+    tracemalloc.start()
+    try:
+        rows = list(run(CFG, 10**6, CFG.n, stream(47, "kept")))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 25_001
+    assert held < 3.5e6
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("n, dtype", [(2, np.int32), (40, np.int32), (1000, np.int32),
+                                      (1 << 31, np.int32), ((1 << 31) + 1, np.int64)])
+def test_pair_blocks_draw_as_int64_draws_do(n, dtype, distinct):
+    # below 2**32 numpy draws int32 and int64 by one rule: same values, same generator state
+    got_rng, ref_rng = stream(46, n, distinct), stream(46, n, distinct)
+    blocks = _pair_blocks(n, distinct, BLOCK + 5, got_rng)
+    for (initiators, partners), size in zip(blocks, (BLOCK, 5), strict=True):
+        assert initiators.dtype == dtype and partners.dtype == dtype
+        want = ref_rng.integers(0, n, size=size)
+        assert np.array_equal(initiators, want)
+        want = ref_rng.integers(0, n - 1 if distinct else n, size=size)
+        assert np.array_equal(partners, want + (distinct & (want >= initiators)))
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @st.composite
 def populations(draw):
     n = draw(st.integers(2, 30))
