@@ -202,9 +202,8 @@ def _trajectory(cfg: PopulationConfig, labels: np.ndarray, steps: int, record_ev
             # records with equal counts share one tuple and one float, built once per distinct
             # row; _mean_generosity works row by row, so each float keeps its bits
             row = np.dtype((np.void, counts.itemsize * k))
-            _, once, which = np.unique(counts[:keep].view(row).ravel(), return_index=True,
-                                       return_inverse=True)
-            distinct = counts.take(once, axis=0)
+            distinct, which = np.unique(counts[:keep].view(row).ravel(), return_inverse=True)
+            distinct = distinct.view(counts.dtype).reshape(-1, k)
             shared = list(map(tuple, distinct.tolist()))
             means = _mean_generosity(grid, distinct, m).tolist()
             which = which.tolist()
