@@ -293,10 +293,10 @@ def granular_sweep(populations: Iterable[tuple[float, float]], m: int, k: int, c
     for alpha, beta in populations:
         _check_mix(alpha, beta)  # before n divides by 1 - alpha - beta
         n = m / (1.0 - alpha - beta)
-        m_n, grid, p = _granular_inputs(alpha, beta, n, k, cfg)
+        m_checked, grid, p = _granular_inputs(alpha, beta, n, k, cfg)
         if tables is None:
             tables = _payoff_tables(grid, cfg, rv)
-        yield _granular(alpha, beta, n, m_n, grid, p, tables, cfg, rv, False)
+        yield _granular(alpha, beta, n, m_checked, grid, p, tables, cfg, rv, False)
 
 
 def _granular_inputs(alpha: float, beta: float, n: float, k: int, cfg: GameConfig):
