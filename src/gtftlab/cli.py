@@ -292,10 +292,14 @@ def cmd_compare(args) -> list[str]:
     cfg = GameConfig(delta=args.delta, s1=args.s1, g_hat=args.g_hat)
     pairs = _parse_populations(args.populations)
     lines = ["alpha,beta,g,F_meanfield,F_granular,avg_generosity,F_meanfield_at_avg"]
-    for comp in meanfield.granular_sweep(pairs, args.m, args.k, cfg, rv):
+    for alpha, beta in pairs:
+        ehrenfest._check_mix(alpha, beta)
+        # m GTFT nodes is held fixed across the sweep; n scales with the fractions
+        n = args.m / (1.0 - alpha - beta)
+        comp = meanfield.granular_expected_payoff(alpha, beta, n, args.k, cfg, rv)
         for g, f_mf in zip(comp.g_grid, comp.mean_field):
             lines.append(
-                f"{comp.alpha!r},{comp.beta!r},{g!r},{f_mf!r},{comp.granular!r},"
+                f"{alpha!r},{beta!r},{g!r},{f_mf!r},{comp.granular!r},"
                 f"{comp.avg_generosity!r},{comp.mean_field_at_avg!r}"
             )
     return lines

@@ -21,7 +21,6 @@ instead of averaging it away.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,46 +275,14 @@ def granular_expected_payoff(
     space with multinomial weights and distinct-partner frequencies,
     which agrees exactly and cross-checks the identity on small m.
     """
-    m, grid, p = _granular_inputs(alpha, beta, n, k, cfg)
-    return _granular(alpha, beta, n, m, grid, p, _payoff_tables(grid, cfg, rv), cfg, rv,
-                     enumerate_counts)
-
-
-def granular_sweep(populations: Iterable[tuple[float, float]], m: int, k: int, cfg: GameConfig,
-                   rv: RewardVector) -> Iterator[PayoffComparison]:
-    """``granular_expected_payoff`` per (alpha, beta), at n = m / (1 - alpha - beta).
-
-    The m GTFT nodes are held fixed while n scales with the fractions. The
-    payoff tables depend on the grid, ``cfg`` and ``rv`` alone, so one build
-    serves every population; it follows the first population's checks.
-    """
-    tables = None
-    for alpha, beta in populations:
-        _check_mix(alpha, beta)  # before n divides by 1 - alpha - beta
-        n = m / (1.0 - alpha - beta)
-        m_checked, grid, p = _granular_inputs(alpha, beta, n, k, cfg)
-        if tables is None:
-            tables = _payoff_tables(grid, cfg, rv)
-        yield _granular(alpha, beta, n, m_checked, grid, p, tables, cfg, rv, False)
-
-
-def _granular_inputs(alpha: float, beta: float, n: float, k: int, cfg: GameConfig):
-    """The GTFT node count, the generosity grid and the stationary law p, each checked."""
     _check_mix(alpha, beta)  # and weight_ratio checks beta > 0 before the tables
     m_exact = (1.0 - alpha - beta) * n
     m = round(m_exact) if np.isfinite(m_exact) else 0  # round(inf) overflows
     if abs(m_exact - m) > 1e-9 or m < 1:
         raise ValueError(f"(1 - alpha - beta) * n = {m_exact} is not a positive integer")
     grid = np.asarray(generosity_grid(k, cfg.g_hat))  # first: it refuses a k past the cap
-    return m, grid, cell_weights(beta, k)
-
-
-def _granular(alpha: float, beta: float, n: float, m: int, grid: np.ndarray, p: np.ndarray,
-              tables: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: GameConfig,
-              rv: RewardVector, enumerate_counts: bool) -> PayoffComparison:
-    """granular_expected_payoff() from its checked inputs and the grid's payoff tables."""
-    k = grid.size
-    f_allc, f_alld, f_gg = tables
+    p = cell_weights(beta, k)
+    f_allc, f_alld, f_gg = _payoff_tables(grid, cfg, rv)
     gtft_frac = m / n
 
     if enumerate_counts:

@@ -317,7 +317,8 @@ def sample_one_step_counts(
     for initiators, partners in _pair_blocks(cfg.n, cfg.pairing == "distinct-pair", n_samples,
                                              rng):
         defector = (partners >= n_allc) & (partners < start)
-        tally += np.bincount(2 * label[initiators] + defector, minlength=2 * (k + 1))
+        # take: indexing by the int32 draws, label[initiators], goes the slow way round
+        tally += np.bincount(2 * label.take(initiators) + defector, minlength=2 * (k + 1))
     counts: dict[tuple[int, ...], int] = {}
     for cls in np.flatnonzero(tally).tolist():
         j, down = divmod(cls, 2)

@@ -529,19 +529,6 @@ def test_compare_emits_fig_shaped_table(tmp_path):
 COMPARE = ["compare", "--b", "3", "--c", "2", "--delta", "0.9", "--g-hat", "0.25", "--m", "20"]
 
 
-def test_compare_builds_its_payoff_tables_once(monkeypatch, tmp_path):
-    # the tables depend on the grid, the game and the rewards alone; each population rebuilt them
-    builds = []
-    build = meanfield._payoff_tables
-    monkeypatch.setattr(meanfield, "_payoff_tables",
-                        lambda *args: builds.append(args) or build(*args))
-    out = tmp_path / "compare.csv"
-    assert main([*COMPARE, "--k", "4", "--populations", "0.4,0.1;0.25,0.25;0.1,0.4",
-                 "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 1 + 3 * 4
-    assert len(builds) == 1
-
-
 def test_compare_refuses_payoff_tables_past_the_cap(tmp_path, capsys):
     # k x k payoff tables: k = 5000 was killed for want of memory, before any MemoryError
     out = tmp_path / "compare.csv"
